@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ChartExit, SingularMetric, StepFailure, ZeroVelocity
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, christoffel_at
+from .geometry import Chart, Metric2, christoffel_at, singular
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
 MAX_STEPS = 1_000_000
@@ -50,6 +50,10 @@ class QuadraticForm:
     def jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         return self.a.jet(x, y), self.b.jet(x, y), self.c.jet(x, y)
 
+    def on(self, chart: Chart) -> tuple[Jet2, Jet2, Jet2]:
+        """Coefficient jets over the chart grid (see ScalarField.on)."""
+        return self.a.on(chart), self.b.on(chart), self.c.on(chart)
+
     def scaled(self, k: float) -> "QuadraticForm":
         return QuadraticForm(self.a * k, self.b * k, self.c * k, self.chart)
 
@@ -63,8 +67,7 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
     m, det, _ = g.values_at(s.x, s.y)
-    norm2 = float(np.sum(m * m))
-    if abs(det) < 1e-12 * max(norm2, 1e-300):
+    if singular(det, float(np.sum(m * m))):
         raise SingularMetric(s.x, s.y, det)
     gxx, gxy, gyy = m[1, 1] / det, -m[0, 1] / det, m[0, 0] / det
     return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
@@ -88,9 +91,14 @@ def poisson_bracket(A, B, s: PhaseState) -> float:
     quadratics; position derivatives come from jets, momentum derivatives
     are closed-form."""
     fa, fb = _as_form(A), _as_form(B)
-    a1, b1, c1 = fa.jets_at(s.x, s.y)
-    a2, b2, c2 = fb.jets_at(s.x, s.y)
-    px, py = s.px, s.py
+    return bracket_from_jets(fa.jets_at(s.x, s.y), fb.jets_at(s.x, s.y), s.px, s.py)
+
+
+def bracket_from_jets(jets_a, jets_b, px: float, py: float):
+    """{A, B} at momentum (px, py) from the coefficient jets (a, b, c) of
+    two momentum quadratics; the jets may hold grid arrays."""
+    a1, b1, c1 = jets_a
+    a2, b2, c2 = jets_b
     px2, pxpy, py2 = px * px, px * py, py * py
 
     ax1 = a1.dx * px2 + b1.dx * pxpy + c1.dx * py2

@@ -3,17 +3,16 @@ integral I, the null-coordinate PDE residuals, and the triviality test."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, SignatureMismatch, SingularMetric
+from .errors import DomainError, InvariantViolation, SignatureMismatch
 from .expr import parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, metric_at
-from .dynamics import PhaseState, QuadraticForm, hamiltonian, hamiltonian_form, \
-    poisson_bracket, quadratic_value
+from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
+    hamiltonian_form, poisson_bracket, quadratic_value  # noqa: F401 (importable from here)
 
 DEFAULT_VERIFY_TOL = 1e-9
 DEFAULT_TRIVIALITY_TOL = 1e-8
@@ -30,9 +29,9 @@ class NullFormMetric:
     chart: Chart
 
     def __post_init__(self):
-        for x, y in self.chart.points():
-            if not self.f(x, y) > 0.0:
-                raise InvariantViolation("null-form coefficient f must be positive", (x, y))
+        point = self.chart.first_point(~(self.f.on(self.chart).v > 0.0))
+        if point is not None:
+            raise InvariantViolation("null-form coefficient f must be positive", point)
 
     @classmethod
     def from_expr(cls, f: str, chart: Chart) -> "NullFormMetric":
@@ -44,11 +43,10 @@ class NullFormMetric:
 
 def null_form_of(g: Metric2, tol: float = 1e-10) -> NullFormMetric | None:
     """Recognize ds^2 = f dx dy; None if g11 or g22 is not negligible."""
-    for x, y in g.chart.points():
-        m, _, _ = g.values_at(x, y)
-        scale = max(abs(m[0, 1]), 1e-300)
-        if abs(m[0, 0]) > tol * scale or abs(m[1, 1]) > tol * scale:
-            return None
+    a, b, c = g.values_on(g.chart)
+    bound = tol * np.maximum(np.abs(b), 1e-300)
+    if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):
+        return None
     return NullFormMetric(g.g12 * 2.0, g.chart)
 
 
@@ -112,19 +110,28 @@ class SysResiduals:
                 self.r3 / self.norm, self.r4 / self.norm)
 
     def max_normalized(self) -> float:
-        return max(abs(v) for v in self.normalized())
+        """max |r_i| / norm; an array when the residuals are grid arrays."""
+        r1, r2, r3, r4 = (abs(v) for v in self.normalized())
+        return np.maximum(np.maximum(r1, r2), np.maximum(r3, r4))
 
 
-def sys_residuals(f: ScalarField, F: QuadraticForm, x: float, y: float) -> SysResiduals:
-    fj = f.jet(x, y)
-    aj, bj, cj = F.jets_at(x, y)
+def _sys_norm(fj, aj, bj, cj):
+    return ((1.0 + abs(fj.v) + abs(fj.dx) + abs(fj.dy))
+            * (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v)))
+
+
+def _sys_from_jets(fj, aj, bj, cj) -> SysResiduals:
+    """The sys residuals from the jets of f and of (a, b, c); the jets may
+    hold grid arrays."""
     r1 = aj.dy
     r2 = fj.v * aj.dx + fj.v * bj.dy + 2.0 * fj.dx * aj.v + fj.dy * bj.v
     r3 = fj.v * bj.dx + fj.v * cj.dy + fj.dx * bj.v + 2.0 * fj.dy * cj.v
     r4 = cj.dx
-    norm = ((1.0 + abs(fj.v) + abs(fj.dx) + abs(fj.dy))
-            * (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v)))
-    return SysResiduals(r1, r2, r3, r4, norm)
+    return SysResiduals(r1, r2, r3, r4, _sys_norm(fj, aj, bj, cj))
+
+
+def sys_residuals(f: ScalarField, F: QuadraticForm, x: float, y: float) -> SysResiduals:
+    return _sys_from_jets(f.jet(x, y), *F.jets_at(x, y))
 
 
 def bracket_cubic_from_sys(f: ScalarField, res: SysResiduals, x: float, y: float,
@@ -138,23 +145,19 @@ def bracket_cubic_from_sys(f: ScalarField, res: SysResiduals, x: float, y: float
     return -2.0 / (fv * fv) * cubic
 
 
-def _sys_from_bracket(g_null: Metric2, f: ScalarField, F: QuadraticForm,
-                      x: float, y: float) -> SysResiduals:
-    """Recover the four sys values from numerically evaluated Poisson
-    brackets at the momentum basis (independent route through the
-    inverse-metric jets)."""
-    vals = np.array([poisson_bracket(g_null, F, PhaseState(x, y, px, py))
-                     for px, py in _MOMENTUM_BASIS])
+def _sys_from_bracket(vals, fj, F_jets) -> SysResiduals:
+    """Recover the four sys values from the Poisson brackets {H, F} at the
+    momentum basis (an independent route through the inverse-metric jets),
+    with the normalizer of the sys route."""
     # cubic coefficients (C0..C3) of {H,F} from the basis evaluations:
     # (1,0): C0; (0,1): C3; (1,1): C0+C1+C2+C3; (1,-1): C0-C1+C2-C3
     c0 = vals[0]
     c3 = vals[1]
     c1 = 0.5 * (vals[2] - vals[3]) - c3
     c2 = 0.5 * (vals[2] + vals[3]) - c0
-    fv = f(x, y)
+    fv = fj.v
     k = -fv * fv / 2.0
-    ref = sys_residuals(f, F, x, y)  # only for the shared normalizer
-    return SysResiduals(k * c0 / fv, k * c1, k * c2, k * c3 / fv, ref.norm)
+    return SysResiduals(k * c0 / fv, k * c1, k * c2, k * c3 / fv, _sys_norm(fj, *F_jets))
 
 
 # --- verification reports ---------------------------------------------------------
@@ -195,36 +198,31 @@ def verify_integral(metric, F: QuadraticForm, chart: Chart | None = None,
         method = "sys" if nf is not None else "bracket"
     chart = chart or g.chart
 
-    worst = 0.0
-    worst_pt = chart.center
     if method == "sys":
         if nf is None:
             raise ValueError("sys residuals require a null-form metric")
-        for x, y in chart.points():
-            r = sys_residuals(nf.f, F, x, y).max_normalized()
-            if r > worst:
-                worst, worst_pt = r, (x, y)
+        r = _sys_from_jets(nf.f.on(chart), *F.on(chart)).max_normalized()
     elif method == "bracket":
-        for x, y in chart.points():
-            if nf is not None:
-                r = _sys_from_bracket(g, nf.f, F, x, y).max_normalized()
-            else:
-                hf = hamiltonian_form(g)
-                aj, bj, cj = hf.jets_at(x, y)
-                fnorm = (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v) + abs(aj.dx)
-                         + abs(bj.dx) + abs(cj.dx) + abs(aj.dy) + abs(bj.dy) + abs(cj.dy))
-                a2, b2, c2 = F.jets_at(x, y)
-                cnorm = 1.0 + abs(a2.v) + abs(b2.v) + abs(c2.v)
-                for px, py in _MOMENTUM_BASIS:
-                    v = abs(poisson_bracket(g, F, PhaseState(x, y, px, py)))
-                    r = v / (fnorm * cnorm)
-                    if r > worst:
-                        worst, worst_pt = r, (x, y)
-                continue
-            if r > worst:
-                worst, worst_pt = r, (x, y)
+        h_jets = hamiltonian_form(g).on(chart)
+        F_jets = F.on(chart)
+        vals = [bracket_from_jets(h_jets, F_jets, px, py) for px, py in _MOMENTUM_BASIS]
+        if nf is not None:
+            r = _sys_from_bracket(vals, nf.f.on(chart), F_jets).max_normalized()
+        else:
+            aj, bj, cj = h_jets
+            fnorm = (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v) + abs(aj.dx)
+                     + abs(bj.dx) + abs(cj.dx) + abs(aj.dy) + abs(bj.dy) + abs(cj.dy))
+            a2, b2, c2 = F_jets
+            cnorm = 1.0 + abs(a2.v) + abs(b2.v) + abs(c2.v)
+            r = np.max([abs(v) / (fnorm * cnorm) for v in vals], axis=0)
     else:
         raise ValueError(f"unknown method {method!r}")
+    overflow = chart.first_point(~np.isfinite(r))
+    if overflow is not None:
+        raise DomainError(f"{method} residual is not finite", point=overflow)
+    i = int(np.argmax(r))
+    worst = float(r.flat[i])
+    worst_pt = chart.point(i) if worst > 0.0 else chart.center
     return VerificationReport(method, worst, worst_pt, tol, worst < tol)
 
 
@@ -244,13 +242,9 @@ def triviality_check(F: QuadraticForm, g: Metric2, chart: Chart | None = None,
     """F is trivial iff F - lambda H vanishes (coefficient-wise on the grid)
     for the deviation-minimizing lambda."""
     chart = chart or g.chart
-    hf = hamiltonian_form(g)
-    fvals, hvals = [], []
-    for x, y in chart.points():
-        fvals.extend((F.a(x, y), F.b(x, y), F.c(x, y)))
-        hvals.extend((hf.a(x, y), hf.b(x, y), hf.c(x, y)))
-    fvals = np.array(fvals)
-    hvals = np.array(hvals)
+    # coefficients interleaved point by point: (a, b, c) at each grid point
+    fvals = np.stack([j.v for j in F.on(chart)], axis=-1).ravel()
+    hvals = np.stack([j.v for j in hamiltonian_form(g).on(chart)], axis=-1).ravel()
     denom = float(hvals @ hvals)
     lam = float(fvals @ hvals) / denom if denom > 0.0 else 0.0
     dev = float(np.max(np.abs(fvals - lam * hvals)))

@@ -24,11 +24,17 @@ class UnknownIdentifier(ProjEqError):
 
 class DomainError(ProjEqError):
     """Evaluation left the domain of a sub-expression (log of non-positive,
-    division by zero, abs at zero, ...)."""
+    division by zero, abs at zero, overflow, ...).  Grid evaluations also
+    name the first offending grid point."""
 
-    def __init__(self, message: str, where: str = ""):
-        super().__init__(message + (f" in '{where}'" if where else ""))
+    def __init__(self, message: str, where: str = "", point=None):
+        if where:
+            message += f" in '{where}'"
+        if point is not None:
+            message += f" at grid point ({point[0]:.6g}, {point[1]:.6g})"
+        super().__init__(message)
         self.where = where
+        self.point = point
 
 
 # --- geometry ---------------------------------------------------------------

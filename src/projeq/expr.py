@@ -19,8 +19,11 @@ holomorphic expression.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -261,7 +264,10 @@ def render(e: Expr) -> str:
 
 class Jet2:
     """Value and partial derivatives up to second order of a function of (x, y).
-    Mixed-partial symmetry holds by construction (one dxy slot)."""
+    Mixed-partial symmetry holds by construction (one dxy slot).
+
+    The slots are floats or, for grid evaluations, NumPy arrays that broadcast
+    against each other; the arithmetic is the same for both."""
 
     __slots__ = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 
@@ -311,8 +317,10 @@ class Jet2:
     __rmul__ = __mul__
 
     def reciprocal(self):
+        """1 / self.  A zero value raises DomainError; on a grid it gives inf,
+        which the grid evaluation reports with its point."""
         v = self.v
-        if v == 0.0:
+        if not isinstance(v, np.ndarray) and v == 0.0:
             raise DomainError("division by zero")
         iv = 1.0 / v
         iv2 = iv * iv
@@ -344,9 +352,13 @@ class Jet2:
         )
 
     def __pow__(self, k):
-        if isinstance(k, Jet2):
-            return _jet_pow(self, k)
-        return _jet_pow(self, Jet2(float(k)))
+        w = k if isinstance(k, Jet2) else Jet2(float(k))
+        if isinstance(self.v, np.ndarray) or isinstance(w.v, np.ndarray):
+            return _grid_pow(self, w)
+        try:
+            return _jet_pow(self, w)
+        except OverflowError:
+            raise DomainError("numerical overflow") from None
 
 
 def _as_jet(o):
@@ -355,80 +367,97 @@ def _as_jet(o):
     return Jet2(float(o))
 
 
+# Chain rules of the elementary functions, written once for the scalar
+# modules (math, cmath) and for NumPy; Jet2 and ComplexJet share chain().
+# Domain checks live in the evaluators, which know the sub-expression.
+
+def _chain_rules(m):
+    def sin(u):
+        s, c = m.sin(u.v), m.cos(u.v)
+        return u.chain(s, c, -s)
+
+    def cos(u):
+        s, c = m.sin(u.v), m.cos(u.v)
+        return u.chain(c, -s, -c)
+
+    def exp(u):
+        e = m.exp(u.v)
+        return u.chain(e, e, e)
+
+    def log(u):
+        iv = 1.0 / u.v
+        return u.chain(m.log(u.v), iv, -iv * iv)
+
+    def sqrt(u):
+        s = m.sqrt(u.v)
+        return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
+
+    rules = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
+    if hasattr(m, "copysign"):          # real modules only
+        rules["abs"] = lambda u: u.chain(m.fabs(u.v), m.copysign(1.0, u.v), 0.0)
+    return rules
+
+
+_MATH_RULES = _chain_rules(math)
+_CMATH_RULES = _chain_rules(cmath)
+_NUMPY_RULES = _chain_rules(np)
+
+# function -> ((predicate on the argument's value, message), ...); the
+# predicates hold for floats and arrays alike
+_REAL_DOMAIN = {
+    "log": ((lambda v: v <= 0.0, "log of a non-positive value"),),
+    "sqrt": ((lambda v: v < 0.0, "sqrt of a negative value"),
+             (lambda v: v == 0.0, "sqrt is not differentiable at 0")),
+    "abs": ((lambda v: abs(v) < _ABS_KINK_TOL, "abs is not differentiable at 0"),),
+}
+_COMPLEX_DOMAIN = {
+    "log": ((lambda v: v == 0, "log at the branch point 0"),),
+    "sqrt": ((lambda v: v == 0, "sqrt at the branch point 0"),),
+}
+
+
+def _const_power(u, k: float):
+    """u^k for a constant exponent k (integral or with u > 0)."""
+    v = u.v
+    f2 = k * (k - 1.0) * v ** (k - 2.0) if k != 1.0 else 0.0
+    return u.chain(v ** k, k * v ** (k - 1.0), f2)
+
+
 def _jet_pow(u: Jet2, w: Jet2) -> Jet2:
-    const_expo = w.dx == 0.0 and w.dy == 0.0 and w.dxx == 0.0 and w.dxy == 0.0 and w.dyy == 0.0
-    k = w.v
-    if const_expo and k == round(k):
-        k = int(round(k))
-        if k == 0:
-            return Jet2(1.0)
-        if u.v == 0.0 and k < 0:
-            raise DomainError("zero raised to a negative power")
-        f0 = u.v ** k
-        f1 = k * u.v ** (k - 1)
-        f2 = k * (k - 1) * (u.v ** (k - 2) if k != 1 else 0.0)
-        return u.chain(f0, f1, f2)
-    if const_expo:
+    if w.dx == 0.0 and w.dy == 0.0 and w.dxx == 0.0 and w.dxy == 0.0 and w.dyy == 0.0:
+        k = w.v
+        if k == round(k):               # OverflowError for an infinite exponent
+            if k == 0.0:
+                return Jet2(1.0)
+            if u.v == 0.0 and k < 0.0:
+                raise DomainError("zero raised to a negative power")
+            return _const_power(u, k)
         if u.v <= 0.0:
             raise DomainError("non-integer power of a non-positive base")
-        f0 = u.v ** k
-        f1 = k * u.v ** (k - 1.0)
-        f2 = k * (k - 1.0) * u.v ** (k - 2.0)
-        return u.chain(f0, f1, f2)
+        return _const_power(u, k)
     # general u^w = exp(w log u)
     if u.v <= 0.0:
         raise DomainError("power with variable exponent needs a positive base")
-    return _jet_exp(w * _jet_log(u))
+    return _MATH_RULES["exp"](w * _MATH_RULES["log"](u))
 
 
-def _jet_exp(u: Jet2) -> Jet2:
-    e = math.exp(u.v)
-    return u.chain(e, e, e)
+def eval_jet(e: Expr, x, y) -> Jet2:
+    """Value and exact partial derivatives up to second order at (x, y).
 
-
-def _jet_log(u: Jet2) -> Jet2:
-    if u.v <= 0.0:
-        raise DomainError("log of a non-positive value")
-    iv = 1.0 / u.v
-    return u.chain(math.log(u.v), iv, -iv * iv)
-
-
-def _jet_sqrt(u: Jet2) -> Jet2:
-    if u.v < 0.0:
-        raise DomainError("sqrt of a negative value")
-    if u.v == 0.0:
-        raise DomainError("sqrt is not differentiable at 0")
-    s = math.sqrt(u.v)
-    return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
-
-
-def _jet_abs(u: Jet2) -> Jet2:
-    if abs(u.v) < _ABS_KINK_TOL:
-        raise DomainError("abs is not differentiable at 0")
-    s = 1.0 if u.v > 0.0 else -1.0
-    return u.chain(abs(u.v), s, 0.0)
-
-
-_JET_FUNCS = {
-    "sin": lambda u: u.chain(math.sin(u.v), math.cos(u.v), -math.sin(u.v)),
-    "cos": lambda u: u.chain(math.cos(u.v), -math.sin(u.v), -math.cos(u.v)),
-    "exp": _jet_exp,
-    "log": _jet_log,
-    "sqrt": _jet_sqrt,
-    "abs": _jet_abs,
-}
-
-_JET_X = ("x",)
-
-
-def eval_jet(e: Expr, x: float, y: float) -> Jet2:
-    """Value and exact partial derivatives up to second order at (x, y)."""
+    With NumPy arrays for x and y (any shapes that broadcast) the slots are
+    arrays over those points; domain errors and non-finite values then raise
+    DomainError naming the sub-expression and the first offending point in
+    C order."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return _eval_jet_grid(e, x, y)
     try:
         return _eval_jet(e, x, y)
     except DomainError:
         raise
     except ZeroDivisionError:
         raise DomainError("division by zero", render(e))
+    except OverflowError:
+        raise DomainError("numerical overflow", render(e))
 
 
 def _eval_jet(e: Expr, x: float, y: float) -> Jet2:
@@ -456,27 +485,155 @@ def _eval_jet(e: Expr, x: float, y: float) -> Jet2:
                 if ru.v == 0.0:
                     raise DomainError("division by zero", render(right))
                 return lu / ru
-            return _jet_pow(lu, ru)
-        case Call(func, arg):
-            u = _eval_jet(arg, x, y)
             try:
-                return _JET_FUNCS[func](u)
+                return _jet_pow(lu, ru)
             except DomainError as err:
                 raise DomainError(str(err), render(e)) from None
+        case Call(func, arg):
+            u = _eval_jet(arg, x, y)
+            if func in _REAL_DOMAIN:
+                for bad, message in _REAL_DOMAIN[func]:
+                    if bad(u.v):
+                        raise DomainError(message, render(e))
+            return _MATH_RULES[func](u)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# --- grid evaluation ----------------------------------------------------------------
+
+
+def _first_point(mask, x, y) -> tuple[float, float]:
+    """(x, y) at the first True entry of mask in C order."""
+    shape = np.broadcast_shapes(np.shape(mask), np.shape(x), np.shape(y))
+    i = np.unravel_index(int(np.argmax(np.broadcast_to(mask, shape))), shape)
+    return float(np.broadcast_to(x, shape)[i]), float(np.broadcast_to(y, shape)[i])
+
+
+def _reject(mask, message: str, node=None, x=None, y=None):
+    """Raise DomainError when mask holds anywhere, naming the sub-expression
+    node and, when coordinates are given, the first point where it holds."""
+    if np.any(mask):
+        point = None if x is None else _first_point(mask, x, y)
+        raise DomainError(message, "" if node is None else render(node), point)
+
+
+def _nonfinite(j):
+    """Mask of the points where any slot of the jet is NaN or infinite."""
+    slots = (j.v, j.dv, j.ddv) if isinstance(j, ComplexJet) else \
+        (j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy)
+    bad = False
+    for s in slots:
+        bad = bad | ~np.isfinite(s)
+    return bad
+
+
+def _uniform_constant(value, derivatives):
+    """An exponent's value when it is one constant at every point, else None."""
+    if any(np.any(d) for d in derivatives):
+        return None
+    v = np.ravel(value)
+    return v[0] if np.all(v == v[0]) else None
+
+
+def _grid_pow(u: Jet2, w: Jet2, node=None, x=None, y=None) -> Jet2:
+    k = _uniform_constant(w.v, (w.dx, w.dy, w.dxx, w.dxy, w.dyy))
+    if k is not None:
+        k = float(k)
+        _reject(not math.isfinite(k), "non-finite exponent", node, x, y)
+        if k == round(k):
+            if k == 0.0:
+                return Jet2(1.0)
+            if k < 0.0:
+                _reject(u.v == 0.0, "zero raised to a negative power", node, x, y)
+            return _const_power(u, k)
+        _reject(u.v <= 0.0, "non-integer power of a non-positive base", node, x, y)
+        return _const_power(u, k)
+    _reject(u.v <= 0.0, "power with variable exponent needs a positive base", node, x, y)
+    return _NUMPY_RULES["exp"](w * _NUMPY_RULES["log"](u))
+
+
+def _eval_jet_grid(e: Expr, x, y) -> Jet2:
+    grid = _Grid(x, y, {"x": Jet2(x, 1.0, 0.0), "y": Jet2(y, 0.0, 1.0)},
+                 lambda v: Jet2(np.float64(v)), _NUMPY_RULES, _REAL_DOMAIN,
+                 _grid_pow, "division by zero", "real")
+    return grid.evaluate(e)
+
+
+class _Grid:
+    """One expression evaluated over coordinate arrays: the jets of the
+    variables, the jet class's constants, chain rules and domain checks, and
+    the coordinates that domain errors name."""
+
+    def __init__(self, x, y, variables, constant, rules, domain, power, pole, context):
+        self.x, self.y = x, y
+        self.variables = variables
+        self.constant = constant          # overflows to inf like the arrays, not raising
+        self.rules = rules
+        self.domain = domain
+        self.power = power
+        self.pole = pole
+        self.context = context
+
+    def evaluate(self, e: Expr):
+        with np.errstate(all="ignore"):
+            j = self.walk(e, False)
+            if np.any(_nonfinite(j)):
+                self.walk(e, True)      # raises at the innermost non-finite node
+        return j
+
+    def walk(self, e: Expr, strict: bool):
+        """One walk of the tree; strict checks every node for non-finite
+        values, to name the sub-expression that produced them."""
+        x, y = self.x, self.y
+        match e:
+            case Num(v):
+                out = self.constant(v)
+            case Var(name):
+                if name not in self.variables:
+                    raise DomainError(f"variable '{name}' has no {self.context}-context value")
+                out = self.variables[name]
+            case Neg(arg):
+                out = -self.walk(arg, strict)
+            case BinOp(op, left, right):
+                lu = self.walk(left, strict)
+                ru = self.walk(right, strict)
+                if op == "+":
+                    out = lu + ru
+                elif op == "-":
+                    out = lu - ru
+                elif op == "*":
+                    out = lu * ru
+                elif op == "/":
+                    _reject(ru.v == 0, self.pole, right, x, y)
+                    out = lu / ru
+                else:
+                    out = self.power(lu, ru, e, x, y)
+            case Call(func, arg):
+                if func not in self.rules:
+                    raise DomainError(f"{func} is not holomorphic", render(e))
+                u = self.walk(arg, strict)
+                for bad, message in self.domain.get(func, ()):
+                    _reject(bad(u.v), message, e, x, y)
+                out = self.rules[func](u)
+            case _:
+                raise TypeError(f"not an Expr: {e!r}")
+        if strict:
+            _reject(_nonfinite(out), "non-finite value", e, x, y)
+        return out
 
 
 # --- complex jets ----------------------------------------------------------------
 
 class ComplexJet:
-    """Value and the first two z-derivatives of a holomorphic expression."""
+    """Value and the first two z-derivatives of a holomorphic expression.
+    Slots are complex numbers or, for grid evaluations, complex arrays."""
 
     __slots__ = ("v", "dv", "ddv")
 
     def __init__(self, v, dv=0j, ddv=0j):
-        self.v = complex(v)
-        self.dv = complex(dv)
-        self.ddv = complex(ddv)
+        self.v = v
+        self.dv = dv
+        self.ddv = ddv
 
     def __repr__(self):
         return f"ComplexJet(v={self.v}, dv={self.dv}, ddv={self.ddv})"
@@ -498,7 +655,7 @@ class ComplexJet:
         )
 
     def reciprocal(self):
-        if self.v == 0:
+        if not isinstance(self.v, np.ndarray) and self.v == 0:
             raise DomainError("complex division by zero (pole)")
         iv = 1.0 / self.v
         return self.chain(iv, -iv * iv, 2.0 * iv * iv * iv)
@@ -515,66 +672,47 @@ class ComplexJet:
 
 
 def _cpow(u: ComplexJet, w: ComplexJet) -> ComplexJet:
-    if w.dv == 0 and w.ddv == 0 and w.v == round(w.v.real) and w.v.imag == 0.0:
-        k = int(round(w.v.real))
-        if k == 0:
-            return ComplexJet(1.0)
-        if u.v == 0 and k < 0:
+    if w.dv == 0 and w.ddv == 0 and w.v.imag == 0.0 and w.v.real == round(w.v.real):
+        k = w.v.real
+        if k == 0.0:
+            return ComplexJet(1.0 + 0j)
+        if u.v == 0 and k < 0.0:
             raise DomainError("complex pole: zero to a negative power")
-        return u.chain(u.v ** k, k * u.v ** (k - 1),
-                       k * (k - 1) * (u.v ** (k - 2) if k != 1 else 0.0))
-    return _cexp(w * _clog(u))
-
-
-def _cexp(u: ComplexJet) -> ComplexJet:
-    import cmath
-    e = cmath.exp(u.v)
-    return u.chain(e, e, e)
-
-
-def _clog(u: ComplexJet) -> ComplexJet:
-    import cmath
+        return _const_power(u, k)
     if u.v == 0:
         raise DomainError("log at the branch point 0")
-    iv = 1.0 / u.v
-    return u.chain(cmath.log(u.v), iv, -iv * iv)
+    return _CMATH_RULES["exp"](w * _CMATH_RULES["log"](u))
 
 
-def _csqrt(u: ComplexJet) -> ComplexJet:
-    import cmath
-    if u.v == 0:
-        raise DomainError("sqrt at the branch point 0")
-    s = cmath.sqrt(u.v)
-    return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
+def eval_complex(e: Expr, z) -> ComplexJet:
+    """Value and z-derivatives of a complex-context expression at z.  With a
+    complex array z the slots are arrays, and errors name the first
+    offending point as (Re z, Im z)."""
+    if isinstance(z, np.ndarray):
+        return _eval_complex_grid(e, z.astype(complex))
+    try:
+        return _eval_complex(e, complex(z))
+    except DomainError:
+        raise
+    except ZeroDivisionError:
+        raise DomainError("complex division by zero (pole)", render(e))
+    except OverflowError:
+        raise DomainError("numerical overflow", render(e))
 
 
-def _csin(u: ComplexJet) -> ComplexJet:
-    import cmath
-    return u.chain(cmath.sin(u.v), cmath.cos(u.v), -cmath.sin(u.v))
-
-
-def _ccos(u: ComplexJet) -> ComplexJet:
-    import cmath
-    return u.chain(cmath.cos(u.v), -cmath.sin(u.v), -cmath.cos(u.v))
-
-
-_CFUNCS = {"exp": _cexp, "log": _clog, "sqrt": _csqrt, "sin": _csin, "cos": _ccos}
-
-
-def eval_complex(e: Expr, z: complex) -> ComplexJet:
-    """Value and z-derivatives of a complex-context expression at z."""
+def _eval_complex(e: Expr, z: complex) -> ComplexJet:
     match e:
         case Num(v):
-            return ComplexJet(v)
+            return ComplexJet(complex(v))
         case Var(name):
             if name == "z":
-                return ComplexJet(z, 1.0)
+                return ComplexJet(z, 1.0 + 0j)
             raise DomainError(f"variable '{name}' has no complex-context value")
         case Neg(arg):
-            return -eval_complex(arg, z)
+            return -_eval_complex(arg, z)
         case BinOp(op, left, right):
-            lu = eval_complex(left, z)
-            ru = eval_complex(right, z)
+            lu = _eval_complex(left, z)
+            ru = _eval_complex(right, z)
             if op == "+":
                 return lu + ru
             if op == "-":
@@ -587,8 +725,36 @@ def eval_complex(e: Expr, z: complex) -> ComplexJet:
         case Call(func, arg):
             if func == "abs":
                 raise DomainError("abs is not holomorphic")
-            return _CFUNCS[func](eval_complex(arg, z))
+            u = _eval_complex(arg, z)
+            if func in _COMPLEX_DOMAIN:
+                for bad, message in _COMPLEX_DOMAIN[func]:
+                    if bad(u.v):
+                        raise DomainError(message, render(e))
+            return _CMATH_RULES[func](u)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _grid_cpow(u: ComplexJet, w: ComplexJet, node, x, y) -> ComplexJet:
+    k = _uniform_constant(w.v, (w.dv, w.ddv))
+    if k is not None and k.imag == 0.0 and math.isfinite(k.real) and k.real == round(k.real):
+        k = float(k.real)
+        if k == 0.0:
+            return ComplexJet(1.0 + 0j)
+        if k < 0.0:
+            _reject(u.v == 0, "complex pole: zero to a negative power", node, x, y)
+        return _const_power(u, k)
+    _reject(u.v == 0, "log at the branch point 0", node, x, y)
+    return _NUMPY_RULES["exp"](w * _NUMPY_RULES["log"](u))
+
+
+_NUMPY_HOLOMORPHIC = {name: rule for name, rule in _NUMPY_RULES.items() if name != "abs"}
+
+
+def _eval_complex_grid(e: Expr, z) -> ComplexJet:
+    grid = _Grid(z.real, z.imag, {"z": ComplexJet(z, 1.0 + 0j)},
+                 lambda v: ComplexJet(np.complex128(v)), _NUMPY_HOLOMORPHIC,
+                 _COMPLEX_DOMAIN, _grid_cpow, "complex division by zero (pole)", "complex")
+    return grid.evaluate(e)
 
 
 # --- symbolic derivative -----------------------------------------------------------

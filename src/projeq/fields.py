@@ -11,15 +11,26 @@ composed field need) and a numerically inverted evaluation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from .errors import NonMonotone
+from .errors import DomainError, NonMonotone
 from .expr import Expr, Jet2, diff, eval_jet
+
+_SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on first use: scipy is slow to import
+    and only rectification needs it."""
+    from scipy.optimize import brentq as _brentq
+    return _brentq(f, a, b, **kwargs)
 
 
 class ScalarField:
-    """A real scalar field of (x, y) with exact order-2 jets."""
+    """A real scalar field of (x, y) with exact order-2 jets.
+
+    The wrapped function takes floats or NumPy arrays of coordinates; every
+    constructor below keeps that, so a field can be evaluated point by point
+    (jet, __call__) or over a whole chart at once (on)."""
 
     __slots__ = ("_jet",)
 
@@ -31,6 +42,23 @@ class ScalarField:
 
     def __call__(self, x: float, y: float) -> float:
         return self._jet(x, y).v
+
+    def on(self, chart) -> Jet2:
+        """The jet over the chart grid: each slot an (nx, ny) array, entry
+        [i, j] at (xs[i], ys[j]), i.e. in chart.points() order.  A NaN or
+        infinite entry raises DomainError naming the first such grid point."""
+        x, y = chart.mesh()
+        with np.errstate(all="ignore"):
+            j = self._jet(x, y)
+        slots = [np.broadcast_to(np.asarray(getattr(j, s), dtype=float), x.shape)
+                 for s in _SLOTS]
+        bad = ~np.isfinite(slots[0])
+        for s in slots[1:]:
+            bad |= ~np.isfinite(s)
+        if bad.any():
+            raise DomainError("field takes a non-finite value (overflow or division "
+                              "by zero)", point=chart.first_point(bad))
+        return Jet2(*slots)
 
     # constructors -----------------------------------------------------------
     @classmethod
@@ -86,14 +114,18 @@ class ScalarField:
         return ScalarField(lambda x, y: self._jet(x, y) ** k)
 
     def cached(self) -> "ScalarField":
-        """Memoize jets by evaluation point (grid sweeps revisit the same
-        points many times once fields are built from composed maps)."""
+        """Memoize jets by evaluation point (per-point sweeps revisit the same
+        points many times once fields are built from composed maps).  Array
+        input is evaluated at once, and its finite points join the memo."""
         memo: dict = {}
         inner = self._jet
 
         def jet(x, y):
             key = (x, y)
-            j = memo.get(key)
+            try:
+                j = memo.get(key)
+            except TypeError:           # arrays are unhashable
+                return _remember(memo, inner(x, y), x, y)
             if j is None:
                 j = memo[key] = inner(x, y)
             return j
@@ -151,6 +183,21 @@ def _as_field(o):
     return ScalarField.constant(float(o))
 
 
+def _remember(memo: dict, j: Jet2, x, y) -> Jet2:
+    """Store the finite points of an array jet in a per-point memo."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    cols = [np.broadcast_to(getattr(j, s), shape).ravel() for s in _SLOTS]
+    finite = np.isfinite(cols[0])
+    for c in cols[1:]:
+        finite &= np.isfinite(c)
+    keys = zip(np.broadcast_to(x, shape).ravel().tolist(),
+               np.broadcast_to(y, shape).ravel().tolist())
+    for key, ok, *slots in zip(keys, finite.tolist(), *(c.tolist() for c in cols)):
+        if ok:
+            memo.setdefault(key, Jet2(*slots))
+    return j
+
+
 # --- monotone 1D coordinate maps -----------------------------------------------
 
 
@@ -175,7 +222,10 @@ class Monotone1D:
     def range(self) -> tuple[float, float]:
         return (self(self.tmin), self(self.tmax))
 
-    def inverse(self, u: float, xtol: float = 1e-13) -> float:
+    def inverse(self, u, xtol: float = 1e-13):
+        """t with self(t) = u; arrays are inverted point by point."""
+        if isinstance(u, np.ndarray):
+            return np.reshape([self.inverse(v, xtol) for v in u.ravel().tolist()], u.shape)
         t = self._inv_memo.get(u)
         if t is None:
             t = self._inv_memo[u] = self._invert(u, xtol)
@@ -255,16 +305,18 @@ class IdentityMap(LinearMap):
 class QuadratureMap(Monotone1D):
     """Map defined by its derivative: value(t) = integral of deriv from t0.
 
-    deriv_jet(t) must return (d, d', d'') of the derivative function; values
-    come from the exact antiderivative of a dense cubic-spline fit of the
-    derivative, which keeps positional error far below the 1e-6 tolerances
-    downstream.
+    deriv_jet(t) must return (d, d', d'') of the derivative function, for a
+    float or an array t; values come from the exact antiderivative of a dense
+    cubic-spline fit of the derivative, which keeps positional error far
+    below the 1e-6 tolerances downstream.
     """
 
     def __init__(self, deriv_jet, t0: float, tmin: float, tmax: float, samples: int = 513):
         super().__init__(tmin, tmax)
         self.t0 = float(t0)
         self._deriv_jet = deriv_jet
+        from scipy.interpolate import CubicSpline
+
         ts = np.linspace(tmin, tmax, samples)
         ds = np.array([deriv_jet(float(t))[0] for t in ts])
         if not np.all(ds > 0.0):
@@ -275,7 +327,8 @@ class QuadratureMap(Monotone1D):
         self.validate_monotone()
 
     def __call__(self, t):
-        return float(self._anti(t)) - self._base
+        value = self._anti(t) - self._base
+        return value if isinstance(t, np.ndarray) else float(value)
 
     def fjet(self, t):
         d0, d1, d2 = self._deriv_jet(t)

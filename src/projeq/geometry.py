@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,6 +15,10 @@ from .fields import ScalarField
 
 DEFAULT_CLASSIFY_TOL = 1e-8
 
+# Grid sweeps hold a few dozen (nx, ny) arrays at once, so memory grows with
+# the number of grid points; 256 x 256 keeps a sweep within tens of MB.
+MAX_GRID_POINTS = 65_536
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -24,10 +29,16 @@ class Chart:
     grid: tuple[int, int] = (21, 21)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
+            raise InvariantViolation("chart ranges must be finite")
         if not (self.x_range[1] > self.x_range[0] and self.y_range[1] > self.y_range[0]):
             raise InvariantViolation("chart ranges must be non-degenerate")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise InvariantViolation("chart grid must be at least 2x2")
+        if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
+            raise InvariantViolation(
+                f"chart grid {self.grid[0]}x{self.grid[1]} exceeds the maximum of "
+                f"{MAX_GRID_POINTS} grid points")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.grid[0])
@@ -40,6 +51,21 @@ class Chart:
             for y in self.ys():
                 yield float(x), float(y)
 
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) coordinate arrays of shape (nx, ny), in points() order."""
+        return tuple(np.meshgrid(self.xs(), self.ys(), indexing="ij"))
+
+    def point(self, index: int) -> tuple[float, float]:
+        """The grid point at a flat index in points() order."""
+        i, j = divmod(int(index), self.grid[1])
+        return float(self.xs()[i]), float(self.ys()[j])
+
+    def first_point(self, mask) -> tuple[float, float] | None:
+        """The first grid point, in points() order, where the (nx, ny) mask
+        holds; None when it holds nowhere."""
+        mask = np.broadcast_to(mask, self.grid)
+        return self.point(np.argmax(mask)) if mask.any() else None
+
     def contains(self, x: float, y: float, pad: float = 0.0) -> bool:
         return (self.x_range[0] - pad <= x <= self.x_range[1] + pad
                 and self.y_range[0] - pad <= y <= self.y_range[1] + pad)
@@ -50,10 +76,24 @@ class Chart:
                 0.5 * (self.y_range[0] + self.y_range[1]))
 
 
+_SIGNATURES = (("+", "+"), ("-", "-"), ("+", "-"))
+
+
+def _signature_code(g11, g22, det):
+    """Index into _SIGNATURES (floats or arrays)."""
+    return np.where(det > 0.0, np.where(g11 + g22 > 0.0, 0, 1), 2)
+
+
 def _signature_of(m: np.ndarray, det: float) -> tuple[str, str]:
     if det > 0.0:
         return ("+", "+") if m[0, 0] + m[1, 1] > 0.0 else ("-", "-")
     return ("+", "-")
+
+
+def singular(det, norm2):
+    """The one singular-metric test: |det| negligible against the squared
+    entries (norm2 = g11^2 + 2 g12^2 + g22^2); floats or arrays."""
+    return abs(det) < 1e-12 * np.maximum(norm2, 1e-300)
 
 
 class Metric2:
@@ -83,18 +123,25 @@ class Metric2:
         return cls(zero, f * 0.5, zero, chart)
 
     def _validate(self):
-        sig = None
-        for x, y in self.chart.points():
-            m, det, s = self.values_at(x, y)
-            norm2 = float(np.sum(m * m))
-            if abs(det) < 1e-12 * max(norm2, 1e-300):
-                raise SingularMetric(x, y, det)
-            if sig is None:
-                sig = s
-            elif s != sig:
-                raise InvariantViolation(
-                    f"metric signature changes across the chart ({sig} vs {s})", (x, y))
-        return sig
+        chart = self.chart
+        a, b, c = self.values_on(chart)
+        det = a * c - b * b
+        sing = singular(det, a * a + 2.0 * b * b + c * c)
+        sig = _signature_code(a, c, det)
+        bad = sing | (sig != sig.flat[0])
+        if bad.any():
+            i = int(np.argmax(bad))
+            x, y = chart.point(i)
+            if sing.flat[i]:
+                raise SingularMetric(x, y, float(det.flat[i]))
+            raise InvariantViolation(
+                f"metric signature changes across the chart "
+                f"({_SIGNATURES[sig.flat[0]]} vs {_SIGNATURES[sig.flat[i]]})", (x, y))
+        return _SIGNATURES[sig.flat[0]]
+
+    def values_on(self, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g11, g12, g22) over the chart grid as (nx, ny) arrays."""
+        return self.g11.on(chart).v, self.g12.on(chart).v, self.g22.on(chart).v
 
     # pointwise data -----------------------------------------------------------
     def values_at(self, x: float, y: float):
@@ -127,8 +174,7 @@ class Metric2:
 def metric_at(g: Metric2, x: float, y: float):
     """(2x2 matrix, det, signature) with a singularity check."""
     m, det, sig = g.values_at(x, y)
-    norm2 = float(np.sum(m * m))
-    if abs(det) < 1e-12 * max(norm2, 1e-300):
+    if singular(det, float(np.sum(m * m))):
         raise SingularMetric(x, y, det)
     return m, det, sig
 
@@ -137,8 +183,7 @@ def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
     """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij})."""
     j11, j12, j22 = g.jets_at(x, y)
     det = j11.v * j22.v - j12.v * j12.v
-    norm2 = j11.v ** 2 + 2 * j12.v ** 2 + j22.v ** 2
-    if abs(det) < 1e-12 * max(norm2, 1e-300):
+    if singular(det, j11.v ** 2 + 2 * j12.v ** 2 + j22.v ** 2):
         raise SingularMetric(x, y, det)
     ginv = np.array([[j22.v, -j12.v], [-j12.v, j11.v]]) / det
     # dg[l][i][j] = d_l g_{ij}
@@ -156,12 +201,20 @@ def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
     return gamma
 
 
+def _pair_tensor(a, b, c, abar, bbar, cbar, det):
+    """Entries (G11, G12, G21, G22) of G = g^{-1} gbar from the metric
+    entries (floats or arrays), det = a c - b^2."""
+    i11, i12, i22 = c / det, -b / det, a / det
+    return (i11 * abar + i12 * bbar, i11 * bbar + i12 * cbar,
+            i12 * abar + i22 * bbar, i12 * bbar + i22 * cbar)
+
+
 def g_tensor_at(g: Metric2, gbar: Metric2, x: float, y: float) -> np.ndarray:
     """G^i_j = sum_alpha gbar_{j alpha} g^{i alpha}."""
     m, det, _ = metric_at(g, x, y)
     mbar, _, _ = metric_at(gbar, x, y)
-    ginv = np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
-    return ginv @ mbar
+    G = _pair_tensor(m[0, 0], m[0, 1], m[1, 1], mbar[0, 0], mbar[0, 1], mbar[1, 1], det)
+    return np.array(G).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -180,34 +233,47 @@ class Classification:
         return self.eigenvalues
 
 
+_TAGS = ("proportional", "real_distinct", "complex_pair", "jordan_block", "ambiguous")
+
+
+def _classify(g11, g12, g21, g22, tol: float):
+    """Case codes (indices into _TAGS) and eigen data (e0, e1) of 2x2
+    matrices given entrywise, as floats or arrays.
+
+    Proportional: G within tol * scale of a multiple of the identity (e0 its
+    eigenvalue).  Otherwise the discriminant of the characteristic
+    polynomial decides: real_distinct (eigenvalues e0 > e1), complex_pair
+    (real part e0, imaginary part e1), jordan_block (double eigenvalue e0),
+    and 'ambiguous' for points too close to a case boundary."""
+    scale = np.sqrt(g11 * g11 + g12 * g12 + g21 * g21 + g22 * g22)
+    half = 0.5 * (g11 + g22)
+    bound = tol * scale
+    # deviation from a scalar multiple of the identity
+    nil = np.sqrt((g11 - half) ** 2 + g12 * g12 + g21 * g21 + (g22 - half) ** 2)
+    # numerically stable discriminant of the characteristic polynomial
+    disc = (g11 - g22) ** 2 + 4.0 * g12 * g21
+    root = np.sqrt(np.abs(disc))
+    code = np.select([(scale == 0.0) | (nil <= bound),
+                      (disc > 0.0) & (root > bound),
+                      (disc < 0.0) & (0.5 * root > bound),
+                      root <= bound], [0, 1, 2, 3], default=4)
+    e0 = np.where(code == 1, half + 0.5 * root, np.where(scale == 0.0, 0.0, half))
+    e1 = np.where(code == 1, half - 0.5 * root, 0.5 * root)
+    return code, e0, e1
+
+
+def _classification(code: int, e0: float, e1: float, tol: float) -> Classification:
+    return Classification(_TAGS[code], tol, (e0, e1) if code in (1, 2) else (e0,))
+
+
 def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Classify a 2x2 matrix by its eigenstructure, with scale-relative
     tolerances.  Points too close to a case boundary come back 'ambiguous'."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     G = np.asarray(G, dtype=float)
-    g11, g12, g21, g22 = G[0, 0], G[0, 1], G[1, 0], G[1, 1]
-    scale = math.sqrt(g11 * g11 + g12 * g12 + g21 * g21 + g22 * g22)
-    if scale == 0.0:
-        return Classification("proportional", tol, (0.0,))
-    tr = g11 + g22
-    half = 0.5 * tr
-    # deviation from a scalar multiple of the identity
-    nil = math.sqrt((g11 - half) ** 2 + g12 * g12 + g21 * g21 + (g22 - half) ** 2)
-    if nil <= tol * scale:
-        return Classification("proportional", tol, (half,))
-    # numerically stable discriminant of the characteristic polynomial
-    disc = (g11 - g22) ** 2 + 4.0 * g12 * g21
-    root = math.sqrt(abs(disc))
-    if disc > 0.0 and root > tol * scale:
-        lam = half + 0.5 * root
-        mu = half - 0.5 * root
-        return Classification("real_distinct", tol, (lam, mu))
-    if disc < 0.0 and 0.5 * root > tol * scale:
-        return Classification("complex_pair", tol, (half, 0.5 * root))
-    if root <= tol * scale:
-        return Classification("jordan_block", tol, (half,))
-    return Classification("ambiguous", tol, (half,))
+    code, e0, e1 = _classify(G[0, 0], G[0, 1], G[1, 0], G[1, 1], tol)
+    return _classification(int(code), float(e0), float(e1), tol)
 
 
 @dataclass
@@ -225,15 +291,30 @@ class PairClassification:
 def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) -> PairClassification:
     """Classify at every grid point; report the modal case and the fraction
     of grid points agreeing with it."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    chart = g.chart
+    a, b, c = g.values_on(chart)
+    abar, bbar, cbar = gbar.values_on(chart)
+    det = a * c - b * b
+    det_bar = abar * cbar - bbar * bbar
+    sing = singular(det, a * a + 2.0 * b * b + c * c)
+    sing_bar = singular(det_bar, abar * abar + 2.0 * bbar * bbar + cbar * cbar)
+    if (sing | sing_bar).any():
+        i = int(np.argmax(sing | sing_bar))
+        raise SingularMetric(*chart.point(i), float((det if sing.flat[i] else det_bar).flat[i]))
+    G = _pair_tensor(a, b, c, abar, bbar, cbar, det)
+    codes, e0, e1 = _classify(*G, tol)
+
     per_point = []
     counts: Counter = Counter()
     rep = {}
-    for x, y in g.chart.points():
-        G = g_tensor_at(g, gbar, x, y)
-        c = classify_at(G, tol)
-        per_point.append((x, y, c))
-        counts[c.tag] += 1
-        rep.setdefault(c.tag, c)
+    points = itertools.product(chart.xs().tolist(), chart.ys().tolist())
+    for (x, y), code, v0, v1 in zip(points, codes.ravel().tolist(),
+                                    e0.ravel().tolist(), e1.ravel().tolist()):
+        cl = _classification(code, v0, v1, tol)
+        per_point.append((x, y, cl))
+        counts[cl.tag] += 1
+        rep.setdefault(cl.tag, cl)
     modal, n = counts.most_common(1)[0]
-    total = sum(counts.values())
-    return PairClassification(rep[modal], n / total, dict(counts), per_point)
+    return PairClassification(rep[modal], n / len(per_point), dict(counts), per_point)

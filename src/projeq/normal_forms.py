@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .expr import Expr, Jet2, diff, eval_complex, parse
 from .fields import ScalarField
@@ -59,10 +61,18 @@ class GeneratedPair:
 # --- helpers --------------------------------------------------------------------
 
 
-def _check(chart: Chart, predicate, message: str):
-    for x, y in chart.points():
-        if not predicate(x, y):
-            raise InvariantViolation(message, (x, y))
+def _check(chart: Chart, ok, message: str):
+    """Raise at the first grid point where the (nx, ny) mask ok fails."""
+    point = chart.first_point(np.logical_not(ok))
+    if point is not None:
+        raise InvariantViolation(message, point)
+
+
+def _z(x, y):
+    try:
+        return complex(x, y)
+    except TypeError:           # coordinate arrays
+        return x + 1j * y
 
 
 def holomorphic_parts(h: Expr) -> tuple[ScalarField, ScalarField]:
@@ -70,12 +80,12 @@ def holomorphic_parts(h: Expr) -> tuple[ScalarField, ScalarField]:
     complex derivatives via the Cauchy-Riemann structure."""
 
     def re_jet(x, y):
-        c = eval_complex(h, complex(x, y))
+        c = eval_complex(h, _z(x, y))
         return Jet2(c.v.real, c.dv.real, -c.dv.imag,
                     c.ddv.real, -c.ddv.imag, -c.ddv.real)
 
     def im_jet(x, y):
-        c = eval_complex(h, complex(x, y))
+        c = eval_complex(h, _z(x, y))
         return Jet2(c.v.imag, c.dv.imag, c.dv.real,
                     c.ddv.imag, c.ddv.real, -c.ddv.imag)
 
@@ -94,9 +104,9 @@ def gen_liouville(spec: LiouvilleSpec) -> GeneratedPair:
     X = ScalarField.from_expr(_as_expr(spec.X, ("x",)))
     Y = ScalarField.from_expr(_as_expr(spec.Y, ("y",)))
     chart = spec.chart
-    _check(chart, lambda x, y: X(x, y) - Y(x, y) != 0.0, "X - Y vanishes on the chart")
-    _check(chart, lambda x, y: X(x, y) != 0.0 and Y(x, y) != 0.0,
-           "X or Y vanishes on the chart (gbar undefined)")
+    xv, yv = X.on(chart).v, Y.on(chart).v
+    _check(chart, xv - yv != 0.0, "X - Y vanishes on the chart")
+    _check(chart, (xv != 0.0) & (yv != 0.0), "X or Y vanishes on the chart (gbar undefined)")
 
     diffXY = X - Y
     zero = ScalarField.constant(0.0)
@@ -113,9 +123,9 @@ def gen_complex_liouville(spec: ComplexLiouvilleSpec) -> GeneratedPair:
     h = _as_expr(spec.h, ("z",))
     re, im = holomorphic_parts(h)
     chart = spec.chart
-    _check(chart, lambda x, y: im(x, y) != 0.0, "Im(h) vanishes on the chart")
-    _check(chart, lambda x, y: im(x, y) ** 2 + re(x, y) ** 2 != 0.0,
-           "|h| vanishes on the chart (gbar undefined)")
+    rv, iv = re.on(chart).v, im.on(chart).v
+    _check(chart, iv != 0.0, "Im(h) vanishes on the chart")
+    _check(chart, iv ** 2 + rv ** 2 != 0.0, "|h| vanishes on the chart (gbar undefined)")
 
     zero = ScalarField.constant(0.0)
     g = Metric2(zero, im, zero, chart)  # ds^2 = 2 Im(h) dx dy
@@ -136,8 +146,8 @@ def gen_jordan_block(spec: JordanBlockSpec) -> GeneratedPair:
     xf = ScalarField.coordinate("x")
     f = 1.0 + xf * Yp
     chart = spec.chart
-    _check(chart, lambda x, y: f(x, y) > 0.0, "1 + x Y'(y) must stay positive on the chart")
-    _check(chart, lambda x, y: Y(x, y) != 0.0, "Y vanishes on the chart (gbar undefined)")
+    _check(chart, f.on(chart).v > 0.0, "1 + x Y'(y) must stay positive on the chart")
+    _check(chart, Y.on(chart).v != 0.0, "Y vanishes on the chart (gbar undefined)")
 
     zero = ScalarField.constant(0.0)
     g = Metric2(zero, f * 0.5, zero, chart)
@@ -155,8 +165,8 @@ def gen_jordan_killing_free(spec: JordanKillingFreeSpec) -> GeneratedPair:
     yf = ScalarField.coordinate("y")
     w = Yt + xf
     chart = spec.chart
-    _check(chart, lambda x, y: w(x, y) != 0.0, "Ytilde(y) + x vanishes on the chart")
-    _check(chart, lambda x, y: y != 0.0, "y = 0 lies on the chart")
+    _check(chart, w.on(chart).v != 0.0, "Ytilde(y) + x vanishes on the chart")
+    _check(chart, chart.mesh()[1] != 0.0, "y = 0 lies on the chart")
 
     zero = ScalarField.constant(0.0)
     y3 = yf * yf * yf

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral, NotAxisAligned,
                      NotCase1, NotCase3, NotHolomorphic, RectifyError, SignatureMismatch,
@@ -19,6 +19,9 @@ from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, \
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
 from .equivalence import NullFormMetric, null_form_of, sys_residuals, triviality_check
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
@@ -107,7 +110,7 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
         a = j.v
         a1 = j.dx if axis == "x" else j.dy
         a2 = j.dxx if axis == "x" else j.dyy
-        s = 1.0 if a > 0.0 else -1.0
+        s = (a > 0.0) * 2.0 - 1.0       # sign, for floats and arrays
         mag = abs(a)
         d0 = mag ** -0.5
         d1 = -0.5 * s * a1 * mag ** -1.5
@@ -198,6 +201,8 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
                 tol: float = DEFAULT_CASE_TOL, samples: int = 129) -> Case1Result:
     """a = 1, c = 1 form: fb + 2f is a function of x - y alone and fb - 2f of
     x + y alone; read off Y and X, reconstruct f and b, report the residual."""
+    from scipy.interpolate import CubicSpline
+
     chart = nf.chart
     P = (nf.f * F.b + 2.0 * nf.f).cached()    # = Y_s(x - y)
     Q = (nf.f * F.b - 2.0 * nf.f).cached()    # = X_s(x + y)
@@ -324,7 +329,10 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
         # third-order term Y''' is not carried by order-2 jets; finite
         # difference is fine here (enters only second-order map slots)
         eps = 1e-5
-        tc = min(max(t, ylo + eps), yhi - eps)
+        if isinstance(t, np.ndarray):
+            tc = np.clip(t, ylo + eps, yhi - eps)
+        else:
+            tc = min(max(t, ylo + eps), yhi - eps)
         d1p = nf.f.jet(x_ref, tc + eps).dy + 0.5 * x_ref * fb.jet(x_ref, tc + eps).dyy
         d1m = nf.f.jet(x_ref, tc - eps).dy + 0.5 * x_ref * fb.jet(x_ref, tc - eps).dyy
         return (v, d1, (d1p - d1m) / (2.0 * eps))

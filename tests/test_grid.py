@@ -1,0 +1,317 @@
+"""Grid evaluation against the per-point route.
+
+Every sweep over a chart evaluates its fields once as (nx, ny) arrays
+(ScalarField.on).  These tests rebuild each sweep's answer point by point
+from the public scalar functions and require the same result and the same
+worst grid point.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import projeq as pq
+from projeq.cli import run
+from projeq.errors import DomainError, InvariantViolation
+from projeq.expr import BinOp, Call, Neg, Num, Var
+from projeq.geometry import MAX_GRID_POINTS
+
+SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+BASIS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
+
+
+def coefficient_fields(pair):
+    fields = {"g11": pair.g.g11, "g12": pair.g.g12, "g22": pair.g.g22,
+              "gbar11": pair.gbar.g11, "gbar12": pair.gbar.g12, "gbar22": pair.gbar.g22}
+    if pair.F is not None:
+        fields.update(a=pair.F.a, b=pair.F.b, c=pair.F.c)
+    return fields
+
+
+def assert_grid_matches_points(field, chart, rtol=1e-15):
+    """Each slot of field.on(chart) equals the per-point jets to rtol relative
+    to the slot's largest magnitude (points first, so that a memoized field
+    is compared against its own per-point values)."""
+    jets = [field.jet(x, y) for x, y in chart.points()]
+    grid = field.on(chart)
+    for slot in SLOTS:
+        arr = getattr(grid, slot)
+        assert arr.shape == chart.grid
+        pointwise = np.array([getattr(j, slot) for j in jets])
+        scale = max(float(np.max(np.abs(pointwise))), 1e-300)
+        assert np.max(np.abs(arr.ravel() - pointwise)) <= rtol * scale, slot
+
+
+def worst_of(values, chart):
+    """(max, first point attaining it), or (0, center) when all vanish: the
+    per-point bookkeeping of the sweeps."""
+    worst, point = 0.0, chart.center
+    for r, p in zip(values, chart.points()):
+        if r > worst:
+            worst, point = r, p
+    return worst, point
+
+
+def reference_sys(nf, F, chart):
+    return worst_of([pq.sys_residuals(nf.f, F, x, y).max_normalized()
+                     for x, y in chart.points()], chart)
+
+
+def reference_bracket(g, nf, F, chart):
+    """The bracket route point by point: Poisson brackets at the momentum
+    basis, turned into sys residuals for null forms and normalized by the
+    coefficient magnitudes otherwise."""
+    hf = pq.hamiltonian_form(g)
+    values = []
+    for x, y in chart.points():
+        vals = [pq.poisson_bracket(g, F, pq.PhaseState(x, y, px, py)) for px, py in BASIS]
+        if nf is not None:
+            c0, c3 = vals[0], vals[1]
+            c1 = 0.5 * (vals[2] - vals[3]) - c3
+            c2 = 0.5 * (vals[2] + vals[3]) - c0
+            fv = nf.f(x, y)
+            k = -fv * fv / 2.0
+            norm = pq.sys_residuals(nf.f, F, x, y).norm
+            res = pq.SysResiduals(k * c0 / fv, k * c1, k * c2, k * c3 / fv, norm)
+            values.append(res.max_normalized())
+        else:
+            aj, bj, cj = hf.jets_at(x, y)
+            fnorm = (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v) + abs(aj.dx) + abs(bj.dx)
+                     + abs(cj.dx) + abs(aj.dy) + abs(bj.dy) + abs(cj.dy))
+            a2, b2, c2 = F.jets_at(x, y)
+            cnorm = 1.0 + abs(a2.v) + abs(b2.v) + abs(c2.v)
+            values.append(max(abs(v) / (fnorm * cnorm) for v in vals))
+    return worst_of(values, chart)
+
+
+def perturbed(F):
+    return pq.QuadraticForm(F.a, F.b + pq.ScalarField.from_expr(pq.parse("x/100")), F.c,
+                            F.chart)
+
+
+# --- fields ------------------------------------------------------------------------
+
+
+def test_generated_fields_on_chart_match_pointwise(instances):
+    for inst in instances:
+        pair = inst["pair"]
+        for name, field in coefficient_fields(pair).items():
+            assert_grid_matches_points(field, pair.g.chart)
+
+
+def test_composed_fields_on_chart_match_pointwise(instances):
+    """Fields behind rectification: linear and separable compositions and
+    memoized fields, whose grid values also seed the per-point memo."""
+    inst = next(i for i in instances if i["family"] == "jordan_block")
+    pair = inst["pair"]
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    change = pq.AdmissibleChange("0.1 + x + 0.05*x^2", "y + 0.02*y^3")
+    nf2, F2 = pq.apply_admissible_change(nf, F, change)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for field in (nf2.f, F2.a, F2.b, F2.c, nf.f.compose_linear(swap, (0.1, -0.2))):
+        assert_grid_matches_points(field, nf2.chart, rtol=1e-14)
+    # quadrature maps (Birkhoff-Kolokoltsov normalization) under the fields
+    bk = pq.bk_normalize(nf2, F2)
+    for field in (bk.metric.f, bk.integral.b):
+        assert_grid_matches_points(field, bk.metric.chart, rtol=1e-14)
+
+
+# --- sweeps --------------------------------------------------------------------------
+
+
+def test_verify_matches_pointwise(instances):
+    for inst in instances[::10]:
+        pair = inst["pair"]
+        chart = pair.g.chart
+        nf = pq.null_form_of(pair.g)
+        for F in (pair.F, perturbed(pair.F)):
+            if nf is not None:
+                rep = pq.verify_integral(nf, F, method="sys")
+                assert (rep.max_residual, rep.worst_point) == reference_sys(nf, F, chart)
+                rep = pq.verify_integral(nf, F, method="bracket")
+                assert (rep.max_residual, rep.worst_point) == \
+                    reference_bracket(nf.to_metric2(), nf, F, chart)
+            rep = pq.verify_integral(pair.g, F, method="bracket")
+            assert (rep.max_residual, rep.worst_point) == \
+                reference_bracket(pair.g, None, F, chart)
+
+
+def test_classify_pair_matches_pointwise(instances):
+    for inst in instances[::3]:
+        g, gbar = inst["pair"].g, inst["pair"].gbar
+        res = pq.classify_pair(g, gbar)
+        ref = [pq.classify_at(pq.g_tensor_at(g, gbar, x, y)) for x, y in g.chart.points()]
+        tags = [c.tag for c in ref]
+        counts = {t: tags.count(t) for t in set(tags)}
+        assert res.counts == counts
+        assert res.fraction == max(counts.values()) / len(tags)
+        assert [(x, y, c.tag, c.eigenvalues) for x, y, c in res.per_point] == \
+            [(x, y, c.tag, c.eigenvalues) for (x, y), c in zip(g.chart.points(), ref)]
+
+
+def test_triviality_matches_pointwise(instances):
+    for inst in instances[::6]:
+        g, F = inst["pair"].g, inst["pair"].F
+        hf = pq.hamiltonian_form(g)
+        for form in (F, hf.scaled(3.0)):
+            fvals = np.array([f(x, y) for x, y in g.chart.points() for f in (form.a, form.b, form.c)])
+            hvals = np.array([f(x, y) for x, y in g.chart.points() for f in (hf.a, hf.b, hf.c)])
+            lam = float(fvals @ hvals) / float(hvals @ hvals)
+            res = pq.triviality_check(form, g)
+            assert res.scale == lam
+            assert res.deviation == float(np.max(np.abs(fvals - lam * hvals)))
+
+
+# --- random expressions ----------------------------------------------------------------
+
+GRID_CHART = pq.Chart((0.3, 1.7), (-0.9, 0.8), (7, 6))
+
+_leaves = st.one_of(st.sampled_from([Var("x"), Var("y")]),
+                    st.floats(-3.0, 3.0, allow_nan=False).map(Num))
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+        st.tuples(children, st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 2.5]))
+        .map(lambda t: BinOp("^", t[0], Num(t[1]))),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), children)
+        .map(lambda t: Call(*t)),
+    )
+
+
+expressions = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(expressions)
+def test_grid_jets_agree_with_scalar_jets(e):
+    x, y = GRID_CHART.mesh()
+    try:
+        grid = pq.eval_jet(e, x, y)
+    except DomainError as err:
+        # the error names a grid point, and the scalar route fails there too
+        assert err.point in set(GRID_CHART.points())
+        try:
+            j = pq.eval_jet(e, *err.point)
+        except DomainError:
+            return
+        assert not all(np.isfinite(getattr(j, s)) for s in SLOTS)
+        return
+    for i, (px, py) in enumerate(GRID_CHART.points()):
+        j = pq.eval_jet(e, px, py)
+        for s in SLOTS:
+            g = np.broadcast_to(getattr(grid, s), x.shape).flat[i]
+            assert g == pytest.approx(getattr(j, s), rel=1e-9, abs=1e-9), (s, px, py)
+
+
+def test_complex_grid_jets_agree_with_scalar_jets():
+    x, y = GRID_CHART.mesh()
+    for text in ("z", "z^2", "exp(z)", "z + z^3", "1/(z + 3) - log(z) * sqrt(z)", "z^(-2)"):
+        e = pq.parse(text, variables=("z",))
+        grid = pq.eval_complex(e, x + 1j * y)
+        for i, (px, py) in enumerate(GRID_CHART.points()):
+            c = pq.eval_complex(e, complex(px, py))
+            for s in ("v", "dv", "ddv"):
+                g = np.broadcast_to(getattr(grid, s), x.shape).flat[i]
+                assert g == pytest.approx(getattr(c, s), rel=1e-14, abs=1e-14)
+
+
+# --- failures ---------------------------------------------------------------------------
+
+
+class TestNonFinite:
+    CHART = pq.Chart((-0.5, 1.0), (0.0, 1.0), (7, 5))
+
+    def test_overflow_scalar(self):
+        with pytest.raises(DomainError):
+            pq.eval_jet(pq.parse("exp(x)^1000"), 1.0, 0.0)
+        with pytest.raises(DomainError):
+            pq.eval_jet(pq.parse("x^(1e400)"), 2.0, 0.0)
+        with pytest.raises(DomainError):
+            pq.eval_complex(pq.parse("exp(z)", variables=("z",)), complex(1000.0, 0.0))
+        with pytest.raises(DomainError):
+            (pq.ScalarField.from_expr(pq.parse("exp(x)")) ** 1000).jet(1.0, 0.0)
+
+    def test_overflow_on_grid_names_point_and_subexpression(self):
+        with pytest.raises(DomainError) as ei:
+            pq.NullFormMetric.from_expr("exp(x)^1000", self.CHART)
+        assert ei.value.point == (0.75, 0.0)
+        assert "exp(x)^1000" in str(ei.value)
+        assert "grid point" in str(ei.value)
+
+    def test_verify_rejects_overflowing_integral(self):
+        nf = pq.NullFormMetric.from_expr("2 + x", self.CHART)
+        F = pq.QuadraticForm.from_exprs("exp(x)^1000", "0", "1", self.CHART)
+        with pytest.raises(DomainError):
+            pq.verify_integral(nf, F)
+
+    def test_division_by_zero_field_names_point(self):
+        f = 1.0 / pq.ScalarField.from_expr(pq.parse("x - 0.25"))
+        with pytest.raises(DomainError) as ei:
+            f.on(self.CHART)
+        assert ei.value.point == (0.25, 0.0)
+
+    def test_cli_overflow_is_bad_input(self, tmp_path, capsys):
+        cfg = {"command": "verify",
+               "chart": {"x_range": [-0.5, 1.0], "y_range": [0, 1], "grid": [7, 5]},
+               "metric": {"f": "exp(x)^1000"},
+               "integral": {"a": "1", "b": "0", "c": "1"}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        assert run(path) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "grid point" in err
+
+
+class TestChartBounds:
+    def test_non_finite_range_rejected(self):
+        with pytest.raises(InvariantViolation):
+            pq.Chart((0.0, float("inf")), (0.0, 1.0))
+        with pytest.raises(InvariantViolation):
+            pq.Chart((0.0, 1.0), (float("nan"), 1.0))
+
+    def test_grid_point_limit(self):
+        side = int(MAX_GRID_POINTS ** 0.5)
+        pq.Chart((0.0, 1.0), (0.0, 1.0), (side, MAX_GRID_POINTS // side))
+        with pytest.raises(InvariantViolation):
+            pq.Chart((0.0, 1.0), (0.0, 1.0), (side, MAX_GRID_POINTS // side + 1))
+
+    @pytest.mark.parametrize("chart", [
+        {"x_range": [0, 1e400], "y_range": [0, 1]},
+        {"x_range": [0, 1], "y_range": [0, 1], "grid": [2000, 2000]},
+    ])
+    def test_cli_rejects_chart(self, tmp_path, capsys, chart):
+        cfg = {"command": "classify", "chart": chart,
+               "metric_pair": {"g": {"f": "1"}, "gbar": {"f": "2"}}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
+        assert run(path) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_schema_documents_the_limit(self):
+        schema = json.loads(resources.files("projeq").joinpath("config.schema.json").read_text())
+        grid = schema["properties"]["chart"]["properties"]["grid"]
+        assert grid["items"]["maximum"] ** 2 == MAX_GRID_POINTS
+        assert str(MAX_GRID_POINTS) in grid["description"]
+
+
+def test_import_leaves_scipy_unloaded():
+    """classify, verify, generate and geodesic never need scipy; rectification
+    imports it on first use."""
+    code = "import sys, projeq; print(any(m.startswith('scipy') for m in sys.modules))"
+    src = os.path.dirname(os.path.dirname(pq.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
