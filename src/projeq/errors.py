@@ -37,6 +37,11 @@ class DomainError(ProjEqError):
         self.point = point
 
 
+class LiteralOverflow(ExprSyntaxError, DomainError):
+    """A number literal too large for a double: a syntax error at the
+    literal, and an overflow, which evaluation reports as DomainError."""
+
+
 # --- geometry ---------------------------------------------------------------
 
 class SingularMetric(ProjEqError):

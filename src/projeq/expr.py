@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import DomainError, ExprSyntaxError, LiteralOverflow, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -103,9 +103,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         j += 1
             tok = text[i:j]
             try:
-                float(tok)
+                value = float(tok)
             except ValueError:
                 raise ExprSyntaxError(i, f"malformed number '{tok}'")
+            if math.isinf(value):
+                raise LiteralOverflow(i, f"number '{tok}' overflows a double")
             tokens.append(("num", tok, i))
             i = j
             continue
@@ -423,6 +425,20 @@ def _const_power(u, k: float):
     return u.chain(v ** k, k * v ** (k - 1.0), f2)
 
 
+def _grid_const_power(u, k: float):
+    """_const_power on a real grid.  np.float_power calls the C library's pow
+    as Python floats do (numpy's ** may take a vectorised pow that rounds
+    differently), so that grid and point evaluations agree to the bit; pow
+    is exact for the exponents 0 and 1, which skip it."""
+    v = u.v
+
+    def power(e):
+        return 1.0 if e == 0.0 else v if e == 1.0 else np.float_power(v, e)
+
+    f2 = k * (k - 1.0) * power(k - 2.0) if k != 1.0 else 0.0
+    return u.chain(power(k), k * power(k - 1.0), f2)
+
+
 def _jet_pow(u: Jet2, w: Jet2) -> Jet2:
     if w.dx == 0.0 and w.dy == 0.0 and w.dxx == 0.0 and w.dxy == 0.0 and w.dyy == 0.0:
         k = w.v
@@ -545,9 +561,9 @@ def _grid_pow(u: Jet2, w: Jet2, node=None, x=None, y=None) -> Jet2:
                 return Jet2(1.0)
             if k < 0.0:
                 _reject(u.v == 0.0, "zero raised to a negative power", node, x, y)
-            return _const_power(u, k)
+            return _grid_const_power(u, k)
         _reject(u.v <= 0.0, "non-integer power of a non-positive base", node, x, y)
-        return _const_power(u, k)
+        return _grid_const_power(u, k)
     _reject(u.v <= 0.0, "power with variable exponent needs a positive base", node, x, y)
     return _NUMPY_RULES["exp"](w * _NUMPY_RULES["log"](u))
 
@@ -804,7 +820,8 @@ def simplify(e: Expr) -> Expr:
                 if _is_num(r, 1.0):
                     return l
             elif op == "/":
-                if _is_num(l, 0.0):
+                # 0 / 0 stays, so that evaluating it raises DomainError
+                if _is_num(l, 0.0) and not _is_num(r, 0.0):
                     return Num(0.0)
                 if _is_num(r, 1.0):
                     return l

@@ -10,19 +10,55 @@ composed field need) and a numerically inverted evaluation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError, NonMonotone
 from .expr import Expr, Jet2, diff, eval_jet
 
 _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+_XTOL = 1e-13                       # converged bracket width: absolute part
+_RTOL = 4.0 * np.finfo(float).eps   # and relative part, as in scipy's brentq
+_MAX_STEPS = 100
+_QUADRATURE_SAMPLES = 513           # spline knots of a QuadratureMap's derivative
+_MONOTONE_SAMPLES = 65              # derivative samples of validate_monotone
 
 
-def brentq(f, a, b, **kwargs):
-    """scipy.optimize.brentq, imported on first use: scipy is slow to import
-    and only rectification needs it."""
-    from scipy.optimize import brentq as _brentq
-    return _brentq(f, a, b, **kwargs)
+def _where(cond, x, y):
+    """np.where for an array condition, plain selection for a bool (so that a
+    float solve stays on floats)."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def brentq(g, a: float, b: float, ga, gb):
+    """A root in [a, b] of an increasing function g, given ga = g(a) and
+    gb = g(b) as floats or as arrays of one shape (then g acts elementwise
+    and the roots are an array): a where ga >= 0, b where gb <= 0.
+
+    Anderson-Bjorck bracketed regula falsi.  Each entry keeps its own
+    bracket and is frozen once it converges, so its iterates do not depend
+    on the other entries: an array solve equals the solves of its entries
+    one by one, bit for bit, wherever g gives the same values for arrays as
+    for floats.  The name is that of scipy's root finder, which this
+    replaced, because bench/tracer.py counts root finds by wrapping
+    fields.brentq."""
+    active = (ga < 0.0) & (gb > 0.0)
+    # b is the latest iterate (the answer once frozen), a the other end of
+    # its bracket
+    b, gb = _where(ga >= 0.0, a, b), _where(ga >= 0.0, ga, gb)
+    with np.errstate(divide="ignore", invalid="ignore"):   # frozen entries only
+        for _ in range(_MAX_STEPS):
+            if not np.count_nonzero(active):
+                return b
+            c = _where(active, b - gb * (b - a) / (gb - ga), b)
+            gc = g(c)
+            kept = gc * gb > 0.0        # a stays the other end: scale ga down
+            m = 1.0 - gc / gb
+            a, ga = _where(kept, a, b), _where(kept, ga * _where(m > 0.0, m, 0.5), gb)
+            b, gb = c, gc
+            active = active & (gc != 0.0) & (abs(b - a) > _XTOL + _RTOL * abs(b))
+    raise NonMonotone("map inversion did not converge")
 
 
 class ScalarField:
@@ -113,25 +149,6 @@ class ScalarField:
     def __pow__(self, k):
         return ScalarField(lambda x, y: self._jet(x, y) ** k)
 
-    def cached(self) -> "ScalarField":
-        """Memoize jets by evaluation point (per-point sweeps revisit the same
-        points many times once fields are built from composed maps).  Array
-        input is evaluated at once, and its finite points join the memo."""
-        memo: dict = {}
-        inner = self._jet
-
-        def jet(x, y):
-            key = (x, y)
-            try:
-                j = memo.get(key)
-            except TypeError:           # arrays are unhashable
-                return _remember(memo, inner(x, y), x, y)
-            if j is None:
-                j = memo[key] = inner(x, y)
-            return j
-
-        return ScalarField(jet)
-
     # composition ----------------------------------------------------------------
     def compose_linear(self, m: np.ndarray, shift=(0.0, 0.0)) -> "ScalarField":
         """Field in new coordinates (u, v) with (x_old, y_old) = m @ (u, v) + shift."""
@@ -152,20 +169,23 @@ class ScalarField:
 
         return ScalarField(jet)
 
-    def compose_separable(self, xmap: "Monotone1D", ymap: "Monotone1D") -> "ScalarField":
-        """Field of the new coordinates (u, v) = (xmap(x), ymap(y))."""
+    def compose_separable(self, xmap: "Monotone1D", ymap: "Monotone1D",
+                          kx: int, ky: int) -> "ScalarField":
+        """The field in the new coordinates (u, v) = (xmap(x), ymap(y)) times
+        xmap'(x)^kx ymap'(y)^ky: the transformation law of a coefficient of
+        those weights.  Each map is inverted once per evaluation."""
 
         def jet(u, v):
             t = xmap.inverse(u)
             s = ymap.inverse(v)
-            _, xd1, xd2, _ = xmap.fjet(t)
-            _, yd1, yd2, _ = ymap.fjet(s)
+            _, xd1, xd2, xd3 = xmap.fjet(t)
+            _, yd1, yd2, yd3 = ymap.fjet(s)
             wx = 1.0 / xd1           # dt/du
             wy = 1.0 / yd1
             wxx = -xd2 * wx * wx * wx
             wyy = -yd2 * wy * wy * wy
             f = self._jet(t, s)
-            return Jet2(
+            composed = Jet2(
                 f.v,
                 f.dx * wx,
                 f.dy * wy,
@@ -173,6 +193,14 @@ class ScalarField:
                 f.dxy * wx * wy,
                 f.dyy * wy * wy + f.dy * wyy,
             )
+            # xmap' and ymap' as fields of (u, v); products, not **, so that
+            # floats and arrays round alike
+            dphi = Jet2(xd1, xd2 * wx, 0.0, (xd3 * xd1 - xd2 * xd2) * wx * wx * wx, 0.0, 0.0)
+            dpsi = Jet2(yd1, 0.0, yd2 * wy, 0.0, 0.0, (yd3 * yd1 - yd2 * yd2) * wy * wy * wy)
+            for d, k in ((dphi, kx), (dpsi, ky)):
+                for _ in range(abs(k)):
+                    composed = composed * d if k > 0 else composed / d
+            return composed
 
         return ScalarField(jet)
 
@@ -181,21 +209,6 @@ def _as_field(o):
     if isinstance(o, ScalarField):
         return o
     return ScalarField.constant(float(o))
-
-
-def _remember(memo: dict, j: Jet2, x, y) -> Jet2:
-    """Store the finite points of an array jet in a per-point memo."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    cols = [np.broadcast_to(getattr(j, s), shape).ravel() for s in _SLOTS]
-    finite = np.isfinite(cols[0])
-    for c in cols[1:]:
-        finite &= np.isfinite(c)
-    keys = zip(np.broadcast_to(x, shape).ravel().tolist(),
-               np.broadcast_to(y, shape).ravel().tolist())
-    for key, ok, *slots in zip(keys, finite.tolist(), *(c.tolist() for c in cols)):
-        if ok:
-            memo.setdefault(key, Jet2(*slots))
-    return j
 
 
 # --- monotone 1D coordinate maps -----------------------------------------------
@@ -209,7 +222,6 @@ class Monotone1D:
             raise NonMonotone(f"degenerate range [{tmin}, {tmax}]")
         self.tmin = float(tmin)
         self.tmax = float(tmax)
-        self._inv_memo: dict = {}
 
     def fjet(self, t: float) -> tuple[float, float, float, float]:
         """(value, first, second, third derivative) at t."""
@@ -218,40 +230,30 @@ class Monotone1D:
     def __call__(self, t: float) -> float:
         return self.fjet(t)[0]
 
-    @property
+    @cached_property
     def range(self) -> tuple[float, float]:
         return (self(self.tmin), self(self.tmax))
 
-    def inverse(self, u, xtol: float = 1e-13):
-        """t with self(t) = u; arrays are inverted point by point."""
-        if isinstance(u, np.ndarray):
-            return np.reshape([self.inverse(v, xtol) for v in u.ravel().tolist()], u.shape)
-        t = self._inv_memo.get(u)
-        if t is None:
-            t = self._inv_memo[u] = self._invert(u, xtol)
-        return t
+    def inverse(self, u):
+        """t with self(t) = u, for a float or elementwise for an array.  A
+        value within round-off (1e-9 relative) of an end of the range gives
+        that end; one further outside raises NonMonotone."""
+        vlo, vhi = self.range
+        glo, ghi = vlo - u, vhi - u
+        slack = 1e-9 * (abs(u) + 1.0)
+        ok = (glo < slack) & (ghi > -slack)
+        if np.count_nonzero(ok) < np.size(ok):
+            value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
+            raise NonMonotone(f"value {value!r} outside the map range {self.range}")
+        return brentq(lambda t: self(t) - u, self.tmin, self.tmax, glo, ghi)
 
-    def _invert(self, u: float, xtol: float) -> float:
-        lo, hi = self.tmin, self.tmax
-        flo, fhi = self(lo) - u, self(hi) - u
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo > 0.0 or fhi < 0.0:
-            # tolerate round-off at the endpoints
-            if abs(flo) < 1e-9 * (abs(u) + 1.0):
-                return lo
-            if abs(fhi) < 1e-9 * (abs(u) + 1.0):
-                return hi
-            raise NonMonotone(f"value {u!r} outside the map range {self.range}")
-        return brentq(lambda t: self(t) - u, lo, hi, xtol=xtol)
-
-    def validate_monotone(self, samples: int = 65):
-        for t in np.linspace(self.tmin, self.tmax, samples):
-            d = self.fjet(float(t))[1]
-            if not d > 0.0:
-                raise NonMonotone(f"derivative {d:.3e} <= 0 at t = {t:.6g}")
+    def validate_monotone(self):
+        ts = np.linspace(self.tmin, self.tmax, _MONOTONE_SAMPLES)
+        d = np.broadcast_to(self.fjet(ts)[1], ts.shape)
+        bad = ~(d > 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonMonotone(f"derivative {d[i]:.3e} <= 0 at t = {ts[i]:.6g}")
 
     def inverted(self) -> "Monotone1D":
         return _InverseMap(self)
@@ -293,7 +295,7 @@ class LinearMap(Monotone1D):
     def fjet(self, t):
         return (self.scale * t + self.offset, self.scale, 0.0, 0.0)
 
-    def inverse(self, u, xtol=1e-13):
+    def inverse(self, u):
         return (u - self.offset) / self.scale
 
 
@@ -311,20 +313,20 @@ class QuadratureMap(Monotone1D):
     below the 1e-6 tolerances downstream.
     """
 
-    def __init__(self, deriv_jet, t0: float, tmin: float, tmax: float, samples: int = 513):
+    def __init__(self, deriv_jet, t0: float, tmin: float, tmax: float):
         super().__init__(tmin, tmax)
         self.t0 = float(t0)
         self._deriv_jet = deriv_jet
         from scipy.interpolate import CubicSpline
 
-        ts = np.linspace(tmin, tmax, samples)
-        ds = np.array([deriv_jet(float(t))[0] for t in ts])
+        # the knots include validate_monotone's samples: checking them suffices
+        ts = np.linspace(tmin, tmax, _QUADRATURE_SAMPLES)
+        ds = np.broadcast_to(deriv_jet(ts)[0], ts.shape)
         if not np.all(ds > 0.0):
             raise NonMonotone("quadrature map derivative is not positive")
         spline = CubicSpline(ts, ds)
         self._anti = spline.antiderivative()
         self._base = float(self._anti(self.t0))
-        self.validate_monotone()
 
     def __call__(self, t):
         value = self._anti(t) - self._base
@@ -349,24 +351,5 @@ class _InverseMap(Monotone1D):
         w3 = (3.0 * d2 * d2 - d1 * d3) * w1 ** 5
         return (t, w1, w2, w3)
 
-    def inverse(self, t, xtol=1e-13):
+    def inverse(self, t):
         return self._fwd(t)
-
-
-def map_derivative_field(m: Monotone1D, axis: str) -> ScalarField:
-    """phi'(t_old) as a scalar field of the NEW coordinates.
-
-    axis 'x': value at (u, v) is phi'(phi^{-1}(u)); similarly for 'y'.
-    """
-
-    def jet(u, v):
-        t = m.inverse(u if axis == "x" else v)
-        _, d1, d2, d3 = m.fjet(t)
-        w = 1.0 / d1                       # dt/dnew
-        g1 = d2 * w                        # d(phi')/dnew
-        g2 = (d3 * d1 - d2 * d2) * w ** 3  # d2(phi')/dnew2
-        if axis == "x":
-            return Jet2(d1, g1, 0.0, g2, 0.0, 0.0)
-        return Jet2(d1, 0.0, g1, 0.0, 0.0, g2)
-
-    return ScalarField(jet)

@@ -4,7 +4,6 @@ normal-form data from a null-form metric plus a quadratic integral."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -14,11 +13,10 @@ from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral, NotAxisA
                      NotCase1, NotCase3, NotHolomorphic, RectifyError, SignatureMismatch,
                      TrivialIntegral, YhatVanishes)
 from .expr import Expr, parse
-from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, \
-    ScalarField, map_derivative_field
+from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, ScalarField
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
-from .equivalence import NullFormMetric, null_form_of, sys_residuals, triviality_check
+from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -26,6 +24,7 @@ if TYPE_CHECKING:
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
 _ZERO_COEFF_RTOL = 1e-7   # below this (relative) a coefficient counts as identically 0
+_CASE1_SAMPLES = 129      # spline samples of X and Y along the diagonals
 
 
 # --- admissible coordinate changes ------------------------------------------------
@@ -52,14 +51,11 @@ def transform_separable(nf: NullFormMetric, F: QuadraticForm,
     a_new = a phi'^2, b_new = b phi' psi', c_new = c psi'^2, and
     f_new = f / (phi' psi') so that ds^2 = f dx dy is invariant.
     """
-    chart = nf.chart
-    new_chart = Chart(xmap.range, ymap.range, chart.grid)
-    dphi = map_derivative_field(xmap, "x")
-    dpsi = map_derivative_field(ymap, "y")
-    f_new = (nf.f.compose_separable(xmap, ymap) / (dphi * dpsi)).cached()
-    a_new = (F.a.compose_separable(xmap, ymap) * dphi * dphi).cached()
-    b_new = (F.b.compose_separable(xmap, ymap) * dphi * dpsi).cached()
-    c_new = (F.c.compose_separable(xmap, ymap) * dpsi * dpsi).cached()
+    new_chart = Chart(xmap.range, ymap.range, nf.chart.grid)
+    f_new = nf.f.compose_separable(xmap, ymap, -1, -1)
+    a_new = F.a.compose_separable(xmap, ymap, 2, 0)
+    b_new = F.b.compose_separable(xmap, ymap, 1, 1)
+    c_new = F.c.compose_separable(xmap, ymap, 0, 2)
     return (NullFormMetric(f_new, new_chart), QuadraticForm(a_new, b_new, c_new, new_chart))
 
 
@@ -85,22 +81,6 @@ class BKResult:
     base_point: tuple[float, float]
 
 
-def _coeff_stats(coef: ScalarField, chart: Chart):
-    vals = np.array([coef(x, y) for x, y in chart.points()])
-    return vals
-
-
-def _axis_variation(coef: ScalarField, chart: Chart, axis: str) -> float:
-    """Max relative cross-axis derivative (a_y for axis 'x', c_x for 'y')."""
-    worst = 0.0
-    scale = float(np.max(np.abs(_coeff_stats(coef, chart))) + 1e-300)
-    for x, y in chart.points():
-        j = coef.jet(x, y)
-        d = j.dy if axis == "x" else j.dx
-        worst = max(worst, abs(d) / (scale + abs(j.dx) + abs(j.dy)))
-    return worst
-
-
 def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
                  base: float) -> Monotone1D:
     """Quadrature map with derivative 1 / sqrt(|coef|) along one axis."""
@@ -112,9 +92,13 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
         a2 = j.dxx if axis == "x" else j.dyy
         s = (a > 0.0) * 2.0 - 1.0       # sign, for floats and arrays
         mag = abs(a)
-        d0 = mag ** -0.5
-        d1 = -0.5 * s * a1 * mag ** -1.5
-        d2 = -0.5 * s * a2 * mag ** -1.5 + 0.75 * a1 * a1 * mag ** -2.5
+        # the C library's pow for floats and arrays alike, so that both round
+        # the same (see expr._grid_const_power)
+        power = np.float_power if isinstance(mag, np.ndarray) else pow
+        m15 = power(mag, -1.5)
+        d0 = power(mag, -0.5)
+        d1 = -0.5 * s * a1 * m15
+        d2 = -0.5 * s * a2 * m15 + 0.75 * a1 * a1 * power(mag, -2.5)
         return (d0, d1, d2)
 
     return QuadratureMap(deriv_jet, base, lo, hi)
@@ -130,30 +114,32 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
     (or c on x) beyond tolerance, i.e. the input is not an integral.
     """
     chart = nf.chart
-    scale = max(float(np.max(np.abs(_coeff_stats(f, chart)))) for f in (F.a, F.b, F.c))
-    scale = max(scale, 1e-300)
+    aj, bj, cj = F.on(chart)
+    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
 
-    def axis_plan(coef, axis, lo, hi):
-        vals = _coeff_stats(coef, chart)
+    def axis_plan(coef, j, axis, lo, hi):
+        vals = j.v.ravel()
         if np.max(np.abs(vals)) <= _ZERO_COEFF_RTOL * scale:
             return 0, IdentityMap(lo, hi)
-        var = _axis_variation(coef, chart, axis)
+        # relative cross-axis derivative: a_y for axis 'x', c_x for 'y'
+        cross = j.dy if axis == "x" else j.dx
+        coef_scale = float(np.max(np.abs(vals)) + 1e-300)
+        var = float(np.max(np.abs(cross) / (coef_scale + np.abs(j.dx) + np.abs(j.dy))))
         if var > axis_tol:
             raise NotAxisAligned(
                 f"coefficient {'a' if axis == 'x' else 'c'} varies across "
                 f"{'y' if axis == 'x' else 'x'} (relative variation {var:.3e}); "
                 "the input is not a first integral of this metric")
         if np.min(vals) < 0.0 < np.max(vals) or np.min(np.abs(vals)) < 1e-8 * np.max(np.abs(vals)):
-            i = int(np.argmin(np.abs(vals)))
-            loc = list(chart.points())[i][0 if axis == "x" else 1]
+            loc = chart.point(np.argmin(np.abs(vals)))[0 if axis == "x" else 1]
             raise CoefficientVanishes(axis, loc)
         sign = 1 if vals[0] > 0.0 else -1
         ref = chart.center[1 if axis == "x" else 0]
         base = 0.5 * (lo + hi)
         return sign, _bk_axis_map(coef, axis, lo, hi, ref, base)
 
-    sign_a, xmap = axis_plan(F.a, "x", *chart.x_range)
-    sign_c, ymap = axis_plan(F.c, "y", *chart.y_range)
+    sign_a, xmap = axis_plan(F.a, aj, "x", *chart.x_range)
+    sign_c, ymap = axis_plan(F.c, cj, "y", *chart.y_range)
     nf2, F2 = transform_separable(nf, F, xmap, ymap)
     return BKResult(xmap, ymap, nf2, F2, sign_a, sign_c,
                     (0.5 * sum(chart.x_range), 0.5 * sum(chart.y_range)))
@@ -162,23 +148,21 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
 # --- case solvers ------------------------------------------------------------------
 
 
-def _diag_point(chart: Chart, target: float, kind: str) -> tuple[float, float]:
-    """A chart point with x+y = target (kind 'sum') or x-y = target ('diff')."""
+def _diag_point(chart: Chart, target: np.ndarray, kind: str):
+    """Chart points (x, y) with x+y = target (kind 'sum') or x-y = target
+    ('diff'), one per target value."""
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
     cx = 0.5 * (xlo + xhi)
     if kind == "sum":
-        x = min(max(cx + 0.5 * (target - cx - 0.5 * (ylo + yhi)), xlo), xhi)
+        x = np.clip(cx + 0.5 * (target - cx - 0.5 * (ylo + yhi)), xlo, xhi)
         y = target - x
-        if not (ylo <= y <= yhi):
-            y = min(max(y, ylo), yhi)
-            x = target - y
     else:
-        x = min(max(cx + 0.5 * (target + 0.5 * (ylo + yhi) - cx), xlo), xhi)
+        x = np.clip(cx + 0.5 * (target + 0.5 * (ylo + yhi) - cx), xlo, xhi)
         y = x - target
-        if not (ylo <= y <= yhi):
-            y = min(max(y, ylo), yhi)
-            x = target + y
-    return (min(max(x, xlo), xhi), y)
+    off = (y < ylo) | (y > yhi)         # slide along the diagonal into the chart
+    y = np.clip(y, ylo, yhi)
+    x = np.where(off, target - y if kind == "sum" else target + y, x)
+    return np.clip(x, xlo, xhi), y
 
 
 @dataclass
@@ -198,42 +182,44 @@ class Case1Result:
 
 
 def solve_case1(nf: NullFormMetric, F: QuadraticForm,
-                tol: float = DEFAULT_CASE_TOL, samples: int = 129) -> Case1Result:
+                tol: float = DEFAULT_CASE_TOL) -> Case1Result:
     """a = 1, c = 1 form: fb + 2f is a function of x - y alone and fb - 2f of
     x + y alone; read off Y and X, reconstruct f and b, report the residual."""
     from scipy.interpolate import CubicSpline
 
     chart = nf.chart
-    P = (nf.f * F.b + 2.0 * nf.f).cached()    # = Y_s(x - y)
-    Q = (nf.f * F.b - 2.0 * nf.f).cached()    # = X_s(x + y)
-    worst = 0.0
-    for x, y in chart.points():
-        pj = P.jet(x, y)
-        qj = Q.jet(x, y)
-        ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
-        qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
-        worst = max(worst, abs(pj.dx + pj.dy) / ps, abs(qj.dx - qj.dy) / qs)
+
+    def p_and_q(fj, bj):
+        fb = fj * bj
+        return fb + 2.0 * fj, fb - 2.0 * fj     # = Y_s(x - y), X_s(x + y)
+
+    fj, bj = nf.f.on(chart), F.b.on(chart)
+    pj, qj = p_and_q(fj, bj)
+    ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
+    qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
+    worst = float(np.max(np.maximum(abs(pj.dx + pj.dy) / ps, abs(qj.dx - qj.dy) / qs)))
     if worst > tol:
         raise NotCase1(f"fb+2f / fb-2f are not functions of one rotated variable "
                        f"(relative residual {worst:.3e})")
 
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
-    us = np.linspace(xlo + ylo, xhi + yhi, samples)
-    vs = np.linspace(xlo - yhi, xhi - ylo, samples)
-    Xs = np.array([Q(*_diag_point(chart, float(u), "sum")) for u in us])
-    Ys = np.array([P(*_diag_point(chart, float(v), "diff")) for v in vs])
+    us = np.linspace(xlo + ylo, xhi + yhi, _CASE1_SAMPLES)
+    vs = np.linspace(xlo - yhi, xhi - ylo, _CASE1_SAMPLES)
+    xq, yq = _diag_point(chart, us, "sum")
+    xp, yp = _diag_point(chart, vs, "diff")
+    Xs = np.broadcast_to(p_and_q(nf.f.jet(xq, yq), F.b.jet(xq, yq))[1].v, us.shape)
+    Ys = np.broadcast_to(p_and_q(nf.f.jet(xp, yp), F.b.jet(xp, yp))[0].v, vs.shape)
     Xsp = CubicSpline(us, Xs)
     Ysp = CubicSpline(vs, Ys)
 
-    fscale = max(abs(nf.f(x, y)) for x, y in chart.points())
-    resid = 0.0
-    for x, y in chart.points():
-        Yv = float(Ysp(x - y))
-        Xv = float(Xsp(x + y))
-        f_rec = (Yv - Xv) / 4.0
-        b_rec = 2.0 * (Xv + Yv) / (Yv - Xv)
-        fv, bv = nf.f(x, y), F.b(x, y)
-        resid = max(resid, abs(f_rec - fv) / fscale, abs(b_rec - bv) / (1.0 + abs(bv)))
+    x, y = chart.mesh()
+    Yv = Ysp(x - y)
+    Xv = Xsp(x + y)
+    f_rec = (Yv - Xv) / 4.0
+    b_rec = 2.0 * (Xv + Yv) / (Yv - Xv)
+    fscale = np.max(np.abs(fj.v))
+    resid = float(max(np.max(np.abs(f_rec - fj.v)) / fscale,
+                      np.max(np.abs(b_rec - bj.v) / (1.0 + np.abs(bj.v)))))
 
     # normal-form-scale functions: ds^2 = (X_T - Y_T)(du^2 - dv^2)
     XT, YT = -Xs / 16.0, -Ys / 16.0
@@ -260,25 +246,19 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
     """a = 1, c = -1 form: (fb, 2f) satisfy the Cauchy-Riemann equations;
     return the sampled holomorphic h = fb + 2if."""
     chart = nf.chart
-    re = nf.f * F.b
-    im = nf.f * 2.0
-    worst, worst_pt = 0.0, chart.center
-    for x, y in chart.points():
-        rj = re.jet(x, y)
-        ij = im.jet(x, y)
-        s = 1.0 + abs(rj.dx) + abs(rj.dy) + abs(ij.dx) + abs(ij.dy)
-        r = (abs(rj.dx - ij.dy) + abs(rj.dy + ij.dx)) / s
-        if r > worst:
-            worst, worst_pt = r, (x, y)
+    fj = nf.f.on(chart)
+    rj = fj * F.b.on(chart)
+    ij = fj * 2.0
+    s = 1.0 + abs(rj.dx) + abs(rj.dy) + abs(ij.dx) + abs(ij.dy)
+    r = (abs(rj.dx - ij.dy) + abs(rj.dy + ij.dx)) / s
+    i = int(np.argmax(r))
+    worst = float(r.flat[i])
     if worst > tol:
-        raise NotHolomorphic(worst, worst_pt)
-    xs, ys = chart.xs(), chart.ys()
-    h = np.empty((len(xs), len(ys)), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            h[i, j] = complex(re(float(x), float(y)), im(float(x), float(y)))
+        raise NotHolomorphic(worst, chart.point(i))
     # h = fb + 2if is 4x the h whose normal form reads 2 Im(h) dx dy
-    return Case2Result(xs, ys, h, worst, {"h_scale": 4.0, "readoff": "h = f b + 2 i f"})
+    h = rj.v + 1j * ij.v
+    return Case2Result(chart.xs(), chart.ys(), h, worst,
+                       {"h_scale": 4.0, "readoff": "h = f b + 2 i f"})
 
 
 @dataclass
@@ -303,23 +283,23 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     chart = nf.chart
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
     x_ref, y0 = chart.center
+    ys = chart.ys()
 
     fb = nf.f * F.b
-    # Y must not depend on x; Yhat_x = f_x - Y' must vanish
-    worst = 0.0
-    for x, y in chart.points():
-        j = fb.jet(x, y)
-        fj = nf.f.jet(x, y)
-        yp = -0.5 * fb.jet(x_ref, y).dy
-        s = 1.0 + abs(j.v) + abs(j.dx) + abs(j.dy)
-        worst = max(worst, abs(j.dx) / s,
-                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))
-    if worst > tol:
-        raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
 
     def Y_jets(y):
         j = fb.jet(x_ref, y)
         return (-0.5 * j.v, -0.5 * j.dy, -0.5 * j.dyy)
+
+    # Y must not depend on x; Yhat_x = f_x - Y' must vanish
+    fj = nf.f.on(chart)
+    fbj = fj * F.b.on(chart)
+    yp = Y_jets(ys)[1]
+    s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
+    worst = float(np.max(np.maximum(abs(fbj.dx) / s,
+                                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))))
+    if worst > tol:
+        raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
 
     def yhat_jets(t):
         fj = nf.f.jet(x_ref, t)
@@ -337,8 +317,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
         d1m = nf.f.jet(x_ref, tc - eps).dy + 0.5 * x_ref * fb.jet(x_ref, tc - eps).dyy
         return (v, d1, (d1p - d1m) / (2.0 * eps))
 
-    ys = chart.ys()
-    yhat_vals = np.array([yhat_jets(float(t))[0] for t in ys])
+    yhat_vals = np.broadcast_to(yhat_jets(ys)[0], ys.shape)
     if np.min(yhat_vals) <= 0.0:
         if np.max(yhat_vals) <= 0.0:
             raise NotCase3("Yhat is negative; flip the y orientation of the input")
@@ -348,20 +327,17 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
 
     new_chart = nf_fin.chart
-    resid = 0.0
-    for xn, yn in new_chart.points():
-        y_old = beta.inverse(yn)
-        Yv, Yp, _ = Y_jets(y_old)
-        yh = yhat_jets(y_old)[0]
-        gT = 1.0 + xn * (Yp / yh)                     # target (1 + x Y'_new)
-        fv = nf_fin.f(xn, yn)
-        bv = F_fin.b(xn, yn)
-        resid = max(resid, abs(fv - gT) / (1.0 + abs(gT)),
-                    abs(bv + 2.0 * Yv / gT) / (1.0 + abs(bv)),
-                    abs(F_fin.a(xn, yn) - 1.0), abs(F_fin.c(xn, yn)))
+    yn_grid = new_chart.ys()
+    y_old = beta.inverse(yn_grid)
+    Yv, Yp, _ = Y_jets(y_old)
+    gT = 1.0 + new_chart.xs()[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
+    fv = nf_fin.f.on(new_chart).v
+    av, bv, cv = (j.v for j in F_fin.on(new_chart))
+    resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
+                      np.max(np.abs(bv + 2.0 * Yv / gT) / (1.0 + np.abs(bv))),
+                      np.max(np.abs(av - 1.0)), np.max(np.abs(cv))))
 
-    yn_grid = np.linspace(*new_chart.y_range, chart.grid[1])
-    Y_new = np.array([Y_jets(beta.inverse(float(t)))[0] for t in yn_grid])
+    Y_new = np.broadcast_to(Yv, yn_grid.shape)
     return Case3Result(yn_grid, Y_new, ys, yhat_vals, beta, resid,
                        {"base_point": (x_ref, y0),
                         "x_independence_residual": worst})
@@ -399,19 +375,17 @@ def to_null_form(g, F: QuadraticForm):
         return nf, F, NullFormChange(np.eye(2), g.chart)
 
     # null slopes m: g11 + 2 g12 m + g22 m^2 = 0
-    slopes = []
-    for x, y in g.chart.points():
-        m, det, _ = g.values_at(x, y)
-        if abs(m[1, 1]) < 1e-12 * (abs(m[0, 0]) + abs(m[0, 1]) + 1e-300):
-            raise RectifyError("null direction along dy; swap coordinates first")
-        root = math.sqrt(-det)
-        slopes.append(((-m[0, 1] + root) / m[1, 1], (-m[0, 1] - root) / m[1, 1]))
-    mp, mm = slopes[0]
-    for sp, sm in slopes[1:]:
-        if abs(sp - mp) > 1e-9 * (1.0 + abs(mp)) or abs(sm - mm) > 1e-9 * (1.0 + abs(mm)):
-            raise RectifyError(
-                "the metric's null directions vary across the chart; supply the "
-                "metric in null form (f dx dy) to rectify it")
+    g11, g12, g22 = g.values_on(g.chart)
+    if np.any(abs(g22) < 1e-12 * (abs(g11) + abs(g12) + 1e-300)):
+        raise RectifyError("null direction along dy; swap coordinates first")
+    root = np.sqrt(-(g11 * g22 - g12 * g12))      # det < 0: signature (+,-)
+    sp, sm = (-g12 + root) / g22, (-g12 - root) / g22
+    mp, mm = float(sp.flat[0]), float(sm.flat[0])
+    if np.any(abs(sp - mp) > 1e-9 * (1.0 + abs(mp))) or \
+            np.any(abs(sm - mm) > 1e-9 * (1.0 + abs(mm))):
+        raise RectifyError(
+            "the metric's null directions vary across the chart; supply the "
+            "metric in null form (f dx dy) to rectify it")
 
     delta = mp - mm
     M = np.array([[1.0 / delta, -1.0 / delta],
@@ -466,8 +440,7 @@ def _linear_null_change(g: Metric2, F: QuadraticForm, M: np.ndarray):
     b_new = a * (2 * A[0, 0] * A[1, 0]) + b * (A[0, 0] * A[1, 1] + A[0, 1] * A[1, 0]) \
         + cc * (2 * A[0, 1] * A[1, 1])
     c_new = a * (A[1, 0] ** 2) + b * (A[1, 0] * A[1, 1]) + cc * (A[1, 1] ** 2)
-    return (NullFormMetric(f.cached(), chart_new),
-            QuadraticForm(a_new.cached(), b_new.cached(), c_new.cached(), chart_new),
+    return (NullFormMetric(f, chart_new), QuadraticForm(a_new, b_new, c_new, chart_new),
             chart_new, M)
 
 
@@ -540,19 +513,15 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     nf, F, change = to_null_form(g, F)
     chart = nf.chart
 
-    worst_sys, worst_pt = 0.0, chart.center
-    for x, y in chart.points():
-        r = sys_residuals(nf.f, F, x, y).max_normalized()
-        if r > worst_sys:
-            worst_sys, worst_pt = r, (x, y)
+    aj, bj, cj = F.on(chart)
+    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj).max_normalized()
+    i = int(np.argmax(r))
+    worst_sys = float(r.flat[i])
     if worst_sys > sys_tol:
-        raise NotAnIntegral(worst_sys, worst_pt)
+        raise NotAnIntegral(worst_sys, chart.point(i))
 
-    avals = _coeff_stats(F.a, chart)
-    cvals = _coeff_stats(F.c, chart)
-    scale = max(float(np.max(np.abs(v))) for v in
-                (avals, cvals, _coeff_stats(F.b, chart)))
-    scale = max(scale, 1e-300)
+    avals, cvals = aj.v, cj.v
+    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
 
     def sign_of(vals, name):
         if np.max(np.abs(vals)) <= _ZERO_COEFF_RTOL * scale:

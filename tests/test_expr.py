@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from projeq import ComplexJet, Jet2, diff, eval_complex, eval_jet, parse, render
+from projeq.expr import Num
 from projeq.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -42,6 +43,12 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as ei:
             parse("x+*y")
         assert ei.value.position == 2
+
+    def test_overflowing_literal(self):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("x + 2*1e400")
+        assert ei.value.position == 6
+        assert parse("1e308") == Num(1e308)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier):
@@ -132,6 +139,13 @@ class TestDiff:
         d = eval_jet(diff(e, var), x, y).v
         j = eval_jet(e, x, y)
         assert d == pytest.approx(j.dx if var == "x" else j.dy, rel=1e-12)
+
+    @pytest.mark.parametrize("var", ["x", "y"])
+    def test_division_by_literal_zero_survives(self, var):
+        # d/dx (x/0) = (1*0 - x*0) / 0^2 must not fold to 0
+        with pytest.raises(DomainError):
+            eval_jet(diff(parse("x/0"), var), 1.0, 2.0)
+        assert diff(parse("0/x"), "x") == Num(0.0)
 
     def test_third_derivative(self):
         e = parse("x^4")

@@ -109,8 +109,9 @@ def test_generated_fields_on_chart_match_pointwise(instances):
 
 
 def test_composed_fields_on_chart_match_pointwise(instances):
-    """Fields behind rectification: linear and separable compositions and
-    memoized fields, whose grid values also seed the per-point memo."""
+    """Fields behind rectification: linear and separable compositions, and
+    the quadrature maps under them, whose grid evaluation inverts the maps
+    on whole arrays while the per-point route inverts them point by point."""
     inst = next(i for i in instances if i["family"] == "jordan_block")
     pair = inst["pair"]
     nf, F, _ = pq.to_null_form(pair.g, pair.F)

@@ -6,7 +6,7 @@ from projeq.dynamics import QuadraticForm
 from projeq.errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
                            NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
                            RectifyError, TrivialIntegral)
-from projeq.fields import ScalarField
+from projeq.fields import Monotone1D, ScalarField
 from projeq.rectify import bk_normalize, solve_case1, solve_case2, solve_case3
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (9, 9))
@@ -261,6 +261,35 @@ class TestPipeline:
         out = pq.rectification_pipeline(nf_sw, F_sw)
         assert out.case == 3
         assert out.swapped_axes
+
+    @pytest.mark.parametrize("spec", [
+        lambda chart: pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "-", chart),
+        lambda chart: pq.ComplexLiouvilleSpec("z^2", chart),
+        lambda chart: pq.JordanBlockSpec("3/2 + y/10 - y^3/20", chart),
+    ])
+    def test_scalar_inverse_calls_do_not_grow_with_the_grid(self, spec, monkeypatch):
+        """Sweeps invert maps on whole arrays: the number of float inversions
+        in one pipeline run must not depend on the grid size."""
+        inverse = Monotone1D.inverse
+        calls = []
+
+        def counted(self, u):
+            calls.append(not isinstance(u, np.ndarray))
+            return inverse(self, u)
+
+        monkeypatch.setattr(Monotone1D, "inverse", counted)
+        scalar = []
+        for n in (7, 15):
+            chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (n, n))
+            pair = pq.generate(spec(chart))
+            nf, F, _ = pq.to_null_form(pair.g, pair.F)
+            nf2, F2 = pq.apply_admissible_change(
+                nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+            calls.clear()
+            pq.rectification_pipeline(nf2, F2)
+            assert len(calls) > 0
+            scalar.append(sum(calls))
+        assert scalar[0] == scalar[1]
 
     def test_report_serializable(self):
         import json
