@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,15 +48,26 @@ def _get(cfg: dict, path: str, expect=None, required: bool = True, default=None)
     return node
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number: booleans, NaN and infinities (which Python's
+    json module accepts) are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:               # an int beyond the float range
+        return False
+
+
 def _chart_from(cfg: dict, path: str = "chart") -> Chart:
     sec = _get(cfg, path, dict)
     xr = _get(sec, "x_range", list)
     yr = _get(sec, "y_range", list)
     for name, r in (("x_range", xr), ("y_range", yr)):
-        if len(r) != 2 or not all(isinstance(v, (int, float)) for v in r):
+        if len(r) != 2 or not all(_is_number(v) for v in r):
             raise ConfigError(f"$.{path}.{name}", "expected [lo, hi] numbers")
     grid = _get(sec, "grid", list, required=False, default=[21, 21])
-    if len(grid) != 2 or not all(isinstance(v, int) for v in grid):
+    if len(grid) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in grid):
         raise ConfigError(f"$.{path}.grid", "expected [nx, ny] integers")
     try:
         return Chart((xr[0], xr[1]), (yr[0], yr[1]), (grid[0], grid[1]))
@@ -120,7 +132,7 @@ def _tolerances(cfg: dict) -> dict:
     for k, v in user.items():
         if k not in tols:
             raise ConfigError(f"$.tolerances.{k}", "unknown tolerance name")
-        if not isinstance(v, (int, float)) or not v > 0:
+        if not _is_number(v) or not v > 0:
             raise ConfigError(f"$.tolerances.{k}", "expected a positive number")
         tols[k] = float(v)
     return tols
@@ -201,9 +213,11 @@ def _cmd_geodesic(cfg, tols, outdir):
     chart = _chart_from(cfg)
     g = _metric_from(cfg, "metric", chart)
     s0 = _get(cfg, "initial_state", list)
-    if len(s0) != 4 or not all(isinstance(v, (int, float)) for v in s0):
-        raise ConfigError("$.initial_state", "expected [x, y, px, py] numbers")
+    if len(s0) != 4 or not all(_is_number(v) for v in s0):
+        raise ConfigError("$.initial_state", "expected [x, y, px, py] finite numbers")
     t_end = _get(cfg, "t_end", (int, float))
+    if not _is_number(t_end):
+        raise ConfigError("$.t_end", "expected a finite number")
     allow_null = bool(_get(cfg, "allow_null", bool, required=False, default=False))
     integrals = {}
     if "integral" in cfg:
@@ -221,7 +235,8 @@ def _cmd_geodesic(cfg, tols, outdir):
                     default=_get(cfg, "output", str, required=False,
                                  default="geodesic") + ".csv")
     csv_path = outdir / csv_name
-    export_trajectory(traj, csv_path)
+    _write("$.csv" if "csv" in cfg else "$.output", csv_path,
+           lambda: export_trajectory(traj, csv_path))
     h = traj.hamiltonian_values
     report = {
         "status": status,
@@ -235,6 +250,14 @@ def _cmd_geodesic(cfg, tols, outdir):
         report[f"{name}_drift"] = float(max(abs(vals - vals[0]))) / \
             max(abs(float(vals[0])), 1e-300)
     return 0, report
+
+
+def _write(field: str, path: Path, write) -> None:
+    """Run write(); a path that cannot be written is bad input in field."""
+    try:
+        write()
+    except OSError as e:
+        raise ConfigError(field, f"cannot write {path}: {e.strerror or e}")
 
 
 _HANDLERS = {
@@ -265,6 +288,13 @@ def run(config_path, output_dir=None, quiet: bool = False) -> int:
 
     outdir = Path(output_dir) if output_dir else config_path.parent
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        if not quiet:
+            print(f"error: cannot create output directory {outdir}: {e.strerror or e}",
+                  file=sys.stderr)
+        return 2
+    try:
         if not isinstance(cfg, dict):
             raise ConfigError("$", "config must be a JSON object")
         command = _get(cfg, "command", str)
@@ -273,6 +303,15 @@ def run(config_path, output_dir=None, quiet: bool = False) -> int:
                               f"expected one of {', '.join(COMMANDS)}")
         tols = _tolerances(cfg)
         code, body = _HANDLERS[command](cfg, tols, outdir)
+        report = {"version": __version__, "command": command, "tolerances": tols,
+                  "exit_code": code}
+        report.update(body)
+        out_name = _get(cfg, "output", str, required=False, default=f"{command}_report")
+        if not out_name.endswith(".json"):
+            out_name += ".json"
+        out_path = outdir / out_name
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _write("$.output", out_path, lambda: out_path.write_text(text))
     except ConfigError as e:
         if not quiet:
             print(f"config error: {e}", file=sys.stderr)
@@ -282,15 +321,6 @@ def run(config_path, output_dir=None, quiet: bool = False) -> int:
             print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
-    report = {"version": __version__, "command": command, "tolerances": tols,
-              "exit_code": code}
-    report.update(body)
-    out_name = _get(cfg, "output", str, required=False, default=f"{command}_report")
-    if not out_name.endswith(".json"):
-        out_name += ".json"
-    out_path = outdir / out_name
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if not quiet:
         print(f"{command}: {'ok' if code == 0 else 'FAILED'} -> {out_path}")
     return code

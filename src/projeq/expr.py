@@ -545,6 +545,13 @@ def _nonfinite(j):
 
 def _uniform_constant(value, derivatives):
     """An exponent's value when it is one constant at every point, else None."""
+    if not isinstance(value, np.ndarray) and \
+            not any(isinstance(d, np.ndarray) for d in derivatives):
+        # a literal or a constant sub-expression: plain scalar slots (NaN is
+        # not one constant, as below)
+        if value != value or any(d != 0 for d in derivatives):
+            return None
+        return value
     if any(np.any(d) for d in derivatives):
         return None
     v = np.ravel(value)
@@ -636,6 +643,138 @@ class _Grid:
         if strict:
             _reject(_nonfinite(out), "non-finite value", e, x, y)
         return out
+
+
+# --- values only ------------------------------------------------------------------
+
+
+class _Recheck(Exception):
+    """Raised inside a value-only evaluation where eval_jet must decide: a
+    domain predicate holds, arithmetic fails, or the node is not supported."""
+
+
+def _value_route(m, power, constant, holds):
+    """(elementary functions, power, constant, "holds anywhere") of one
+    route; the functions are those of the chain rules over module m."""
+    return ({f: getattr(m, "fabs" if f == "abs" else f) for f in FUNCTIONS},
+            power, constant, holds)
+
+
+_SCALAR_VALUES = _value_route(math, lambda v, k: v ** k, float, bool)
+_GRID_VALUES = _value_route(np, np.float_power, np.float64, np.any)
+
+
+def value_function(e: Expr):
+    """A function (x, y) -> eval_jet(e, x, y).v that computes no derivatives.
+
+    The tree is compiled once into closures, one set for floats and one for
+    arrays, that perform exactly the operations of the jets' value slot:
+    division as l * (1 / r), np.float_power on arrays and ** on floats,
+    exponents 0 and 1 skipped, the same math and NumPy functions.  Values
+    are therefore bit-identical to eval_jet's.  Where a domain predicate
+    holds, arithmetic fails, a value on arrays is not finite, or an exponent
+    is not a number literal, eval_jet itself is run, so that errors and
+    their messages are its own."""
+    try:
+        scalar = _compile_value(e, _SCALAR_VALUES)
+        grid = _compile_value(e, _GRID_VALUES)
+    except _Recheck:
+        return lambda x, y: eval_jet(e, x, y).v
+
+    def value(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            with np.errstate(all="ignore"):
+                try:
+                    v = grid(x, y)
+                except _Recheck:
+                    return eval_jet(e, x, y).v
+            return v if np.isfinite(v).all() else eval_jet(e, x, y).v
+        try:
+            return scalar(x, y)
+        except (_Recheck, ArithmeticError, ValueError):
+            return eval_jet(e, x, y).v
+
+    return value
+
+
+def _literal(e: Expr) -> float:
+    """The value of a signed number literal, or _Recheck."""
+    match e:
+        case Num(v) if math.isfinite(v):
+            return v
+        case Neg(arg):
+            return -_literal(arg)
+    raise _Recheck
+
+
+def _compile_value(e: Expr, route):
+    functions, power, constant, holds = route
+    match e:
+        case Num(v):
+            c = constant(v)
+            return lambda x, y: c
+        case Var("x"):
+            return lambda x, y: x
+        case Var("y"):
+            return lambda x, y: y
+        case Neg(arg):
+            f = _compile_value(arg, route)
+            return lambda x, y: -f(x, y)
+        case BinOp("^", base, expo):
+            return _compile_power(_compile_value(base, route), _literal(expo), power, holds)
+        case BinOp(op, left, right):
+            f, g = _compile_value(left, route), _compile_value(right, route)
+            if op == "+":
+                return lambda x, y: f(x, y) + g(x, y)
+            if op == "-":
+                return lambda x, y: f(x, y) - g(x, y)
+            if op == "*":
+                return lambda x, y: f(x, y) * g(x, y)
+            if op == "/":
+                def quotient(x, y):
+                    u, w = f(x, y), g(x, y)
+                    if holds(w == 0.0):
+                        raise _Recheck
+                    return u * (1.0 / w)
+
+                return quotient
+        case Call(func, arg) if func in functions:
+            f, g = _compile_value(arg, route), functions[func]
+            checks = [bad for bad, _ in _REAL_DOMAIN.get(func, ())]
+
+            def call(x, y):
+                u = f(x, y)
+                for bad in checks:
+                    if holds(bad(u)):
+                        raise _Recheck
+                return g(u)
+
+            return call
+    raise _Recheck
+
+
+def _compile_power(f, k: float, power, holds):
+    """u^k for a literal k, as _jet_pow and _grid_pow compute its value."""
+    if k == 0.0:
+        def one(x, y):
+            f(x, y)                     # for the domain checks inside the base
+            return 1.0
+
+        return one
+    if k == 1.0:
+        return f
+    integral = k == round(k)
+    if integral and k > 0.0:
+        return lambda x, y: power(f(x, y), k)
+    bad = (lambda v: v == 0.0) if integral else (lambda v: v <= 0.0)
+
+    def checked(x, y):
+        u = f(x, y)
+        if holds(bad(u)):
+            raise _Recheck
+        return power(u, k)
+
+    return checked
 
 
 # --- complex jets ----------------------------------------------------------------

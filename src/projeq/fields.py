@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NonMonotone
-from .expr import Expr, Jet2, diff, eval_jet
+from .expr import Expr, Jet2, diff, eval_jet, value_function
 
 _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 _XTOL = 1e-13                       # converged bracket width: absolute part
@@ -267,12 +267,12 @@ class ExprMap(Monotone1D):
         self.expr = e
         self.var = var
         self._d3 = diff(diff(diff(e, var), var), var)
+        self._value = value_function(e)
         self.validate_monotone()
 
     def __call__(self, t):
-        # value-only path: root finding in inverse() hits this in a loop
-        j = eval_jet(self.expr, t, 0.0) if self.var == "x" else eval_jet(self.expr, 0.0, t)
-        return j.v
+        # values only: root finding in inverse() calls this at every step
+        return self._value(t, 0.0) if self.var == "x" else self._value(0.0, t)
 
     def fjet(self, t):
         if self.var == "x":
@@ -342,6 +342,9 @@ class _InverseMap(Monotone1D):
         lo, hi = fwd.range
         super().__init__(lo, hi)
         self._fwd = fwd
+
+    def __call__(self, u):
+        return self._fwd.inverse(u)
 
     def fjet(self, u):
         t = self._fwd.inverse(u)

@@ -285,3 +285,71 @@ class TestOutputHandling:
         assert run(write_config(tmp_path, cfg)) == 0
         out = capsys.readouterr().out
         assert "classify" in out and "ok" in out
+
+
+GEODESIC = {
+    "command": "geodesic",
+    "chart": {"x_range": [-2, 2], "y_range": [-2, 2], "grid": [5, 5]},
+    "metric": {"g11": "1", "g12": "0", "g22": "1"},
+    "initial_state": [0, 0, 0.6, 0.8],
+    "t_end": 0.5,
+}
+
+
+class TestGeodesicOutput:
+    def test_creates_missing_output_dir(self, tmp_path):
+        outdir = tmp_path / "new_dir"
+        assert run(write_config(tmp_path, GEODESIC), output_dir=outdir, quiet=True) == 0
+        rep = json.loads((outdir / "geodesic_report.json").read_text())
+        assert rep["csv"] == str(outdir / "geodesic.csv")
+        assert (outdir / "geodesic.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("csv", "no/such/dir/x.csv"),
+                                              ("output", "no/such/dir/run")])
+    def test_unwritable_path_is_bad_input(self, tmp_path, capsys, field, value):
+        cfg = {**GEODESIC, field: value}
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: $.{field}: cannot write" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_report_is_bad_input(self, tmp_path, capsys):
+        cfg = {"command": "verify", "chart": JORDAN_CHART, "metric": {"f": JORDAN_F},
+               "integral": JORDAN_INTEGRAL, "output": "no/such/dir/report"}
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "config error: $.output: cannot write" in capsys.readouterr().err
+
+    def test_output_dir_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        assert run(write_config(tmp_path, GEODESIC), output_dir=tmp_path / "plain" / "out") == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    """Python's json module reads NaN and Infinity, and booleans are ints in
+    Python; the schema allows none of them where a number is expected."""
+
+    @pytest.mark.parametrize("path, value", [
+        ("t_end", float("nan")),
+        ("t_end", float("inf")),
+        ("t_end", True),
+        ("initial_state", [0, 0, float("nan"), 0.8]),
+        ("initial_state", [0, False, 0.6, 0.8]),
+        ("chart.x_range", [-2, float("nan")]),
+        ("chart.y_range", [True, 2]),
+        ("chart.grid", [True, 5]),
+        ("tolerances.integrator", True),
+        ("tolerances.integrator", float("inf")),
+    ])
+    def test_rejected(self, tmp_path, capsys, path, value):
+        cfg = json.loads(json.dumps(GEODESIC))
+        node = cfg
+        *parents, leaf = path.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        assert run(write_config(tmp_path, cfg)) == 2
+        captured = capsys.readouterr()
+        assert "config error: $." + path in captured.err
+        assert "ok" not in captured.out
+        assert not (tmp_path / "geodesic.csv").exists()

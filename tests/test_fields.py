@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projeq import expr
 from projeq.errors import NonMonotone
 from projeq.expr import parse
 from projeq.fields import ExprMap, QuadratureMap
@@ -79,3 +80,29 @@ def test_inverse_range_ends(m):
 def test_inverse_of_float_is_float():
     m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
     assert type(m.inverse(0.2)) is float
+
+
+def test_array_inverse_walks_no_jets(monkeypatch):
+    """Root finding evaluates the map's values only: inverting an array runs
+    no order-2 jet walk over the grid."""
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    vlo, vhi = m.range
+    walk = expr._eval_jet_grid
+    walks = []
+    monkeypatch.setattr(expr, "_eval_jet_grid", lambda *args: walks.append(args) or walk(*args))
+    ts = m.inverse(np.linspace(vlo, vhi, 50))
+    assert walks == []
+    m.fjet(ts)                      # the counter does see jet walks
+    assert walks
+
+
+def test_inverse_map_value_needs_no_jets(monkeypatch):
+    """An inverted map's value is the forward map's inverse, without the
+    forward map's third-order jet."""
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    inv = m.inverted()
+    us = np.linspace(*m.range, 9)
+    expected = m.inverse(us)
+    monkeypatch.setattr(m, "fjet", None)
+    assert np.array_equal(inv(us), expected)
+    assert inv(float(us[3])) == expected[3]

@@ -9,6 +9,7 @@ worst grid point.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import projeq as pq
@@ -214,6 +215,54 @@ def test_grid_jets_agree_with_scalar_jets(e):
         for s in SLOTS:
             g = np.broadcast_to(getattr(grid, s), x.shape).flat[i]
             assert g == pytest.approx(getattr(j, s), rel=1e-9, abs=1e-9), (s, px, py)
+
+
+# how eval_jet reports a derivative slot that fails where the value does not
+DERIVATIVE_FAILURES = {True: ("non-finite value",),
+                       False: ("numerical overflow", "division by zero")}
+# GRID_CHART's coordinates are round enough that numpy's ** agrees with pow
+# on them; these are not
+IRREGULAR_MESH = (GRID_CHART.mesh()[0] * (math.pi / 3.0), GRID_CHART.mesh()[1] * (math.e / 3.0))
+X, Y, ZERO = Var("x"), Var("y"), BinOp("-", Var("x"), Var("x"))
+
+
+def _outcome(f, *args):
+    """(value as float64 bytes, None), or (None, the error) when f raises."""
+    try:
+        return np.asarray(f(*args), dtype=float).tobytes(), None
+    except (DomainError, ArithmeticError, ValueError) as err:
+        return None, (type(err), str(err))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(expressions)
+@example(BinOp("^", Num(0.0), Num(0.5)))
+@example(BinOp("^", ZERO, Num(-1.0)))
+@example(BinOp("^", Call("log", Y), Num(0.0)))
+@example(BinOp("^", Call("exp", BinOp("*", Num(300.0), X)), Num(3.0)))
+@example(BinOp("/", Y, ZERO))
+@example(BinOp("/", Num(1.0), BinOp("/", Num(1.0), ZERO)))
+@example(Call("sqrt", ZERO))
+@example(Call("abs", BinOp("-", Y, Y)))
+@example(BinOp("^", X, Y))
+def test_value_path_is_the_jets_value(e):
+    """value_function(e) is eval_jet(e, ...).v bit for bit wherever eval_jet
+    succeeds, on arrays and on floats, and raises eval_jet's own error
+    wherever it raises at all.  It may succeed where eval_jet fails only
+    when a derivative slot alone overflows or divides by zero; every domain
+    predicate fails both, and on arrays a value it returns is finite."""
+    value = pq.value_function(e)
+    for args in [GRID_CHART.mesh(), IRREGULAR_MESH, *list(GRID_CHART.points())[::5]]:
+        jets, jet_error = _outcome(lambda x, y: pq.eval_jet(e, x, y).v, *args)
+        values, value_error = _outcome(value, *args)
+        if jet_error is None:
+            assert values == jets, args
+        elif value_error is None:
+            on_arrays = isinstance(args[0], np.ndarray)
+            assert jet_error[1].startswith(DERIVATIVE_FAILURES[on_arrays]), (jet_error, args)
+            assert not on_arrays or np.isfinite(np.frombuffer(values)).all()
+        if value_error is not None:
+            assert value_error == jet_error, args
 
 
 def test_complex_grid_jets_agree_with_scalar_jets():
