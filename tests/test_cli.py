@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from projeq import cli
 from projeq.cli import run
 
 
@@ -323,6 +324,21 @@ class TestGeodesicOutput:
         (tmp_path / "plain").write_text("")
         assert run(write_config(tmp_path, GEODESIC), output_dir=tmp_path / "plain" / "out") == 2
         assert "cannot create output directory" in capsys.readouterr().err
+
+
+class TestGeodesicBudget:
+    def test_long_run_stops_at_the_step_budget(self, tmp_path, capsys, monkeypatch):
+        # the equator of the round sphere: a closed orbit that never leaves the chart
+        monkeypatch.setattr(cli, "GEODESIC_STEP_BUDGET", 50)
+        sphere = "4/(1 + x^2 + y^2)^2"
+        cfg = {"command": "geodesic",
+               "chart": {"x_range": [-3, 3], "y_range": [-3, 3], "grid": [5, 5]},
+               "metric": {"g11": sphere, "g12": "0", "g22": sphere},
+               "initial_state": [1, 0, 0, 1], "t_end": 1e6}
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "StepFailure: exceeded the budget of 50 steps" in err
+        assert "Traceback" not in err
 
 
 class TestNonFiniteNumbers:

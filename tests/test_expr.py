@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import projeq as pq
 from projeq import ComplexJet, Jet2, diff, eval_complex, eval_jet, parse, render
-from projeq.expr import Num
+from projeq.expr import BinOp, Num
 from projeq.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -61,6 +62,12 @@ class TestParser:
     def test_complex_context_rejects_xy(self):
         with pytest.raises(UnknownIdentifier):
             parse("x + 1", variables=("z",))
+
+    def test_negative_literal_renders_as_a_negation(self):
+        # as "-2.0^2.0" it would read as -(2^2)
+        e = BinOp("^", Num(-2.0), Num(2.0))
+        assert render(e) == "(-2.0)^2.0"
+        assert jet_of(render(e), 0.0, 0.0).v == 4.0
 
     def test_render_round_trip(self):
         for text in ("x + y * 2", "(x + y) * 2", "-x^2", "sin(x) / (1 - y)",
@@ -146,6 +153,22 @@ class TestDiff:
         with pytest.raises(DomainError):
             eval_jet(diff(parse("x/0"), var), 1.0, 2.0)
         assert diff(parse("0/x"), "x") == Num(0.0)
+
+    def test_negative_literal_exponent_takes_the_power_rule(self):
+        # (y - 3)^(-1) is a power of a negated literal, not exp(w log u)
+        d = diff(parse("(y - 3)^(-1)"), "y")
+        assert "log" not in render(d)
+        assert eval_jet(d, 0.0, 0.5).v == pytest.approx(-1.0 / 2.5 ** 2)
+        pair = pq.generate(pq.JordanBlockSpec("2 + (y - 3)^(-1)",
+                                              pq.Chart((-0.4, 0.4), (-0.5, 0.5))))
+        assert pq.verify_integral(pair.g, pair.F).passed
+
+    def test_literal_pole_survives_simplify(self):
+        # folding 0^(-1) inside diff raised ZeroDivisionError; it stays, and
+        # evaluating it raises DomainError
+        d = diff(parse("y * 0^(-1)"), "y")
+        with pytest.raises(DomainError):
+            eval_jet(d, 1.0, 2.0)
 
     def test_third_derivative(self):
         e = parse("x^4")

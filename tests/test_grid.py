@@ -1,18 +1,22 @@
-"""Grid evaluation against the per-point route.
+"""Grid evaluation against the per-point route, and compiled expressions
+against the reference walkers.
 
 Every sweep over a chart evaluates its fields once as (nx, ny) arrays
 (ScalarField.on).  These tests rebuild each sweep's answer point by point
 from the public scalar functions and require the same result and the same
-worst grid point.
+worst grid point.  Both routes run compiled code, so that code is checked
+against the tree walkers of tests/jet_oracle.py, on floats and on arrays.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tokenize
 from importlib import resources
 
 import numpy as np
@@ -20,10 +24,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import jet_oracle as oracle
 import projeq as pq
+from projeq import expr
 from projeq.cli import run
 from projeq.errors import DomainError, InvariantViolation
-from projeq.expr import BinOp, Call, Neg, Num, Var
+from projeq.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 from projeq.geometry import MAX_GRID_POINTS
 
 SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
@@ -265,6 +271,149 @@ def test_value_path_is_the_jets_value(e):
             assert value_error == jet_error, args
 
 
+# --- compiled code against the reference walkers ------------------------------------
+
+
+def _wide_extend(children):
+    # powers with any exponent, constant or not, besides _extend's literals
+    return st.one_of(_extend(children),
+                     st.tuples(children, children).map(lambda t: BinOp("^", *t)))
+
+
+# with literals whose jets overflow, and a variable of the wrong context
+wide_expressions = st.recursive(
+    st.one_of(_leaves, st.sampled_from([Num(5e-324), Num(1e300), Num(-0.0), Var("z")])),
+    _wide_extend, max_leaves=8)
+complex_expressions = st.recursive(
+    st.one_of(st.just(Var("z")), st.floats(-3.0, 3.0, allow_nan=False).map(Num)),
+    lambda children: st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+        st.tuples(children, st.sampled_from([0.0, 1.0, 2.0, -1.0, -2.0, 0.5]))
+        .map(lambda t: BinOp("^", t[0], Num(t[1]))),
+        st.tuples(children, children).map(lambda t: BinOp("^", *t)),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda t: Call(*t))),
+    max_leaves=6)
+POINTS = list(GRID_CHART.points())[::5]
+COMPLEX_POINTS = [IRREGULAR_MESH[0] + 1j * IRREGULAR_MESH[1],
+                  GRID_CHART.mesh()[0] + 1j * GRID_CHART.mesh()[1],
+                  *(complex(px, py) for px, py in POINTS)]
+
+
+def _slots(f, args, names):
+    """The named slots of f(*args) as arrays, or f's error as (type, message,
+    grid point)."""
+    try:
+        j = f(*args)
+    except (DomainError, ArithmeticError, ValueError) as err:
+        return None, (type(err), str(err), getattr(err, "point", None))
+    return [np.asarray(getattr(j, s)) for s in names], None
+
+
+def assert_matches_oracle(compiled, reference, args, names):
+    """Both raise the same error (type, message, point), or every slot is
+    equal under == (so a folded zero may differ in its sign) and NaN where
+    the reference's is NaN."""
+    got, got_error = _slots(compiled, args, names)
+    want, want_error = _slots(reference, args, names)
+    assert got_error == want_error, args
+    for name, g, w in zip(names, got or (), want or ()):
+        assert np.array_equal(*np.broadcast_arrays(g, w), equal_nan=True), (name, args)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_expressions)
+@example(Call("log", Num(5e-324)))              # f' overflows: 0 * inf in a folded slot
+@example(BinOp("/", X, Num(5e-324)))
+@example(BinOp("*", Num(0.0), Call("exp", Num(1000.0))))
+@example(BinOp("^", Call("exp", X), ZERO))      # an exponent constant only in value
+@example(BinOp("^", X, Num(math.inf)))
+@example(BinOp("^", X, Num(math.nan)))
+@example(BinOp("^", Y, Call("log", Num(1.3e-284))))  # a NaN derivative makes it variable
+@example(BinOp("^", ZERO, BinOp("^", Call("exp", Num(800.0)), Num(0.0))))
+@example(BinOp("+", Call("log", BinOp("-", X, Num(2.0))), Var("z")))
+def test_compiled_jets_match_the_oracle(e):
+    jet = pq.jet_function(e)
+    for args in [GRID_CHART.mesh(), IRREGULAR_MESH, *POINTS]:
+        assert_matches_oracle(jet, lambda x, y: oracle.eval_jet(e, x, y), args, SLOTS)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(complex_expressions)
+@example(BinOp("^", Var("z"), Num(0.5)))
+@example(BinOp("^", Num(1.37e-159), Num(-1.0)))   # f'' fails first: division by zero
+@example(BinOp("/", Num(1.0), BinOp("-", Var("z"), Var("z"))))
+@example(BinOp("^", Var("z"), BinOp("-", Var("z"), Var("z"))))
+@example(Call("abs", Call("log", Num(0.0))))
+def test_compiled_complex_jets_match_the_oracle(e):
+    jet = pq.complex_function(e)
+    for z in COMPLEX_POINTS:
+        assert_matches_oracle(jet, lambda z: oracle.eval_complex(e, z), (z,), ("v", "dv", "ddv"))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(wide_expressions, complex_expressions))
+def test_generated_source_names_nothing_else(e):
+    """Compiled source holds numbers, and names from a fixed set: the
+    variables, the functions, generated temporaries and the helpers."""
+    allowed = set(expr._NAMESPACES[False, True]) | {
+        "x", "y", "z", "f", "E", "X", "P", "B", "abs", "round", "float", "real", "imag",
+        "all", "def", "return", "if", "else", "not", "and", "or", "is", "None", "True"}
+    for kind in ("jet", "value", "complex"):
+        for grid in (False, True):
+            source = expr._Emitter(kind, grid, exact=not grid).source(e)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.type == tokenize.NAME:
+                    assert tok.string in allowed or tok.string[0] == "t" and \
+                        tok.string[1:].isdigit(), tok.string
+                else:
+                    assert tok.type in (tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
+                                        tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+                                        tokenize.ENDMARKER), tok
+
+
+@pytest.mark.parametrize("node", [Var("__import__('os')"), Call("system", X), Num("1)"),
+                                  BinOp("**", X, Y), Num(True)])
+def test_emitter_rejects_foreign_nodes(node, monkeypatch):
+    """A hand-built node that the parser cannot produce is refused before
+    any source is compiled."""
+    compiled = []
+    monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args), raising=False)
+    for e in (node, BinOp("+", X, node), Neg(Call("log", node))):
+        for evaluate in (lambda: pq.eval_jet(e, 1.0, 2.0),
+                         lambda: pq.eval_jet(e, *GRID_CHART.mesh()),
+                         lambda: pq.value_function(e)(1.0, 2.0),
+                         lambda: pq.eval_complex(e, 1j)):
+            with pytest.raises(TypeError):
+                evaluate()
+    assert compiled == []
+
+
+round_trips = st.one_of(
+    expressions,
+    expressions.map(pq.expr.simplify),
+    st.tuples(expressions, st.sampled_from(["x", "y"])).map(lambda t: pq.diff(*t)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(round_trips)
+@example(BinOp("^", Num(-2.0), Num(2.0)))
+@example(BinOp("-", X, Num(-0.0)))
+@example(Neg(Num(-2.0)))
+def test_render_round_trip_evaluates_alike(e):
+    """parse(render(e)) has e's value bit for bit and e's derivatives, or
+    raises e's error, on floats and on arrays."""
+    jet, back = pq.jet_function(e), pq.jet_function(pq.parse(pq.render(e)))
+    for args in [GRID_CHART.mesh(), IRREGULAR_MESH, *POINTS]:
+        got, got_error = _slots(back, args, SLOTS)
+        want, want_error = _slots(jet, args, SLOTS)
+        assert got_error == want_error, args
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes(), args
+            for name, g, w in zip(SLOTS, got, want):
+                assert np.array_equal(*np.broadcast_arrays(g, w), equal_nan=True), (name, args)
+
+
 def test_complex_grid_jets_agree_with_scalar_jets():
     x, y = GRID_CHART.mesh()
     for text in ("z", "z^2", "exp(z)", "z + z^3", "1/(z + 3) - log(z) * sqrt(z)", "z^(-2)"):
@@ -291,7 +440,7 @@ class TestNonFinite:
         with pytest.raises(DomainError):
             pq.eval_complex(pq.parse("exp(z)", variables=("z",)), complex(1000.0, 0.0))
         with pytest.raises(DomainError):
-            (pq.ScalarField.from_expr(pq.parse("exp(x)")) ** 1000).jet(1.0, 0.0)
+            pq.ScalarField.from_expr(pq.parse("exp(x)^1000")).jet(1.0, 0.0)
 
     def test_overflow_on_grid_names_point_and_subexpression(self):
         with pytest.raises(DomainError) as ei:
