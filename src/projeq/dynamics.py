@@ -134,15 +134,19 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _hamilton_rhs(g: Metric2, y: np.ndarray) -> np.ndarray:
-    """Hamilton's equations for H = 1/2 p g^{-1} p."""
-    x, yy, px, py = y
-    i11, i12, i22 = g.inverse_jets_at(x, yy)
+def _flow(i11, i12, i22, px, py):
+    """Hamilton's equations for H = 1/2 p g^{-1} p from the jets of g^{-1}:
+    the velocity (vx, vy) and the momentum's rate (dpx, dpy)."""
     vx = i11.v * px + i12.v * py
     vy = i12.v * px + i22.v * py
     dpx = -0.5 * (i11.dx * px * px + 2.0 * i12.dx * px * py + i22.dx * py * py)
     dpy = -0.5 * (i11.dy * px * px + 2.0 * i12.dy * px * py + i22.dy * py * py)
-    return np.array([vx, vy, dpx, dpy])
+    return vx, vy, dpx, dpy
+
+
+def _hamilton_rhs(g: Metric2, y: np.ndarray) -> np.ndarray:
+    x, yy, px, py = y
+    return np.array(_flow(*g.inverse_jets_at(x, yy), px, py))
 
 
 # Dormand-Prince 5(4) tableau (FSAL)
@@ -251,13 +255,10 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
     for i in range(len(traj)):
         x, y, px, py = traj.states[i]
         i11, i12, i22 = gen.inverse_jets_at(x, y)
-        vx = i11.v * px + i12.v * py
-        vy = i12.v * px + i22.v * py
+        vx, vy, dpx, dpy = _flow(i11, i12, i22, px, py)
         speed2 = vx * vx + vy * vy
         if speed2 < 1e-300:
             raise ZeroVelocity(f"zero velocity at sample {i}")
-        dpx = -0.5 * (i11.dx * px * px + 2.0 * i12.dx * px * py + i22.dx * py * py)
-        dpy = -0.5 * (i11.dy * px * px + 2.0 * i12.dy * px * py + i22.dy * py * py)
         # gamma''^k = d_i(g^{kl}) v^i p_l + g^{kl} p_l'
         ax = (i11.dx * vx + i11.dy * vy) * px + (i12.dx * vx + i12.dy * vy) * py \
             + i11.v * dpx + i12.v * dpy

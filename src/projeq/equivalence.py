@@ -16,6 +16,8 @@ from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian,
 
 DEFAULT_VERIFY_TOL = 1e-9
 DEFAULT_TRIVIALITY_TOL = 1e-8
+# g11 and g22 of a null-form metric, relative to g12
+NULL_FORM_TOL = 1e-10
 
 # momentum directions pinning a cubic in (px, py)
 _MOMENTUM_BASIS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
@@ -41,10 +43,11 @@ class NullFormMetric:
         return Metric2.null_form(self.f, self.chart)
 
 
-def null_form_of(g: Metric2, tol: float = 1e-10) -> NullFormMetric | None:
-    """Recognize ds^2 = f dx dy; None if g11 or g22 is not negligible."""
+def null_form_of(g: Metric2) -> NullFormMetric | None:
+    """Recognize ds^2 = f dx dy; None if g11 or g22 exceeds NULL_FORM_TOL
+    times |g12| at some grid point."""
     a, b, c = g.values_on(g.chart)
-    bound = tol * np.maximum(np.abs(b), 1e-300)
+    bound = NULL_FORM_TOL * np.maximum(np.abs(b), 1e-300)
     if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):
         return None
     return NullFormMetric(g.g12 * 2.0, g.chart)
@@ -56,8 +59,12 @@ def null_form_of(g: Metric2, tol: float = 1e-10) -> NullFormMetric | None:
 def projective_integral_I(g: Metric2, gbar: Metric2, x: float, y: float,
                           xi: tuple[float, float]) -> float:
     """I(xi) = gbar(xi, xi) * (det g / det gbar)^(2/3), real cube root."""
-    _, det_g, sig_g = metric_at(g, x, y)
-    mbar, det_gbar, sig_gbar = metric_at(gbar, x, y)
+    return _integral_I(metric_at(g, x, y)[1], gbar, x, y, xi)
+
+
+def _integral_I(det_g: float, gbar: Metric2, x: float, y: float, xi) -> float:
+    """projective_integral_I from the determinant of g at (x, y)."""
+    mbar, det_gbar, _ = metric_at(gbar, x, y)
     ratio = det_g / det_gbar
     if ratio <= 0.0:
         raise SignatureMismatch(
@@ -72,7 +79,7 @@ def projective_integral_momentum(g: Metric2, gbar: Metric2, s: PhaseState) -> fl
     m, det, _ = metric_at(g, s.x, s.y)
     vx = (m[1, 1] * s.px - m[0, 1] * s.py) / det
     vy = (-m[0, 1] * s.px + m[0, 0] * s.py) / det
-    return projective_integral_I(g, gbar, s.x, s.y, (vx, vy))
+    return _integral_I(det, gbar, s.x, s.y, (vx, vy))
 
 
 def fit_integral_combination(g: Metric2, gbar: Metric2, F: QuadraticForm,
@@ -181,9 +188,9 @@ class VerificationReport:
         }
 
 
-def verify_integral(metric, F: QuadraticForm, chart: Chart | None = None,
-                    method: str = "auto", tol: float = DEFAULT_VERIFY_TOL) -> VerificationReport:
-    """Check {H, F} = 0 over the chart grid.
+def verify_integral(metric, F: QuadraticForm, method: str = "auto",
+                    tol: float = DEFAULT_VERIFY_TOL) -> VerificationReport:
+    """Check {H, F} = 0 over the metric's chart grid.
 
     method 'sys' evaluates the null-coordinate PDE residuals (requires a
     null-form metric); 'bracket' evaluates the Poisson bracket at the
@@ -196,7 +203,7 @@ def verify_integral(metric, F: QuadraticForm, chart: Chart | None = None,
         nf = null_form_of(g)
     if method == "auto":
         method = "sys" if nf is not None else "bracket"
-    chart = chart or g.chart
+    chart = g.chart
 
     if method == "sys":
         if nf is None:
@@ -237,11 +244,11 @@ class TrivialityResult:
     tolerance: float
 
 
-def triviality_check(F: QuadraticForm, g: Metric2, chart: Chart | None = None,
+def triviality_check(F: QuadraticForm, g: Metric2,
                      tol: float = DEFAULT_TRIVIALITY_TOL) -> TrivialityResult:
-    """F is trivial iff F - lambda H vanishes (coefficient-wise on the grid)
-    for the deviation-minimizing lambda."""
-    chart = chart or g.chart
+    """F is trivial iff F - lambda H vanishes (coefficient-wise on g's chart
+    grid) for the deviation-minimizing lambda."""
+    chart = g.chart
     # coefficients interleaved point by point: (a, b, c) at each grid point
     fvals = np.stack([j.v for j in F.on(chart)], axis=-1).ravel()
     hvals = np.stack([j.v for j in hamiltonian_form(g).on(chart)], axis=-1).ravel()

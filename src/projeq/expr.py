@@ -395,6 +395,10 @@ class ComplexJet:
 # ("exact").  Non-finite array results go there too, and the exact function
 # names the innermost node with a non-finite slot.  Nothing is cached beyond
 # the returned function.
+#
+# An exponent without variables is a constant: its value is computed once,
+# while compiling, and the power rule uses it on floats and arrays alike.
+# Any other exponent goes through exp(w log u).
 
 
 def jet_function(e: Expr):
@@ -408,7 +412,7 @@ def jet_function(e: Expr):
         try:
             return fn(False)(x, y)
         except ArithmeticError as err:
-            raise _arithmetic(err, "division by zero", e) from None
+            raise DomainError(_arithmetic(err, "division by zero"), render(e)) from None
 
     return jet
 
@@ -424,7 +428,8 @@ def complex_function(e: Expr):
         try:
             return fn(False)(complex(z))
         except ArithmeticError as err:
-            raise _arithmetic(err, "complex division by zero (pole)", e) from None
+            raise DomainError(_arithmetic(err, "complex division by zero (pole)"),
+                              render(e)) from None
 
     return jet
 
@@ -432,9 +437,9 @@ def complex_function(e: Expr):
 def value_function(e: Expr):
     """A function (x, y) -> eval_jet(e, x, y).v that computes no derivatives:
     the jet's value code alone, so values are bit-identical.  Where a domain
-    check fails, arithmetic raises, an array value is not finite, or an
-    exponent is not a number literal, it returns the jet's value instead, so
-    that errors and their messages are the jet's own."""
+    check fails, arithmetic raises or an array value is not finite, it
+    returns the jet's value instead, so that errors and their messages are
+    the jet's own."""
     fn, jet = _Compiled(e, "value"), jet_function(e)
 
     def value(x, y):
@@ -470,9 +475,9 @@ def eval_complex(e: Expr, z) -> ComplexJet:
     return complex_function(e)(z)
 
 
-def _arithmetic(err, pole: str, e: Expr) -> DomainError:
-    return DomainError(pole if isinstance(err, ZeroDivisionError) else "numerical overflow",
-                       render(e))
+def _arithmetic(err, pole: str) -> str:
+    """The message for an ArithmeticError on floats."""
+    return pole if isinstance(err, ZeroDivisionError) else "numerical overflow"
 
 
 class _Compiled:
@@ -524,8 +529,7 @@ _NAMESPACES = {
            for name in ("sin", "cos", "exp", "log", "sqrt", "fabs", "copysign")},
         "F": (np.complex128 if grid else complex) if cplx else np.float64,
         "J": ComplexJet if cplx else Jet2, "pw": np.float_power, "inf": math.inf,
-        "nan": math.nan, "_any": np.any, "_ravel": np.ravel, "_isfinite": math.isfinite,
-        "_raise": _raise, "_mark": _mark}
+        "nan": math.nan, "_any": np.any, "_raise": _raise, "_mark": _mark}
     for cplx in (False, True) for grid in (False, True)}
 
 # function -> ((predicate on the argument's value, as source), message), ...)
@@ -550,13 +554,26 @@ _CHAIN = {
 }
 
 
-def _exponent_literal(e: Expr):
-    """The value of a finite number literal, possibly negated, else None."""
+def _has_variable(e: Expr) -> bool:
+    """Whether e contains a variable: an exponent without one is a constant."""
     match e:
-        case Num(v) if type(v) in (int, float) and math.isfinite(v):
-            return float(v)
+        case Var(_):
+            return True
+        case Neg(arg) | Call(_, arg):
+            return _has_variable(arg)
+        case BinOp(_, left, right):
+            return _has_variable(left) or _has_variable(right)
+    return False
+
+
+def _literal(e: Expr, F):
+    """The value of a number literal, possibly negated, as the value code
+    computes it with F = float or complex; None for other nodes."""
+    match e:
+        case Num(v):
+            return F(v)
         case Neg(arg):
-            k = _exponent_literal(arg)
+            k = _literal(arg, F)
             return None if k is None else -k
     return None
 
@@ -566,7 +583,12 @@ def _const(s) -> bool:
 
 
 class _Dead(Exception):
-    """The emitted code raises unconditionally here."""
+    """The emitted code raises unconditionally here; raised by _dead with
+    the error (message, node) when a constant is computed."""
+
+
+def _dead(errors, i: int, *_):
+    raise _Dead(*errors[i])
 
 
 class _Emitter:
@@ -577,9 +599,9 @@ class _Emitter:
     texts hold only literals (repr of an int or float), the variables, the
     names of _NAMESPACES and generated temporaries t1, t2, ..."""
 
-    def __init__(self, kind: str, grid: bool, exact: bool):
+    def __init__(self, kind: str, grid: bool, exact: bool, top: Expr | None = None):
         self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
-        self.complex = kind == "complex"
+        self.complex, self.top = kind == "complex", top
         self.zero, self.one = (0j, 1 + 0j) if self.complex else (0.0, 1.0)
         # second-derivative slots as pairs of first-derivative slots
         self.pairs = {"jet": ((1, 1), (1, 2), (2, 2)), "value": (),
@@ -592,6 +614,10 @@ class _Emitter:
         self.safe = {self.txt(self.one)}        # finite literals
 
     def source(self, e: Expr) -> str:
+        """The function's source; top, if given, is the whole expression
+        that e is part of, which an overflow names."""
+        if self.top is None:
+            self.top = e
         if self.record:
             self.line("B = None")
         try:
@@ -643,15 +669,13 @@ class _Emitter:
         else:
             self.line(f"if {cond}: _raise(E, {i})")
 
-    def fail(self, message: str, node=None):
-        self.line(f"_raise(E, {self.error(message, node)})")
+    def fail(self, message: str, node=None, at_point=False):
+        """Raise unconditionally; on a grid at its first point if at_point."""
+        if at_point:
+            self.check("True", message, node)
+        else:
+            self.line(f"_raise(E, {self.error(message, node)})")
         raise _Dead
-
-    def block(self, head: str, body):
-        self.line(head)
-        self.depth += 1
-        body()
-        self.depth -= 1
 
     # slots ---------------------------------------------------------------------------
     def mul(self, a, b):
@@ -685,6 +709,12 @@ class _Emitter:
     # jets ----------------------------------------------------------------------------
     def jet(self, v: str, first=()):
         return (v, *first, *(self.zero,) * (self.first - len(first) + len(self.pairs)))
+
+    def number(self, text: str, finite: bool):
+        """The jet of a constant given as source; a finite one is safe."""
+        if finite:
+            self.safe.add(text)
+        return self.jet(text)
 
     def mul_jet(self, u, w):
         mul, add = self.mul, self.add
@@ -725,92 +755,74 @@ class _Emitter:
         return self.chain(u, f0, f1, f2)
 
     # powers --------------------------------------------------------------------------
-    def pw(self, v: str, e):
-        """v ** e as the power rule computes it: exponents 0 and 1 exactly."""
-        if _const(e) and e == 0.0:
+    def pw(self, v: str, k: float):
+        """v ** k as the power rule computes it: exponents 0 and 1 exactly."""
+        if k == 0.0:
             return self.one
-        if _const(e) and e == 1.0 and (self.fold or not self.complex):
+        if k == 1.0 and (self.fold or not self.complex):
             if self.complex:
                 self.taint(v)
             return v
         if self.complex or not self.grid:
-            return f"({v} ** {self.txt(e)})"
-        if _const(e):
-            return f"pw({v}, {e!r})"
-        return f"(1.0 if {e} == 0.0 else {v} if {e} == 1.0 else pw({v}, {e}))"
+            return f"({v} ** {self.txt(k)})"
+        return f"pw({v}, {k!r})"
 
     def power(self, e: BinOp, u):
+        """u ^ w by the power rule when w has no variables (in the complex
+        context, when its value is also a real, finite integer), else as
+        exp(w log u)."""
         # the power's errors name it, except on complex floats
-        node, k = None if self.complex and not self.grid else e, _exponent_literal(e.right)
-        if k is not None and (not self.complex or k == round(k)):
-            return self.constant_power(node, u, k)
-        if self.kind == "value":
-            self.fail("the value of a variable exponent needs its jet")
-        w = self.node(e.right)
-        vanish = [s for s in w[1:] if not (self.fold and _const(s) and s == 0)]
-        if k is not None or any(_const(s) and s != 0 for s in vanish):
-            return self.variable_power(node, u, w)
-        # an exponent whose derivatives vanish at run time is a constant (a
-        # folded derivative is 0 only where no product folded so far is NaN)
-        self.guard()
-        self.n += 1
-        k = f"t{self.n}"
-        if self.grid:
-            self.line(f"{k} = None")
-            self.block(f"if not ({' or '.join(f'_any({self.txt(s)})' for s in vanish) or '0'}):",
-                       lambda: self.line(f"{k} = _ravel({w[0]}); "
-                                         f"{k} = {k}[0] if ({k} == {k}[0]).all() else None"))
-            cond = [f"{k} is not None"]
-        else:
-            self.line(f"{k} = {w[0]}")
-            cond = [f"{self.txt(s)} == 0" for s in vanish] or ["True"]
+        node = None if self.complex and not self.grid else e
+        if _has_variable(e.right):
+            return self.variable_power(node, u, self.node(e.right))
+        k = self.constant(e.right)
         if self.complex:
-            cond += [f"{k}.imag == 0.0", f"{k}.real == round({k}.real)"]
-            if self.grid:
-                cond.insert(2, f"_isfinite({k}.real)")
-        real = f"float({k}.real)" if self.complex else f"float({k})" if self.grid else k
-        return self.branch(" and ".join(cond),
-                           lambda: self.constant_power(node, u, self.tmp(real)),
-                           lambda: self.variable_power(node, u, w))
+            if k.imag != 0.0 or not math.isfinite(k.real) or k.real != round(k.real):
+                w = self.number(f"F({k.real!r}, {k.imag!r})", cmath.isfinite(k))
+                return self.variable_power(node, u, w)
+            k = k.real
+        elif not math.isfinite(k):
+            self.fail("non-finite exponent", node, at_point=True)
+        if k == 0.0:
+            return self.jet(self.txt(self.one))
+        if k != round(k):
+            self.check(f"{u[0]} <= 0.0", "non-integer power of a non-positive base", node)
+        elif k < 0.0:
+            self.check(f"{u[0]} == 0", "complex pole: zero to a negative power" if self.complex
+                       else "zero raised to a negative power", node)
+        return self.power_chain(u, k)
 
-    def constant_power(self, node, u, k):
-        """u ^ k for an exponent k that is a number, or a name at run time."""
-        v, one = u[0], self.txt(self.one)
-        negative = lambda: self.check(
-            f"{v} == 0", "complex pole: zero to a negative power" if self.complex else
-            "zero raised to a negative power", node)
-        noninteger = lambda: self.check(f"{v} <= 0.0", "non-integer power of a non-positive base",
-                                        node)
-        if _const(k):
-            if k == 0.0:
-                return self.jet(one)
-            if k != round(k):
-                noninteger()
-            elif k < 0.0:
-                negative()
-            return self.power_chain(u, k)
-        if self.grid and not self.complex:
-            self.check(f"not _isfinite({k})", "non-finite exponent", node)
-        if self.complex:
-            self.block(f"if {k} < 0.0:", negative)
-        else:
-            self.block(f"if {k} == round({k}):", lambda: self.block(f"if {k} < 0.0:", negative))
-            self.block("else:", noninteger)
-        return self.branch(f"{k} == 0.0", lambda: self.jet(one), lambda: self.power_chain(u, k))
+    def constant(self, e: Expr):
+        """The value of e, which has no variables, computed now by the float
+        value code (complex code in the complex context).  Where computing
+        it raises, the emitted code raises that error, on a grid at its
+        first point."""
+        k = _literal(e, complex if self.complex else float)
+        if k is not None:
+            return k
+        sub = _Emitter("complex" if self.complex else "value", False, exact=True, top=self.top)
+        ns = dict(_NAMESPACES[self.complex, False], E=sub.errors, _raise=_dead)
+        exec(compile(sub.source(e), "<projeq expression>", "exec"), ns)
+        try:
+            k = ns["f"](0j) if self.complex else ns["f"](0.0, 0.0)
+        except _Dead as dead:
+            self.fail(*dead.args, at_point=True)
+        except (ArithmeticError, ValueError) as err:     # ValueError: sin or cos of inf
+            pole = "complex division by zero (pole)" if self.complex else "division by zero"
+            self.fail(_arithmetic(err, pole), self.top, at_point=True)
+        return k.v if self.complex else k
 
-    def power_chain(self, u, k):
+    def power_chain(self, u, k: float):
         """u ^ k through the chain rule, for k != 0.  The powers run in the
         jets' order, f'' first, since on complex floats the first to fail
         decides the error."""
-        v, minus = u[0], lambda c: self.add(k, c, "-")
-        f2 = 0.0
-        if self.kind != "value" and not (_const(k) and k == 1.0):
-            f2 = self.mul(self.mul(k, minus(1.0)), self.pw(v, minus(2.0)))
-            f2 = self.tmp(f2 if _const(k) else f"({self.txt(f2)} if {k} != 1.0 else 0.0)")
+        v, f2 = u[0], 0.0
+        if self.kind != "value" and k != 1.0:
+            f2 = self.tmp(self.mul(k * (k - 1.0), self.pw(v, k - 2.0)))
         f0 = self.tmp(self.pw(v, k))
         if self.kind == "value":
             return (f0,)
-        return self.chain(u, f0, self.tmp(self.mul(k, self.pw(v, minus(1.0)))), f2)
+        return self.chain(u, f0, self.tmp(self.mul(k, self.pw(v, k - 1.0))), f2)
 
     def variable_power(self, node, u, w):
         """u ^ w = exp(w log u)."""
@@ -821,24 +833,6 @@ class _Emitter:
                        node)
         lg = tuple(map(self.tmp, self.call("log", u)))
         return self.call("exp", tuple(map(self.tmp, self.mul_jet(w, lg))))
-
-    def branch(self, cond: str, then, other):
-        """if cond: then() else: other(); each returns a jet, joined into one."""
-        names, taints = None, self.taints
-        for head, body in ((f"if {cond}:", then), ("else:", other)):
-            self.line(head)
-            self.depth += 1
-            self.taints = {}
-            jet = (*body(), " + ".join(self.taints) or 0.0)
-            if names is None:
-                names = [f"t{self.n + i}" for i in range(1, len(jet) + 1)]
-                self.n += len(jet)
-            for name, s in zip(names, jet):
-                self.line(f"{name} = {self.txt(s)}")
-            self.depth -= 1
-        self.taints = taints
-        self.taint(names[-1])
-        return tuple(names[:-1])
 
     # nodes ---------------------------------------------------------------------------
     def key(self, e: Expr) -> int:
@@ -876,10 +870,8 @@ class _Emitter:
     def emit(self, e: Expr):
         match e:
             case Num(v):
-                text = f"F({v!r})" if self.grid or self.complex else f"({v!r})"
-                if math.isfinite(v):
-                    self.safe.add(text)
-                return self.jet(text)
+                return self.number(f"F({v!r})" if self.grid or self.complex else f"({v!r})",
+                                   math.isfinite(v))
             case Var(name):
                 if (name in COMPLEX_VARIABLES) != self.complex:
                     context = "complex" if self.complex else "real"
@@ -1006,9 +998,9 @@ def _diff(e: Expr, var: str) -> Expr:
         case BinOp("/", l, r):
             num = BinOp("-", BinOp("*", diff(l, var), r), BinOp("*", l, diff(r, var)))
             return BinOp("/", num, BinOp("^", r, Num(2.0)))
-        case BinOp("^", base, expo) if isinstance(k := simplify(expo), Num):
+        case BinOp("^", base, expo) if not _has_variable(expo):
             # a constant exponent, such as a negated literal: the power rule
-            inner = BinOp("*", k, BinOp("^", base, Num(k.value - 1.0)))
+            inner = BinOp("*", expo, BinOp("^", base, BinOp("-", expo, Num(1.0))))
             return BinOp("*", inner, diff(base, var))
         case BinOp("^", base, expo):
             # u^w = exp(w log u)

@@ -155,12 +155,19 @@ class Metric2:
     def jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         return self.g11.jet(x, y), self.g12.jet(x, y), self.g22.jet(x, y)
 
+    def checked_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2, float]:
+        """The jets of (g11, g12, g22) and the value of det g; raises
+        SingularMetric where the metric is singular()."""
+        j11, j12, j22 = self.jets_at(x, y)
+        det = j11.v * j22.v - j12.v * j12.v
+        if singular(det, j11.v ** 2 + 2 * j12.v ** 2 + j22.v ** 2):
+            raise SingularMetric(x, y, det)
+        return j11, j12, j22, det
+
     def inverse_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         """Jets of (g^11, g^12, g^22)."""
-        j11, j12, j22 = self.jets_at(x, y)
+        j11, j12, j22, _ = self.checked_jets_at(x, y)
         det = j11 * j22 - j12 * j12
-        if det.v == 0.0:
-            raise SingularMetric(x, y, det.v)
         return j22 / det, -j12 / det, j11 / det
 
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
@@ -180,25 +187,17 @@ def metric_at(g: Metric2, x: float, y: float):
 
 
 def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
-    """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij})."""
-    j11, j12, j22 = g.jets_at(x, y)
-    det = j11.v * j22.v - j12.v * j12.v
-    if singular(det, j11.v ** 2 + 2 * j12.v ** 2 + j22.v ** 2):
-        raise SingularMetric(x, y, det)
-    ginv = np.array([[j22.v, -j12.v], [-j12.v, j11.v]]) / det
-    # dg[l][i][j] = d_l g_{ij}
-    dg = np.empty((2, 2, 2))
-    dg[0] = [[j11.dx, j12.dx], [j12.dx, j22.dx]]
-    dg[1] = [[j11.dy, j12.dy], [j12.dy, j22.dy]]
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                s = 0.0
-                for l in range(2):
-                    s += ginv[k, l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
-                gamma[k, i, j] = 0.5 * s
-    return gamma
+    """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}),
+    written out for 2-D with the sums in index order (l = 0 first, from
+    0.0), so that it is bit for bit the sum over k, i, j, l."""
+    a, b, c, det = g.checked_jets_at(x, y)
+    rows = ((c.v / det, -b.v / det), (-b.v / det, a.v / det))
+    # (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) for l = 0, 1, by (i, j)
+    xx = (a.dx + a.dx - a.dx, b.dx + b.dx - a.dy)
+    xy = (b.dx + a.dy - b.dx, c.dx + b.dy - b.dy)
+    yy = (b.dy + b.dy - c.dx, c.dy + c.dy - c.dy)
+    return np.array([[[0.5 * (0.0 + gk * t0 + gl * t1) for t0, t1 in row]
+                      for row in ((xx, xy), (xy, yy))] for gk, gl in rows])
 
 
 def _pair_tensor(a, b, c, abar, bbar, cbar, det):

@@ -2,7 +2,9 @@
 
 These are the tree walkers projeq used before it compiled expressions: a
 walk of the AST per evaluation, for floats and for coordinate arrays, real
-and complex.  They share nothing with the compiler but the AST, Jet2's
+and complex.  Their power rule is the compiler's: an exponent without
+variables is a constant, whose value the floats compute once (value() for
+real ones).  They share nothing with the compiler but the AST, Jet2's
 arithmetic and render(), so the tests compare compiled code against them.
 """
 
@@ -90,6 +92,67 @@ COMPLEX_DOMAIN = {
 }
 
 
+def has_variable(e):
+    """An exponent without variables is a constant, whose value the floats'
+    value code computes (complex code in the complex context)."""
+    match e:
+        case Var(_):
+            return True
+        case Neg(arg) | Call(_, arg):
+            return has_variable(arg)
+        case BinOp(_, left, right):
+            return has_variable(left) or has_variable(right)
+    return False
+
+
+def value(e):
+    """The float value of an expression without variables, computed as a
+    value alone: no derivative is computed, so none can fail."""
+    match e:
+        case Num(v):
+            return float(v)
+        case Neg(arg):
+            return -value(arg)
+        case BinOp("^", left, right):
+            v, k = value(left), value(right)
+            for bad, message in power_checks(k):
+                if bad(v):
+                    raise DomainError(message, render(e))
+            return 1.0 if k == 0.0 else v if k == 1.0 else v ** k
+        case BinOp(op, left, right):
+            a, b = value(left), value(right)
+            if op == "/" and b == 0.0:
+                raise DomainError("division by zero", render(right))
+            return a + b if op == "+" else a - b if op == "-" else a * b if op == "*" \
+                else a * (1.0 / b)
+        case Call(func, arg):
+            v = value(arg)
+            for bad, message in REAL_DOMAIN.get(func, ()):
+                if bad(v):
+                    raise DomainError(message, render(e))
+            return math.fabs(v) if func == "abs" else getattr(math, func)(v)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def constant(evaluate, e):
+    """evaluate(e) for an exponent e without variables; a math domain error
+    there (sin or cos of an infinity) counts as an overflow."""
+    try:
+        return evaluate(e)
+    except ValueError:
+        raise OverflowError from None
+
+
+def power_checks(k):
+    """(predicate on the base's value, message) pairs of the power rule for
+    a constant real exponent k."""
+    if not math.isfinite(k):
+        return ((lambda v: True, "non-finite exponent"),)
+    if k != round(k):
+        return ((lambda v: v <= 0.0, "non-integer power of a non-positive base"),)
+    return ((lambda v: v == 0.0, "zero raised to a negative power"),) if k < 0.0 else ()
+
+
 def const_power(u, k):
     v = u.v
     f2 = k * (k - 1.0) * v ** (k - 2.0) if k != 1.0 else 0.0
@@ -112,7 +175,7 @@ def grid_const_power(u, k):
 def eval_jet(e, x, y):
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return Grid(x, y, {"x": Jet2(x, 1.0, 0.0), "y": Jet2(y, 0.0, 1.0)},
-                    lambda v: Jet2(np.float64(v)), NUMPY, REAL_DOMAIN, grid_pow,
+                    lambda v: Jet2(np.float64(v)), NUMPY, REAL_DOMAIN, value, grid_pow,
                     "division by zero", "real").evaluate(e)
     try:
         return _eval_jet(e, x, y)
@@ -123,20 +186,15 @@ def eval_jet(e, x, y):
 
 
 def jet_pow(u, w):
-    if w.dx == 0.0 and w.dy == 0.0 and w.dxx == 0.0 and w.dxy == 0.0 and w.dyy == 0.0:
-        k = w.v
-        if k == round(k):
-            if k == 0.0:
-                return Jet2(1.0)
-            if u.v == 0.0 and k < 0.0:
-                raise DomainError("zero raised to a negative power")
-            return const_power(u, k)
+    """u ^ w for a jet w, or for a constant w (a float)."""
+    if isinstance(w, Jet2):
         if u.v <= 0.0:
-            raise DomainError("non-integer power of a non-positive base")
-        return const_power(u, k)
-    if u.v <= 0.0:
-        raise DomainError("power with variable exponent needs a positive base")
-    return MATH["exp"](w * MATH["log"](u))
+            raise DomainError("power with variable exponent needs a positive base")
+        return MATH["exp"](w * MATH["log"](u))
+    for bad, message in power_checks(w):
+        if bad(u.v):
+            raise DomainError(message)
+    return Jet2(1.0) if w == 0.0 else const_power(u, w)
 
 
 def _eval_jet(e, x, y):
@@ -151,6 +209,13 @@ def _eval_jet(e, x, y):
             raise DomainError(f"variable '{name}' has no real-context value")
         case Neg(arg):
             return -_eval_jet(arg, x, y)
+        case BinOp("^", left, right):
+            lu = _eval_jet(left, x, y)
+            w = _eval_jet(right, x, y) if has_variable(right) else constant(value, right)
+            try:
+                return jet_pow(lu, w)
+            except DomainError as err:
+                raise DomainError(str(err), render(e)) from None
         case BinOp(op, left, right):
             lu, ru = _eval_jet(left, x, y), _eval_jet(right, x, y)
             if op == "+":
@@ -159,14 +224,9 @@ def _eval_jet(e, x, y):
                 return lu - ru
             if op == "*":
                 return lu * ru
-            if op == "/":
-                if ru.v == 0.0:
-                    raise DomainError("division by zero", render(right))
-                return lu / ru
-            try:
-                return jet_pow(lu, ru)
-            except DomainError as err:
-                raise DomainError(str(err), render(e)) from None
+            if ru.v == 0.0:
+                raise DomainError("division by zero", render(right))
+            return lu / ru
         case Call(func, arg):
             u = _eval_jet(arg, x, y)
             for bad, message in REAL_DOMAIN.get(func, ()):
@@ -180,8 +240,8 @@ def eval_complex(e, z):
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         return Grid(z.real, z.imag, {"z": CJet(z, 1.0 + 0j)}, lambda v: CJet(np.complex128(v)),
-                    HOLOMORPHIC, COMPLEX_DOMAIN, grid_cpow, "complex division by zero (pole)",
-                    "complex").evaluate(e)
+                    HOLOMORPHIC, COMPLEX_DOMAIN, lambda e: _eval_complex(e, 0j).v, grid_cpow,
+                    "complex division by zero (pole)", "complex").evaluate(e)
     try:
         return _eval_complex(e, complex(z))
     except ZeroDivisionError:
@@ -190,14 +250,22 @@ def eval_complex(e, z):
         raise DomainError("numerical overflow", render(e))
 
 
+def integral(k):
+    """A constant complex exponent that takes the power rule: real, finite
+    and integral."""
+    return k.imag == 0.0 and math.isfinite(k.real) and k.real == round(k.real)
+
+
 def cpow(u, w):
-    if w.dv == 0 and w.ddv == 0 and w.v.imag == 0.0 and w.v.real == round(w.v.real):
-        k = w.v.real
-        if k == 0.0:
-            return CJet(1.0 + 0j)
-        if u.v == 0 and k < 0.0:
-            raise DomainError("complex pole: zero to a negative power")
-        return const_power(u, k)
+    """u ^ w for a jet w, or for a constant w (a complex)."""
+    if not isinstance(w, CJet):
+        if integral(w):
+            if w.real == 0.0:
+                return CJet(1.0 + 0j)
+            if u.v == 0 and w.real < 0.0:
+                raise DomainError("complex pole: zero to a negative power")
+            return const_power(u, w.real)
+        w = CJet(w)
     if u.v == 0:
         raise DomainError("log at the branch point 0")
     return CMATH["exp"](w * CMATH["log"](u))
@@ -213,6 +281,10 @@ def _eval_complex(e, z):
             raise DomainError(f"variable '{name}' has no complex-context value")
         case Neg(arg):
             return -_eval_complex(arg, z)
+        case BinOp("^", left, right):
+            lu = _eval_complex(left, z)
+            return cpow(lu, _eval_complex(right, z) if has_variable(right)
+                        else constant(lambda e: _eval_complex(e, z).v, right))
         case BinOp(op, left, right):
             lu, ru = _eval_complex(left, z), _eval_complex(right, z)
             if op == "+":
@@ -221,9 +293,7 @@ def _eval_complex(e, z):
                 return lu - ru
             if op == "*":
                 return lu * ru
-            if op == "/":
-                return lu / ru
-            return cpow(lu, ru)
+            return lu / ru
         case Call("abs", _):
             raise DomainError("abs is not holomorphic")
         case Call(func, arg):
@@ -257,44 +327,26 @@ def nonfinite(j):
     return bad
 
 
-def uniform_constant(value, derivatives):
-    if not isinstance(value, np.ndarray) and \
-            not any(isinstance(d, np.ndarray) for d in derivatives):
-        if value != value or any(d != 0 for d in derivatives):
-            return None
-        return value
-    if any(np.any(d) for d in derivatives):
-        return None
-    v = np.ravel(value)
-    return v[0] if np.all(v == v[0]) else None
-
-
 def grid_pow(u, w, node, x, y):
-    k = uniform_constant(w.v, (w.dx, w.dy, w.dxx, w.dxy, w.dyy))
-    if k is not None:
-        k = float(k)
-        reject(not math.isfinite(k), "non-finite exponent", node, x, y)
-        if k == round(k):
-            if k == 0.0:
-                return Jet2(1.0)
-            if k < 0.0:
-                reject(u.v == 0.0, "zero raised to a negative power", node, x, y)
-            return grid_const_power(u, k)
-        reject(u.v <= 0.0, "non-integer power of a non-positive base", node, x, y)
-        return grid_const_power(u, k)
-    reject(u.v <= 0.0, "power with variable exponent needs a positive base", node, x, y)
-    return NUMPY["exp"](w * NUMPY["log"](u))
+    """u ^ w on arrays, for a jet w or a constant w (a float)."""
+    if isinstance(w, Jet2):
+        reject(u.v <= 0.0, "power with variable exponent needs a positive base", node, x, y)
+        return NUMPY["exp"](w * NUMPY["log"](u))
+    for bad, message in power_checks(w):
+        reject(bad(u.v), message, node, x, y)
+    return Jet2(1.0) if w == 0.0 else grid_const_power(u, w)
 
 
 def grid_cpow(u, w, node, x, y):
-    k = uniform_constant(w.v, (w.dv, w.ddv))
-    if k is not None and k.imag == 0.0 and math.isfinite(k.real) and k.real == round(k.real):
-        k = float(k.real)
-        if k == 0.0:
-            return CJet(1.0 + 0j)
-        if k < 0.0:
-            reject(u.v == 0, "complex pole: zero to a negative power", node, x, y)
-        return const_power(u, k)
+    """u ^ w on complex arrays, for a jet w or a constant w (a complex)."""
+    if not isinstance(w, CJet):
+        if integral(w):
+            if w.real == 0.0:
+                return CJet(1.0 + 0j)
+            if w.real < 0.0:
+                reject(u.v == 0, "complex pole: zero to a negative power", node, x, y)
+            return const_power(u, w.real)
+        w = CJet(w)
     reject(u.v == 0, "log at the branch point 0", node, x, y)
     return NUMPY["exp"](w * NUMPY["log"](u))
 
@@ -303,12 +355,14 @@ class Grid:
     """One expression walked over coordinate arrays; a second, strict walk
     names the innermost node with a non-finite slot."""
 
-    def __init__(self, x, y, variables, constant, rules, domain, power, pole, context):
+    def __init__(self, x, y, variables, constant, rules, domain, exponent, power, pole,
+                 context):
         self.x, self.y, self.variables, self.constant = x, y, variables, constant
         self.rules, self.domain, self.power, self.pole = rules, domain, power, pole
-        self.context = context
+        self.exponent, self.context = exponent, context
 
     def evaluate(self, e):
+        self.top = e
         with np.errstate(all="ignore"):
             j = self.walk(e, False)
             if np.any(nonfinite(j)):
@@ -326,6 +380,12 @@ class Grid:
                 out = self.variables[name]
             case Neg(arg):
                 out = -self.walk(arg, strict)
+            case BinOp("^", left, right):
+                u = self.walk(left, strict)
+                if has_variable(right):
+                    out = self.power(u, self.walk(right, strict), e, x, y)
+                else:
+                    out = self.power(u, self.constant_exponent(right), e, x, y)
             case BinOp(op, left, right):
                 lu, ru = self.walk(left, strict), self.walk(right, strict)
                 if op == "+":
@@ -334,11 +394,9 @@ class Grid:
                     out = lu - ru
                 elif op == "*":
                     out = lu * ru
-                elif op == "/":
+                else:
                     reject(ru.v == 0, self.pole, right, x, y)
                     out = lu / ru
-                else:
-                    out = self.power(lu, ru, e, x, y)
             case Call(func, arg):
                 if func not in self.rules:
                     raise DomainError(f"{func} is not holomorphic", render(e))
@@ -351,3 +409,15 @@ class Grid:
         if strict:
             reject(nonfinite(out), "non-finite value", e, x, y)
         return out
+
+    def constant_exponent(self, e):
+        """The floats' value of an exponent without variables; where that
+        raises, the error at the first grid point."""
+        try:
+            return constant(self.exponent, e)
+        except DomainError as err:
+            message, where = str(err), ""
+        except ArithmeticError as err:
+            message = self.pole if isinstance(err, ZeroDivisionError) else "numerical overflow"
+            where = render(self.top)
+        raise DomainError(message, where, first_point(True, self.x, self.y))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import projeq as pq
-from projeq import ComplexJet, Jet2, diff, eval_complex, eval_jet, parse, render
-from projeq.expr import BinOp, Num
+from projeq import ComplexJet, Jet2, diff, eval_complex, eval_jet, expr, parse, render
+from projeq.expr import BinOp, Num, Var
 from projeq.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -116,6 +116,42 @@ class TestJets:
             jet_of("x^0.5", -1.0, 0.0)
 
 
+class TestExponents:
+    """An exponent is a constant if and only if it has no variable; the
+    same rule holds on floats and on arrays."""
+
+    @pytest.mark.parametrize("text", ["(-x)^(y-y)", "(-2)^(y^3)"])
+    def test_exponent_with_a_variable_needs_a_positive_base(self, text):
+        e = parse(text)
+        message = "power with variable exponent needs a positive base"
+        x, y = np.meshgrid([0.5, 1.0], [0.0, 0.1], indexing="ij")
+        for evaluate in (lambda *p: eval_jet(e, *p), pq.value_function(e)):
+            with pytest.raises(DomainError, match=message) as ei:
+                evaluate(x, y)
+            with pytest.raises(DomainError, match=message):
+                evaluate(*ei.value.point)
+            for point in ((0.5, 0.0), (1.0, 0.0), (0.5, 0.1)):
+                with pytest.raises(DomainError, match=message):
+                    evaluate(*point)
+
+    def test_non_finite_exponent(self):
+        e = BinOp("^", Var("x"), Num(math.inf))
+        for x in (2.0, np.array([2.0, 3.0])):
+            with pytest.raises(DomainError, match="non-finite exponent in 'x\\^inf'"):
+                eval_jet(e, x, 0.0)
+
+    def test_value_of_a_variable_exponent_needs_no_jet(self, monkeypatch):
+        kinds = []
+        source = expr._Emitter.source
+        monkeypatch.setattr(expr._Emitter, "source",
+                            lambda self, e: kinds.append(self.kind) or source(self, e))
+        value = pq.value_function(parse("2^3^x"))
+        got = value(0.5, 0.0), value(np.array([0.5, 1.0]), 0.0)
+        assert kinds == ["value", "value"]
+        assert got[0] == eval_jet(parse("2^3^x"), 0.5, 0.0).v
+        assert list(got[1]) == list(eval_jet(parse("2^3^x"), np.array([0.5, 1.0]), 0.0).v)
+
+
 class TestComplexEval:
     @pytest.mark.parametrize("text,h,dh,ddh", [
         ("z^2", lambda z: z * z, lambda z: 2 * z, lambda z: 2.0),
@@ -162,6 +198,11 @@ class TestDiff:
         pair = pq.generate(pq.JordanBlockSpec("2 + (y - 3)^(-1)",
                                               pq.Chart((-0.4, 0.4), (-0.5, 0.5))))
         assert pq.verify_integral(pair.g, pair.F).passed
+
+    def test_variable_free_exponent_takes_the_power_rule(self):
+        # sqrt(4) is a constant: no log(x), which fails at x = -1
+        e = parse("x^sqrt(4)")
+        assert eval_jet(diff(e, "x"), -1.0, 0.0).v == eval_jet(e, -1.0, 0.0).dx == -2.0
 
     def test_literal_pole_survives_simplify(self):
         # folding 0^(-1) inside diff raised ZeroDivisionError; it stays, and

@@ -33,6 +33,26 @@ def fd_christoffel(g, x, y, h=1e-5):
     return gamma
 
 
+def loop_christoffel(g, x, y):
+    """The sum over k, i, j, l in index order: the reference that
+    christoffel_at's closed form must match bit for bit."""
+    j11, j12, j22 = g.jets_at(x, y)
+    det = j11.v * j22.v - j12.v * j12.v
+    ginv = np.array([[j22.v, -j12.v], [-j12.v, j11.v]]) / det
+    dg = np.empty((2, 2, 2))
+    dg[0] = [[j11.dx, j12.dx], [j12.dx, j22.dx]]
+    dg[1] = [[j11.dy, j12.dy], [j12.dy, j22.dy]]
+    gamma = np.zeros((2, 2, 2))
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                s = 0.0
+                for l in range(2):
+                    s += ginv[k, l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
+                gamma[k, i, j] = 0.5 * s
+    return gamma
+
+
 class TestChart:
     def test_grid_and_contains(self):
         c = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
@@ -71,6 +91,16 @@ class TestMetric2:
         with pytest.raises((InvariantViolation, SingularMetric)):
             pq.Metric2.from_exprs("x - 1", "0", "1", chart)
 
+    def test_near_singular_off_grid_point_rejected(self):
+        # det = 1e-20 at x = 0.05, between grid points: nonzero, but below
+        # 1e-12 times the squared entries
+        g = pq.Metric2.from_exprs("1", "0", "(x - 0.05)^2 + 1e-20", UNIT)
+        for read in (g.inverse_jets_at, lambda x, y: christoffel_at(g, x, y)):
+            with pytest.raises(SingularMetric) as ei:
+                read(0.05, 0.3)
+            assert ei.value.det == 1e-20
+        g.inverse_jets_at(0.3, 0.3)
+
     def test_inverse_fields(self):
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
         i11, i12, i22 = g.inverse_fields()
@@ -108,6 +138,15 @@ class TestChristoffel:
         for x, y in [(0.3, 0.5), (-0.4, 0.2)]:
             assert np.allclose(christoffel_at(g, x, y), fd_christoffel(g, x, y),
                                atol=1e-8)
+
+    def test_closed_form_is_the_loop_bit_for_bit(self, instances):
+        for inst in instances:
+            for g in (inst["pair"].g, inst["pair"].gbar):
+                (xlo, xhi), (ylo, yhi) = g.chart.x_range, g.chart.y_range
+                for fx, fy in ((0.5, 0.5), (0.13, 0.71), (0.87, 0.29)):
+                    x, y = xlo + fx * (xhi - xlo), ylo + fy * (yhi - ylo)
+                    got, want = christoffel_at(g, x, y), loop_christoffel(g, x, y)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x, y)
 
     def test_symmetry_in_lower_indices(self):
         g = pq.Metric2.from_exprs("2 + x^2", "x * y / 3", "3 + y^2", UNIT)
