@@ -13,8 +13,9 @@ from .errors import (AmbiguousCase, ChartExit, CoefficientVanishes, ConfigError,
                      ProjEqError, RectifyError, SignatureMismatch, SingularMetric,
                      StepFailure, TrivialIntegral, UnknownIdentifier, YhatVanishes,
                      ZeroVelocity)
-from .expr import (ComplexJet, Jet2, complex_function, diff, eval_complex, eval_jet,
-                   jet_function, parse, render, value_function)
+from .expr import ComplexJet, Jet2, diff, parse, render
+from .codegen import (complex_function, eval_complex, eval_jet, jet_function,
+                      value_function)
 from .fields import ExprMap, IdentityMap, LinearMap, Monotone1D, QuadratureMap, ScalarField
 from .geometry import (Chart, Classification, Metric2, PairClassification, christoffel_at,
                        classify_at, classify_pair, g_tensor_at, metric_at)

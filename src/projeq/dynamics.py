@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ChartExit, SingularMetric, StepFailure, ZeroVelocity
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, christoffel_at, singular
+from .geometry import Chart, Metric2, christoffel_at, metric_at
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
 MAX_STEPS = 1_000_000
@@ -66,9 +66,7 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
-    m, det, _ = g.values_at(s.x, s.y)
-    if singular(det, float(np.sum(m * m))):
-        raise SingularMetric(s.x, s.y, det)
+    m, det, _ = metric_at(g, s.x, s.y)
     gxx, gxy, gyy = m[1, 1] / det, -m[0, 1] / det, m[0, 0] / det
     return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
 
@@ -145,7 +143,7 @@ def _flow(i11, i12, i22, px, py):
 
 
 def _hamilton_rhs(g: Metric2, y: np.ndarray) -> np.ndarray:
-    x, yy, px, py = y
+    x, yy, px, py = y.tolist()      # floats: the kernels' arithmetic is faster on them
     return np.array(_flow(*g.inverse_jets_at(x, yy), px, py))
 
 
@@ -252,8 +250,7 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
     Zero iff the curve is an unparametrized geodesic of g."""
     gen = traj.metric
     worst = 0.0
-    for i in range(len(traj)):
-        x, y, px, py = traj.states[i]
+    for i, (x, y, px, py) in enumerate(traj.states.tolist()):
         i11, i12, i22 = gen.inverse_jets_at(x, y)
         vx, vy, dpx, dpy = _flow(i11, i12, i22, px, py)
         speed2 = vx * vx + vy * vy

@@ -2,10 +2,15 @@
 
 A ScalarField wraps a function (x, y) -> Jet2 and supports pointwise
 arithmetic, so that derived coefficients (inverse-metric entries, pulled-back
-integrals, ...) keep exact derivatives.  Monotone1D maps model the separable
-coordinate changes x_new = phi(x_old), y_new = psi(y_old): they expose forward
-jets up to third order (third order is what the second-order jets of a
-composed field need) and a numerically inverted evaluation.
+integrals, ...) keep exact derivatives.  Next to the function it carries the
+field as an expression, which arithmetic extends node by node and in which
+a field known only by its function is an opaque Leaf; Metric2 compiles the
+expressions of its entries into one kernel for its pointwise reads.
+
+Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
+y_new = psi(y_old): they expose forward jets up to third order (third order
+is what the second-order jets of a composed field need) and a numerically
+inverted evaluation.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NonMonotone
-from .expr import Expr, Jet2, diff, jet_function, value_function
-from .expr import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fields.eval_jet)
+from .codegen import jet_function, value_function
+from .codegen import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fields.eval_jet)
+from .expr import BinOp, Expr, Jet2, Leaf, Neg, Num, Var, diff
 
 _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 _XTOL = 1e-13                       # converged bracket width: absolute part
@@ -67,12 +73,15 @@ class ScalarField:
 
     The wrapped function takes floats or NumPy arrays of coordinates; every
     constructor below keeps that, so a field can be evaluated point by point
-    (jet, __call__) or over a whole chart at once (on)."""
+    (jet, __call__) or over a whole chart at once (on).  `expr` is the same
+    field as an expression; without one given it is a Leaf calling the
+    function."""
 
-    __slots__ = ("_jet",)
+    __slots__ = ("_jet", "expr")
 
-    def __init__(self, jet_fn):
+    def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
+        self.expr = Leaf(jet_fn) if expr is None else expr
 
     def jet(self, x: float, y: float) -> Jet2:
         return self._jet(x, y)
@@ -100,52 +109,58 @@ class ScalarField:
     # constructors -----------------------------------------------------------
     @classmethod
     def from_expr(cls, e: Expr) -> "ScalarField":
-        return cls(jet_function(e))
+        return cls(jet_function(e), e)
 
     @classmethod
     def constant(cls, c: float) -> "ScalarField":
         jet = Jet2(float(c))
-        return cls(lambda x, y: jet)
+        return cls(lambda x, y: jet, Num(float(c)))
 
     @classmethod
     def coordinate(cls, name: str) -> "ScalarField":
         if name == "x":
-            return cls(lambda x, y: Jet2(x, 1.0, 0.0))
+            return cls(lambda x, y: Jet2(x, 1.0, 0.0), Var("x"))
         if name == "y":
-            return cls(lambda x, y: Jet2(y, 0.0, 1.0))
+            return cls(lambda x, y: Jet2(y, 0.0, 1.0), Var("y"))
         raise ValueError(name)
 
-    # arithmetic ---------------------------------------------------------------
+    # arithmetic: the closure for on() and jet(), the expression for kernels ------
     def __add__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) + o._jet(x, y))
+        return ScalarField(lambda x, y: self._jet(x, y) + o._jet(x, y),
+                           BinOp("+", self.expr, o.expr))
 
     __radd__ = __add__
 
     def __sub__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) - o._jet(x, y))
+        return ScalarField(lambda x, y: self._jet(x, y) - o._jet(x, y),
+                           BinOp("-", self.expr, o.expr))
 
     def __rsub__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: o._jet(x, y) - self._jet(x, y))
+        return ScalarField(lambda x, y: o._jet(x, y) - self._jet(x, y),
+                           BinOp("-", o.expr, self.expr))
 
     def __neg__(self):
-        return ScalarField(lambda x, y: -self._jet(x, y))
+        return ScalarField(lambda x, y: -self._jet(x, y), Neg(self.expr))
 
     def __mul__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) * o._jet(x, y))
+        return ScalarField(lambda x, y: self._jet(x, y) * o._jet(x, y),
+                           BinOp("*", self.expr, o.expr))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) / o._jet(x, y))
+        return ScalarField(lambda x, y: self._jet(x, y) / o._jet(x, y),
+                           BinOp("/", self.expr, o.expr))
 
     def __rtruediv__(self, o):
         o = _as_field(o)
-        return ScalarField(lambda x, y: o._jet(x, y) / self._jet(x, y))
+        return ScalarField(lambda x, y: o._jet(x, y) / self._jet(x, y),
+                           BinOp("/", o.expr, self.expr))
 
     # composition ----------------------------------------------------------------
     def compose_linear(self, m: np.ndarray, shift=(0.0, 0.0)) -> "ScalarField":

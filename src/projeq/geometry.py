@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, SingularMetric
-from .expr import Jet2, parse
+from .codegen import kernel_function
+from .expr import BinOp, Jet2, Neg, parse, render
 from .fields import ScalarField
 
 DEFAULT_CLASSIFY_TOL = 1e-8
@@ -92,8 +93,15 @@ def _signature_of(m: np.ndarray, det: float) -> tuple[str, str]:
 
 def singular(det, norm2):
     """The one singular-metric test: |det| negligible against the squared
-    entries (norm2 = g11^2 + 2 g12^2 + g22^2); floats or arrays."""
-    return abs(det) < 1e-12 * np.maximum(norm2, 1e-300)
+    entries (norm2 = g11^2 + 2 g12^2 + g22^2); floats or arrays.  On floats
+    max() does what np.maximum does, NaN included, without making arrays."""
+    floor = np.maximum(norm2, 1e-300) if isinstance(norm2, np.ndarray) else max(norm2, 1e-300)
+    return abs(det) < 1e-12 * floor
+
+
+def _singular_entries(a, b, c, det) -> bool:
+    """singular() from the entries' values, as checked_jets_at applies it."""
+    return singular(det, a ** 2 + 2 * b ** 2 + c ** 2)
 
 
 class Metric2:
@@ -101,6 +109,11 @@ class Metric2:
 
     Construction checks that the determinant is nonzero and the signature
     constant across the chart's grid.
+
+    Grid sweeps evaluate the entries' own functions (ScalarField.on).
+    Pointwise reads run a kernel compiled from the entries' expressions on
+    first use, one per kind: 'value' for values_at, 'jet' for the jets, det
+    g and the jets of g^{-1}.
     """
 
     def __init__(self, g11: ScalarField, g12: ScalarField, g22: ScalarField, chart: Chart):
@@ -108,6 +121,7 @@ class Metric2:
         self.g12 = g12
         self.g22 = g22
         self.chart = chart
+        self._kernels = {}
         self.signature = self._validate()
 
     @classmethod
@@ -144,31 +158,51 @@ class Metric2:
         return self.g11.on(chart).v, self.g12.on(chart).v, self.g22.on(chart).v
 
     # pointwise data -----------------------------------------------------------
+    def _kernel(self, kind: str):
+        """The compiled pointwise reads of one kind, built on first use."""
+        kernel = self._kernels.get(kind)
+        if kernel is None:
+            a, b, c = self.g11.expr, self.g12.expr, self.g22.expr
+
+            def where():
+                return ", ".join(map(render, (a, b, c)))
+
+            if kind == "value":
+                kernel = kernel_function((a, b, c), "value", where)
+            else:
+                det = BinOp("-", BinOp("*", a, c), BinOp("*", b, b))
+                inverse = (BinOp("/", c, det), BinOp("/", Neg(b), det), BinOp("/", a, det))
+                kernel = kernel_function((a, b, c, det, *inverse), "jet", where,
+                                         stop=(4, _singular_entries))
+            self._kernels[kind] = kernel
+        return kernel
+
     def values_at(self, x: float, y: float):
-        a = self.g11(x, y)
-        b = self.g12(x, y)
-        c = self.g22(x, y)
+        a, b, c = self._kernel("value")(x, y)
         m = np.array([[a, b], [b, c]])
         det = a * c - b * b
         return m, det, _signature_of(m, det)
 
     def jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
-        return self.g11.jet(x, y), self.g12.jet(x, y), self.g22.jet(x, y)
+        return self._kernel("jet")(x, y)[:3]
+
+    def _checked(self, x: float, y: float) -> tuple[Jet2, ...]:
+        """The jets of g11, g12, g22, det g and g^11, g^12, g^22; raises
+        SingularMetric where the metric is singular()."""
+        jets = self._kernel("jet")(x, y)
+        if len(jets) == 4:
+            raise SingularMetric(x, y, jets[3].v)
+        return jets
 
     def checked_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2, float]:
         """The jets of (g11, g12, g22) and the value of det g; raises
         SingularMetric where the metric is singular()."""
-        j11, j12, j22 = self.jets_at(x, y)
-        det = j11.v * j22.v - j12.v * j12.v
-        if singular(det, j11.v ** 2 + 2 * j12.v ** 2 + j22.v ** 2):
-            raise SingularMetric(x, y, det)
-        return j11, j12, j22, det
+        a, b, c, det = self._checked(x, y)[:4]
+        return a, b, c, det.v
 
     def inverse_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         """Jets of (g^11, g^12, g^22)."""
-        j11, j12, j22, _ = self.checked_jets_at(x, y)
-        det = j11 * j22 - j12 * j12
-        return j22 / det, -j12 / det, j11 / det
+        return self._checked(x, y)[4:]
 
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
         det = self.g11 * self.g22 - self.g12 * self.g12

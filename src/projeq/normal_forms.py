@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .expr import Expr, Jet2, complex_function, diff, eval_complex, parse
+from .codegen import complex_function, eval_complex
+from .expr import Expr, Jet2, diff, parse, real_parts
 from .fields import ScalarField
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
@@ -77,7 +78,11 @@ def _z(x, y):
 
 def holomorphic_parts(h: Expr) -> tuple[ScalarField, ScalarField]:
     """(Re h, Im h) as real scalar fields of (x, y); jets come from the
-    complex derivatives via the Cauchy-Riemann structure."""
+    complex derivatives via the Cauchy-Riemann structure.  Their expressions,
+    which pointwise metric kernels compile, are real_parts(h) where h
+    expands and opaque leaves otherwise: NumPy's exp, sin and cos may round
+    unlike math's, so grid sweeps of an expansion could disagree with its
+    pointwise jets in a slot that cancels."""
 
     h_jet = complex_function(h)
 
@@ -91,7 +96,8 @@ def holomorphic_parts(h: Expr) -> tuple[ScalarField, ScalarField]:
         return Jet2(c.v.imag, c.dv.imag, c.dv.real,
                     c.ddv.imag, c.ddv.real, -c.ddv.imag)
 
-    return ScalarField(re_jet), ScalarField(im_jet)
+    re, im = real_parts(h) or (None, None)
+    return ScalarField(re_jet, re), ScalarField(im_jet, im)
 
 
 # --- generators ---------------------------------------------------------------

@@ -93,7 +93,7 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
         s = (a > 0.0) * 2.0 - 1.0       # sign, for floats and arrays
         mag = abs(a)
         # the C library's pow for floats and arrays alike, so that both round
-        # the same (as compiled expressions do, see expr._Emitter.pw)
+        # the same (as compiled expressions do, see codegen._Emitter.pw)
         power = np.float_power if isinstance(mag, np.ndarray) else pow
         m15 = power(mag, -1.5)
         d0 = power(mag, -0.5)

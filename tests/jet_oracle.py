@@ -1,4 +1,4 @@
-"""Reference evaluators for the compiled expressions of projeq.expr.
+"""Reference evaluators for the expressions that projeq.codegen compiles.
 
 These are the tree walkers projeq used before it compiled expressions: a
 walk of the AST per evaluation, for floats and for coordinate arrays, real
@@ -181,7 +181,7 @@ def eval_jet(e, x, y):
         return _eval_jet(e, x, y)
     except ZeroDivisionError:
         raise DomainError("division by zero", render(e))
-    except OverflowError:
+    except (OverflowError, ValueError):     # ValueError: sin or cos of an infinity
         raise DomainError("numerical overflow", render(e))
 
 
@@ -246,7 +246,7 @@ def eval_complex(e, z):
         return _eval_complex(e, complex(z))
     except ZeroDivisionError:
         raise DomainError("complex division by zero (pole)", render(e))
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise DomainError("numerical overflow", render(e))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projeq as pq
-from projeq import ComplexJet, Jet2, diff, eval_complex, eval_jet, expr, parse, render
+from projeq import ComplexJet, Jet2, codegen, diff, eval_complex, eval_jet, parse, render
 from projeq.expr import BinOp, Num, Var
 from projeq.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -142,8 +142,8 @@ class TestExponents:
 
     def test_value_of_a_variable_exponent_needs_no_jet(self, monkeypatch):
         kinds = []
-        source = expr._Emitter.source
-        monkeypatch.setattr(expr._Emitter, "source",
+        source = codegen._Emitter.source
+        monkeypatch.setattr(codegen._Emitter, "source",
                             lambda self, e: kinds.append(self.kind) or source(self, e))
         value = pq.value_function(parse("2^3^x"))
         got = value(0.5, 0.0), value(np.array([0.5, 1.0]), 0.0)

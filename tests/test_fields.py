@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projeq import expr
+from projeq import codegen
 from projeq.errors import NonMonotone
 from projeq.expr import parse
 from projeq.fields import ExprMap, QuadratureMap
@@ -87,7 +87,7 @@ def test_array_inverse_walks_no_jets(monkeypatch):
     no order-2 jet evaluation over the grid."""
     m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
     vlo, vhi = m.range
-    function = expr._Compiled.__call__
+    function = codegen._Compiled.__call__
     walks = []
 
     def counted(compiled, grid):
@@ -95,7 +95,7 @@ def test_array_inverse_walks_no_jets(monkeypatch):
             walks.append(compiled.expr)
         return function(compiled, grid)
 
-    monkeypatch.setattr(expr._Compiled, "__call__", counted)
+    monkeypatch.setattr(codegen._Compiled, "__call__", counted)
     ts = m.inverse(np.linspace(vlo, vhi, 50))
     assert walks == []
     m.fjet(ts)                      # the counter does see jet evaluations

@@ -1,11 +1,20 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import projeq as pq
+from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
-from projeq.geometry import christoffel_at, classify_at, g_tensor_at
+from projeq.expr import Leaf
+from projeq.geometry import christoffel_at, classify_at, g_tensor_at, metric_at
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
+SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+# off-grid points as fractions of the chart's ranges
+OFF_GRID = [(fx, fy) for fx in (0.13, 0.38, 0.62, 0.87) for fy in (0.07, 0.41, 0.71, 0.93)]
+KERNEL_LOG = re.compile(r"compiled (jet|value) kernel: (\d+) nodes, (\d+) leaves, [0-9.]+ ms")
 
 
 def euclidean(chart=UNIT):
@@ -53,6 +62,30 @@ def loop_christoffel(g, x, y):
     return gamma
 
 
+def reference_jets(g, x, y):
+    """The jets of g11, g12, g22 and of g^11, g^12, g^22 from the entries'
+    own jet functions and Jet2 algebra, point by point; with x = y = None
+    over g's chart grid."""
+    if x is None:
+        j11, j12, j22 = g.g11.on(g.chart), g.g12.on(g.chart), g.g22.on(g.chart)
+    else:
+        j11, j12, j22 = g.g11.jet(x, y), g.g12.jet(x, y), g.g22.jet(x, y)
+    det = j11 * j22 - j12 * j12
+    return j11, j12, j22, j22 / det, -j12 / det, j11 / det
+
+
+def off_grid_points(chart):
+    (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
+    return [(xlo + fx * (xhi - xlo), ylo + fy * (yhi - ylo)) for fx, fy in OFF_GRID]
+
+
+def kernel_logs(caplog):
+    """(kind, nodes, leaves) of each kernel compile logged to 'projeq'."""
+    found = [KERNEL_LOG.fullmatch(r.getMessage()) for r in caplog.records if r.name == "projeq"]
+    assert all(found) and all(r.levelno == logging.DEBUG for r in caplog.records)
+    return [(m[1], int(m[2]), int(m[3])) for m in found]
+
+
 class TestChart:
     def test_grid_and_contains(self):
         c = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
@@ -95,10 +128,15 @@ class TestMetric2:
         # det = 1e-20 at x = 0.05, between grid points: nonzero, but below
         # 1e-12 times the squared entries
         g = pq.Metric2.from_exprs("1", "0", "(x - 0.05)^2 + 1e-20", UNIT)
-        for read in (g.inverse_jets_at, lambda x, y: christoffel_at(g, x, y)):
+        for read in (g.inverse_jets_at, g.checked_jets_at, lambda x, y: christoffel_at(g, x, y),
+                     lambda x, y: metric_at(g, x, y)):
             with pytest.raises(SingularMetric) as ei:
                 read(0.05, 0.3)
             assert ei.value.det == 1e-20
+            assert ei.value.point == (0.05, 0.3)
+        # the unchecked reads still give the entries there
+        assert [j.v for j in g.jets_at(0.05, 0.3)] == [1.0, 0.0, 1e-20]
+        assert g.values_at(0.05, 0.3)[1] == 1e-20
         g.inverse_jets_at(0.3, 0.3)
 
     def test_inverse_fields(self):
@@ -110,6 +148,95 @@ class TestMetric2:
         assert i11(x, y) == pytest.approx(inv[0, 0], rel=1e-12)
         assert i12(x, y) == pytest.approx(inv[0, 1], rel=1e-12)
         assert i22(x, y) == pytest.approx(inv[1, 1], rel=1e-12)
+
+
+class TestKernels:
+    """Metric2's pointwise reads run one compiled kernel per kind; the
+    entries' own jet functions and Jet2 algebra are the reference."""
+
+    def test_reads_match_the_fields(self, instances):
+        """jets_at, inverse_jets_at and values_at at off-grid points, for g
+        and gbar of every instance, within 1e-15 of each slot's largest
+        magnitude over the chart grid (assert_grid_matches_points' bar).
+
+        Complex-Liouville kernels compute Re h and Im h from their real
+        expansion, whose derivative slots round unlike the complex route
+        (1 ulp in Re h' for h = z + z^3, 2.5e-15 after inverting gbar):
+        those are held to 1e-14, about 45 ulps.  Elsewhere the arithmetic
+        is the reference's and the bar holds with room."""
+        for inst in instances:
+            bar = 1e-14 if inst["family"] == "complex_liouville" else 1e-15
+            for g in (inst["pair"].g, inst["pair"].gbar):
+                scale = [max(float(np.max(np.abs(getattr(j, s)))), 1e-300)
+                         for j in reference_jets(g, None, None) for s in SLOTS]
+                for x, y in off_grid_points(g.chart):
+                    want = [getattr(j, s) for j in reference_jets(g, x, y) for s in SLOTS]
+                    got = [getattr(j, s) for j in (*g.jets_at(x, y), *g.inverse_jets_at(x, y))
+                           for s in SLOTS]
+                    for w, v, sc in zip(want, got, scale):
+                        assert abs(v - w) <= bar * sc, (inst["family"], x, y)
+                    m, det, _ = g.values_at(x, y)
+                    values = (g.g11(x, y), g.g12(x, y), g.g22(x, y))
+                    assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(values, rel=1e-15)
+                    assert m[1, 0] == m[0, 1] and det == m[0, 0] * m[1, 1] - m[0, 1] ** 2
+
+    def test_opaque_leaves_integrate_through_the_kernel(self, instances, caplog):
+        """Fields known only by their functions (h = log z, which has no
+        real expansion, and a metric after an admissible change) enter the
+        kernel as leaves: the reads equal the reference's values and the
+        geodesic flow runs on them."""
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 9))
+        log_pair = pq.generate(pq.ComplexLiouvilleSpec("log(z)", chart))
+        assert isinstance(log_pair.g.g12.expr, Leaf)
+        jordan = next(i["pair"] for i in instances if i["family"] == "jordan_block")
+        nf, F, _ = pq.to_null_form(jordan.g, jordan.F)
+        nf2, _ = pq.apply_admissible_change(
+            nf, F, pq.AdmissibleChange("0.1 + x + 0.05*x^2", "y + 0.02*y^3"))
+        changed = nf2.to_metric2()
+        trajectories = []
+        for g in (log_pair.g, log_pair.gbar, changed):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="projeq"):
+                for x, y in off_grid_points(g.chart)[::3]:
+                    want = [getattr(j, s) for j in reference_jets(g, x, y) for s in SLOTS]
+                    got = [getattr(j, s) for j in (*g.jets_at(x, y), *g.inverse_jets_at(x, y))
+                           for s in SLOTS]
+                    assert got == want, (x, y)
+                s0 = pq.PhaseState(*g.chart.center, 0.2, 0.15)
+                traj = pq.integrate_geodesic(g, s0, 0.3, tol=1e-10)
+            assert [(kind, leaves > 0) for kind, _, leaves in kernel_logs(caplog)] == \
+                [("jet", True), ("value", True)]
+            assert len(traj) > 3
+            drift = np.ptp(traj.hamiltonian_values) / abs(traj.hamiltonian_values[0])
+            assert drift < 1e-8
+            trajectories.append(traj)
+        assert pq.projective_residual(log_pair.gbar, trajectories[0]) < 1e-6
+        assert pq.projective_residual(log_pair.g, trajectories[1]) < 1e-6
+
+    def test_compiles_are_logged_once_per_kind_at_debug(self, caplog, tmp_path, capsys):
+        g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
+        with caplog.at_level(logging.WARNING):
+            g.values_at(0.3, 0.2)
+        assert caplog.records == []         # nothing at the default level
+        with caplog.at_level(logging.DEBUG, logger="projeq"):
+            g.values_at(0.1, 0.2)           # compiled above, not again
+            metric_at(g, 0.2, 0.1)
+            g.inverse_jets_at(0.3, 0.2)
+            christoffel_at(g, 0.1, 0.2)
+            g.jets_at(-0.5, 0.5)
+        logs = kernel_logs(caplog)
+        assert [kind for kind, _, _ in logs] == ["jet"]
+        assert logs[0][1] > 10 and logs[0][2] == 0
+        # a CLI run writes only its report line
+        cfg = tmp_path / "job.json"
+        cfg.write_text('{"command": "geodesic", "chart": {"x_range": [-2, 2], '
+                       '"y_range": [-2, 2], "grid": [5, 5]}, "metric": {"g11": "1 + x^2", '
+                       '"g12": "0", "g22": "1"}, "initial_state": [0, 0, 0.6, 0.8], '
+                       '"t_end": 0.5}')
+        capsys.readouterr()
+        assert run(cfg, output_dir=tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
 
 
 class TestChristoffel:
