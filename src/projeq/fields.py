@@ -10,7 +10,9 @@ expressions of its entries into one kernel for its pointwise reads.
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
 is what the second-order jets of a composed field need) and a numerically
-inverted evaluation.
+inverted evaluation.  A map is immutable, so each keeps its last
+_SOLVED_INPUTS inversions: composed fields invert the same maps on the same
+inputs many times over in one sweep, and each such input is solved once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _RTOL = 4.0 * np.finfo(float).eps   # and relative part, as in scipy's brentq
 _MAX_STEPS = 100
 _QUADRATURE_SAMPLES = 513           # spline knots of a QuadratureMap's derivative
 _MONOTONE_SAMPLES = 65              # derivative samples of validate_monotone
+_SOLVED_INPUTS = 4                  # inversions each map keeps, least recently used out first
 
 
 def _where(cond, x, y):
@@ -186,7 +189,9 @@ class ScalarField:
                           kx: int, ky: int) -> "ScalarField":
         """The field in the new coordinates (u, v) = (xmap(x), ymap(y)) times
         xmap'(x)^kx ymap'(y)^ky: the transformation law of a coefficient of
-        those weights.  Each map is inverted once per evaluation."""
+        those weights.  Each evaluation inverts each map once; fields composed
+        with the same maps share those inversions through the inputs each
+        map keeps (Monotone1D.inverse)."""
 
         def jet(u, v):
             t = xmap.inverse(u)
@@ -235,6 +240,7 @@ class Monotone1D:
             raise NonMonotone(f"degenerate range [{tmin}, {tmax}]")
         self.tmin = float(tmin)
         self.tmax = float(tmax)
+        self._solved = {}       # inverse's recent inputs -> results, oldest first
 
     def fjet(self, t: float) -> tuple[float, float, float, float]:
         """(value, first, second, third derivative) at t."""
@@ -250,15 +256,30 @@ class Monotone1D:
     def inverse(self, u):
         """t with self(t) = u, for a float or elementwise for an array.  A
         value within round-off (1e-9 relative) of an end of the range gives
-        that end; one further outside raises NonMonotone."""
-        vlo, vhi = self.range
-        glo, ghi = vlo - u, vhi - u
-        slack = 1e-9 * (abs(u) + 1.0)
-        ok = (glo < slack) & (ghi > -slack)
-        if np.count_nonzero(ok) < np.size(ok):
-            value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
-            raise NonMonotone(f"value {value!r} outside the map range {self.range}")
-        return brentq(lambda t: self(t) - u, self.tmin, self.tmax, glo, ghi)
+        that end; one further outside raises NonMonotone.
+
+        The last _SOLVED_INPUTS inputs solved are kept, keyed by the input's
+        type, dtype, shape and bytes, and answered with the stored result:
+        the root finder is deterministic, so that is the fresh solve bit for
+        bit.  Arrays come back read-only, since later calls share them."""
+        a = np.asarray(u)
+        key = (type(u), a.dtype.str, a.shape, a.tobytes())
+        t = self._solved.pop(key, None)
+        if t is None:
+            vlo, vhi = self.range
+            glo, ghi = vlo - u, vhi - u
+            slack = 1e-9 * (abs(u) + 1.0)
+            ok = (glo < slack) & (ghi > -slack)
+            if np.count_nonzero(ok) < np.size(ok):
+                value = float(a[np.logical_not(ok)].flat[0])
+                raise NonMonotone(f"value {value!r} outside the map range {self.range}")
+            t = brentq(lambda t: self(t) - u, self.tmin, self.tmax, glo, ghi)
+            if isinstance(t, np.ndarray):
+                t.flags.writeable = False
+            if len(self._solved) >= _SOLVED_INPUTS:
+                del self._solved[next(iter(self._solved))]
+        self._solved[key] = t
+        return t
 
     def validate_monotone(self):
         ts = np.linspace(self.tmin, self.tmax, _MONOTONE_SAMPLES)

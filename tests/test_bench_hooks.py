@@ -54,3 +54,20 @@ def test_install_and_uninstall_restore_every_attribute(tracer_module):
         assert now.keys() == saved.keys()
         for name, value in saved.items():
             assert now[name] is value, f"{getattr(ns, '__name__', ns)}.{name} not restored"
+
+
+def test_tracer_counts_kept_inversions_apart_from_root_finds(tracer_module):
+    """A repeated inversion is one more inverse call and no more root finds,
+    so the traced hit ratio reads the inversions answered without solving."""
+    m = pq.AdmissibleChange("x + x^2/8", "y").maps(pq.Chart((0.0, 1.0), (0.0, 1.0)))[0]
+    us = np.array([0.2, 0.4, 0.6])
+    tracer = tracer_module.Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        first = m.inverse(us)
+        again = m.inverse(us.copy())
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(first, again)
+    assert tracer.counts["fields.inverse_calls"] == 2
+    assert tracer.counts["fields.root_finds"] == 1

@@ -1,13 +1,16 @@
-"""Monotone1D.inverse: one bracketed root finder for floats and arrays."""
+"""Monotone1D.inverse: one bracketed root finder for floats and arrays, and
+the recent inputs each map keeps."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projeq import codegen
+from projeq import codegen, fields
 from projeq.errors import NonMonotone
 from projeq.expr import parse
 from projeq.fields import ExprMap, QuadratureMap
@@ -38,11 +41,14 @@ def quadrature_map(k1, k2, lo, width):
 
 
 ranges = dict(lo=st.floats(-1.0, 0.5), width=st.floats(0.2, 2.0))
-maps = st.one_of(
-    st.builds(cubic_map, st.floats(-0.2, 0.2), st.floats(-0.1, 0.1),
+# factories, so that a test can build a second, fresh copy of a drawn map
+map_factories = st.one_of(
+    st.builds(partial, st.just(cubic_map), st.floats(-0.2, 0.2), st.floats(-0.1, 0.1),
               st.floats(-0.05, 0.05), **ranges),
-    st.builds(quadrature_map, st.floats(-1.0, 1.0), st.floats(-0.5, 0.5), **ranges),
+    st.builds(partial, st.just(quadrature_map), st.floats(-1.0, 1.0),
+              st.floats(-0.5, 0.5), **ranges),
 )
+maps = map_factories.map(lambda make: make())
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,7 +114,99 @@ def test_inverse_map_value_needs_no_jets(monkeypatch):
     m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
     inv = m.inverted()
     us = np.linspace(*m.range, 9)
-    expected = m.inverse(us)
+    # from a copy of m, so that inv(us) solves afresh
+    expected = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0).inverse(us)
     monkeypatch.setattr(m, "fjet", None)
     assert np.array_equal(inv(us), expected)
     assert inv(float(us[3])) == expected[3]
+
+
+# --- the inputs each map keeps ---------------------------------------------------
+
+
+@pytest.fixture
+def root_finds(monkeypatch):
+    """The arguments of each fields.brentq call, in order."""
+    calls = []
+    solve = fields.brentq
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fields, "brentq", counted)
+    return calls
+
+
+def same_bits(x, y):
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(make=map_factories,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12, unique=True))
+def test_repeated_inverses_are_fresh_solves(make, fractions):
+    """However often an input comes back, and whatever was inverted in
+    between, the answer is the bits of a fresh map's first solve."""
+    m, fresh = make(), make()
+    vlo, vhi = m.range
+    us = vlo + (vhi - vlo) * np.array(fractions)
+    floats = [float(u) for u in us]
+    inputs = [us, us[::-1].copy(), *floats]
+    expected = [fresh.inverse(u) for u in inputs]
+    for _ in range(3):          # more inputs than are kept: some are solved again
+        for u, t in zip(inputs, expected):
+            assert same_bits(m.inverse(u), t)
+
+
+def test_float_kinds_keep_their_type(root_finds):
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    for _ in range(2):
+        assert type(m.inverse(0.2)) is float
+        assert type(m.inverse(np.float64(0.2))) is np.float64
+    assert len(root_finds) == 2
+    assert m.inverse(0.2) == m.inverse(np.float64(0.2))
+
+
+def test_inverted_arrays_are_read_only():
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    us = np.linspace(*m.range, 7)
+    ts = m.inverse(us)
+    expected = ts.copy()
+    with pytest.raises(ValueError):
+        ts[0] = 0.0
+    assert m.inverse(us) is ts
+    assert np.array_equal(ts, expected)
+    us[0] = us[1]               # the key is the input's value, not its identity
+    assert np.array_equal(m.inverse(us), cubic_map(0.1, 0.05, -0.03, -0.5, 1.0).inverse(us))
+
+
+def test_out_of_range_inputs_always_raise_and_are_not_kept(root_finds):
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    vlo, vhi = m.range
+    kept = [vlo + (vhi - vlo) * k / 8.0 for k in range(fields._SOLVED_INPUTS)]
+    for u in kept:
+        m.inverse(u)
+    for _ in range(3):
+        for bad in (vhi + 1.0, np.array([vlo, vlo - 1.0]), float("nan")):
+            with pytest.raises(NonMonotone):
+                m.inverse(bad)
+    for u in reversed(kept):    # none of them was pushed out
+        m.inverse(u)
+    assert len(root_finds) == len(kept)
+
+
+def test_only_the_most_recent_inputs_are_kept(root_finds):
+    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
+    vlo, vhi = m.range
+    us = [np.full(3, vlo + (vhi - vlo) * k / 40.0) for k in range(40)]
+    for u in us:
+        m.inverse(u)
+    assert len(m._solved) == fields._SOLVED_INPUTS
+    del root_finds[:]
+    for u in reversed(us[-fields._SOLVED_INPUTS:]):
+        m.inverse(u)
+    assert root_finds == []
+    m.inverse(us[-fields._SOLVED_INPUTS - 1])
+    assert len(root_finds) == 1
+    assert len(m._solved) == fields._SOLVED_INPUTS

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projeq as pq
+from projeq import fields
 from projeq.dynamics import QuadraticForm
 from projeq.errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
                            NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
                            RectifyError, TrivialIntegral)
+from projeq.expr import Jet2
 from projeq.fields import Monotone1D, ScalarField
 from projeq.rectify import bk_normalize, solve_case1, solve_case2, solve_case3
 
+from conftest import random_admissible_change
+
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (9, 9))
+# one null-form-capable spec per family, on a chart of the caller's choice
+FAMILY_SPECS = [
+    lambda chart: pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "-", chart),
+    lambda chart: pq.ComplexLiouvilleSpec("z^2", chart),
+    lambda chart: pq.JordanBlockSpec("3/2 + y/10 - y^3/20", chart),
+]
 
 
 def null_metric(f, chart=UNIT):
@@ -46,6 +58,30 @@ class TestAdmissibleChange:
         for x, y in pq.Chart((0.55, 1.45), (0.55, 1.15), (4, 4)).points():
             assert nf3.f(x, y) == pytest.approx(nf.f(x, y), rel=1e-9)
             assert F3.a(x, y) == pytest.approx(F.a(x, y), rel=1e-9)
+
+
+def sweep(nf, F):
+    """Every slot of f, a, b and c over the chart grid."""
+    jets = [field.on(nf.chart) for field in (nf.f, F.a, F.b, F.c)]
+    return [getattr(j, slot) for j in jets for slot in Jet2.__slots__]
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(range(len(FAMILY_SPECS))), seed=st.integers(0, 2**32 - 1))
+def test_integral_survives_random_admissible_changes(family, seed):
+    """{H, F} = 0 is invariant under monotone polynomial changes of each
+    null coordinate, and sweeping the transformed fields again, or a fresh
+    copy of them, gives the same jets bit for bit."""
+    chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 9))
+    pair = pq.generate(FAMILY_SPECS[family](chart))
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    change = random_admissible_change(np.random.default_rng(seed), nf.chart)
+    nf2, F2 = pq.apply_admissible_change(nf, F, change)
+    report = pq.verify_integral(nf2, F2, method="sys")
+    assert report.passed and report.max_residual < report.tolerance
+    first = sweep(nf2, F2)
+    for again in (sweep(nf2, F2), sweep(*pq.apply_admissible_change(nf, F, change))):
+        assert all(np.array_equal(a, b) for a, b in zip(first, again, strict=True))
 
 
 class TestBKNormalize:
@@ -262,11 +298,7 @@ class TestPipeline:
         assert out.case == 3
         assert out.swapped_axes
 
-    @pytest.mark.parametrize("spec", [
-        lambda chart: pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "-", chart),
-        lambda chart: pq.ComplexLiouvilleSpec("z^2", chart),
-        lambda chart: pq.JordanBlockSpec("3/2 + y/10 - y^3/20", chart),
-    ])
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_scalar_inverse_calls_do_not_grow_with_the_grid(self, spec, monkeypatch):
         """Sweeps invert maps on whole arrays: the number of float inversions
         in one pipeline run must not depend on the grid size."""
@@ -290,6 +322,34 @@ class TestPipeline:
             assert len(calls) > 0
             scalar.append(sum(calls))
         assert scalar[0] == scalar[1]
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_repeated_inversions_are_not_solved_again(self, spec, monkeypatch):
+        """Composed fields invert the same maps on the same inputs many
+        times in one pipeline run; each map keeps its recent inputs, so at
+        most a quarter of the inversions may run the root finder."""
+        inverse, solve = Monotone1D.inverse, fields.brentq
+        calls = {"inverse": 0, "brentq": 0}
+
+        def counted_inverse(self, u):
+            calls["inverse"] += 1
+            return inverse(self, u)
+
+        def counted_brentq(*args):
+            calls["brentq"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(Monotone1D, "inverse", counted_inverse)
+        monkeypatch.setattr(fields, "brentq", counted_brentq)
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+        pair = pq.generate(spec(chart))
+        nf, F, _ = pq.to_null_form(pair.g, pair.F)
+        nf2, F2 = pq.apply_admissible_change(
+            nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+        calls.update(inverse=0, brentq=0)
+        pq.rectification_pipeline(nf2, F2)
+        assert calls["inverse"] > 0
+        assert 4 * calls["brentq"] <= calls["inverse"]
 
     def test_report_serializable(self):
         import json
