@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, ChartExit, ProjEqError, RectifyError, SignatureMismatch
-from .dynamics import PhaseState, QuadraticForm, export_trajectory, \
+from .dynamics import DEFAULT_INTEGRATOR_TOL, PhaseState, QuadraticForm, export_trajectory, \
     integrate_geodesic, quadratic_value
 from .equivalence import DEFAULT_TRIVIALITY_TOL, DEFAULT_VERIFY_TOL, NullFormMetric, \
     fit_integral_combination, triviality_check, verify_integral
@@ -130,7 +130,7 @@ def _tolerances(cfg: dict) -> dict:
         "triviality": DEFAULT_TRIVIALITY_TOL,
         "case": DEFAULT_CASE_TOL,
         "sys": DEFAULT_SYS_TOL,
-        "integrator": 1e-10,
+        "integrator": DEFAULT_INTEGRATOR_TOL,
     }
     user = _get(cfg, "tolerances", dict, required=False, default={})
     for k, v in user.items():
@@ -184,9 +184,9 @@ def _cmd_generate(cfg, tols, outdir):
         rep = verify_integral(pair.g, pair.F, tol=tols["verify"])
         report["verification"] = rep.to_dict()
         states = [PhaseState(x, y, 1.0, 0.3) for x, y in
-                  [chart.center, (chart.xs()[2], chart.ys()[2])]]
+                  [chart.center, (chart.xs[2], chart.ys[2])]]
         states += [PhaseState(x, y, -0.4, 1.0) for x, y in
-                   [chart.center, (chart.xs()[-3], chart.ys()[-3])]]
+                   [chart.center, (chart.xs[-3], chart.ys[-3])]]
         try:
             alpha, beta, resid, scale = fit_integral_combination(
                 pair.g, pair.gbar, pair.F, states)

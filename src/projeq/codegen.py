@@ -40,9 +40,10 @@ _ABS_KINK_TOL = 1e-12
 # names the innermost node with a non-finite slot.  Nothing is cached beyond
 # the returned function.
 #
-# An exponent without variables is a constant: its value is computed once,
-# while compiling, and the power rule uses it on floats and arrays alike.
-# Any other exponent goes through exp(w log u).
+# A sub-expression without variables is a constant: its value is computed
+# once, while compiling, by the float value code (complex jet code in the
+# complex context), with derivative slots 0, on floats and arrays alike.  A
+# constant exponent takes the power rule, any other goes through exp(w log u).
 #
 # On floats, an ArithmeticError (overflow in ** or exp, a product that
 # underflows to a zero divisor) or a ValueError (sin or cos of an infinity)
@@ -261,9 +262,10 @@ class _Emitter:
     names of _NAMESPACES and generated temporaries t1, t2, ..."""
 
     def __init__(self, kind: str, grid: bool, exact: bool, top: Expr | None = None,
-                 stop: int = 0):
+                 stop: int = 0, constants: bool = True):
         self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
-        self.complex, self.top, self.stop = kind == "complex", top, stop
+        # constants=False: a constant is code like any other sub-expression
+        self.complex, self.top, self.stop, self.constants = kind == "complex", top, stop, constants
         self.zero, self.one = (0j, 1 + 0j) if self.complex else (0.0, 1.0)
         # second-derivative slots as pairs of first-derivative slots
         self.pairs = {"jet": ((1, 1), (1, 2), (2, 2)), "value": (),
@@ -492,7 +494,8 @@ class _Emitter:
         k = _literal(e, complex if self.complex else float)
         if k is not None:
             return k
-        sub = _Emitter("complex" if self.complex else "value", False, exact=True, top=self.top)
+        sub = _Emitter("complex" if self.complex else "value", False, exact=True, top=self.top,
+                       constants=False)
         ns = dict(_NAMESPACES[self.complex, False], E=sub.errors, _raise=_dead)
         exec(compile(sub.source(e), "<projeq expression>", "exec"), ns)
         try:
@@ -566,6 +569,11 @@ class _Emitter:
             case Num(v):
                 return self.number(f"F({v!r})" if self.grid or self.complex else f"({v!r})",
                                    math.isfinite(v))
+            case _ if self.constants and not _has_variable(e):
+                k = self.constant(e)
+                text = (f"F({k.real!r}, {k.imag!r})" if self.complex
+                        else f"F({k!r})" if self.grid else f"({k!r})")
+                return self.number(text, cmath.isfinite(k))
             case Var(name):
                 if (name in COMPLEX_VARIABLES) != self.complex:
                     context = "complex" if self.complex else "real"

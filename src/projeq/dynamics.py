@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ChartExit, SingularMetric, StepFailure, ZeroVelocity
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, christoffel_at, metric_at
+from .geometry import Chart, Metric2, christoffel_at, inverse, metric_at
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
 MAX_STEPS = 1_000_000
@@ -67,7 +67,7 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
     m, det, _ = metric_at(g, s.x, s.y)
-    gxx, gxy, gyy = m[1, 1] / det, -m[0, 1] / det, m[0, 0] / det
+    gxx, gxy, gyy = inverse(m[0, 0], m[0, 1], m[1, 1], det)
     return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
 
 

@@ -46,7 +46,7 @@ class NullFormMetric:
 def null_form_of(g: Metric2) -> NullFormMetric | None:
     """Recognize ds^2 = f dx dy; None if g11 or g22 exceeds NULL_FORM_TOL
     times |g12| at some grid point."""
-    a, b, c = g.values_on(g.chart)
+    a, b, c = g.values
     bound = NULL_FORM_TOL * np.maximum(np.abs(b), 1e-300)
     if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):
         return None

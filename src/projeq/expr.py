@@ -222,19 +222,12 @@ class _Parser:
         raise ExprSyntaxError(p, f"unexpected '{val}'")
 
 
-def parse(text: str, context: str = "real", variables: tuple[str, ...] | None = None) -> Expr:
-    """Parse an expression.  context selects the default variable set
-    ('real' -> x, y; 'complex' -> z); pass variables to restrict further,
-    e.g. variables=('y',) for a function of y alone."""
+def parse(text: str, variables: tuple[str, ...] = REAL_VARIABLES) -> Expr:
+    """Parse an expression in the given variables: by default x and y (the
+    real context); variables=('z',) for the complex context, or
+    variables=('y',) for a function of y alone."""
     if not text or not text.strip():
         raise ExprSyntaxError(0, "empty expression")
-    if variables is None:
-        if context == "real":
-            variables = REAL_VARIABLES
-        elif context == "complex":
-            variables = COMPLEX_VARIABLES
-        else:
-            raise ValueError(f"unknown context {context!r}")
     return _Parser(_tokenize(text), variables).parse()
 
 

@@ -96,7 +96,7 @@ class ScalarField:
         """The jet over the chart grid: each slot an (nx, ny) array, entry
         [i, j] at (xs[i], ys[j]), i.e. in chart.points() order.  A NaN or
         infinite entry raises DomainError naming the first such grid point."""
-        x, y = chart.mesh()
+        x, y = chart.mesh
         with np.errstate(all="ignore"):
             j = self._jet(x, y)
         slots = [np.broadcast_to(np.asarray(getattr(j, s), dtype=float), x.shape)

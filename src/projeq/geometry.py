@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvariantViolation, SingularMetric
 from .codegen import kernel_function
-from .expr import BinOp, Jet2, Neg, parse, render
+from .expr import Jet2, parse, render
 from .fields import ScalarField
 
 DEFAULT_CLASSIFY_TOL = 1e-8
@@ -23,11 +23,15 @@ MAX_GRID_POINTS = 65_536
 
 @dataclass(frozen=True)
 class Chart:
-    """Rectangular coordinate domain with its sampling grid."""
+    """Rectangular coordinate domain with its sampling grid: the axes xs, ys
+    and their (nx, ny) mesh in points() order, computed once and read-only."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     grid: tuple[int, int] = (21, 21)
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
+    mesh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
@@ -40,26 +44,21 @@ class Chart:
             raise InvariantViolation(
                 f"chart grid {self.grid[0]}x{self.grid[1]} exceeds the maximum of "
                 f"{MAX_GRID_POINTS} grid points")
-
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.grid[0])
-
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.grid[1])
+        xs = np.linspace(self.x_range[0], self.x_range[1], self.grid[0])
+        ys = np.linspace(self.y_range[0], self.y_range[1], self.grid[1])
+        mesh = tuple(np.meshgrid(xs, ys, indexing="ij"))
+        for a in (xs, ys, *mesh):
+            a.flags.writeable = False
+        for name, value in (("xs", xs), ("ys", ys), ("mesh", mesh)):
+            object.__setattr__(self, name, value)
 
     def points(self):
-        for x in self.xs():
-            for y in self.ys():
-                yield float(x), float(y)
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) coordinate arrays of shape (nx, ny), in points() order."""
-        return tuple(np.meshgrid(self.xs(), self.ys(), indexing="ij"))
+        return itertools.product(self.xs.tolist(), self.ys.tolist())
 
     def point(self, index: int) -> tuple[float, float]:
         """The grid point at a flat index in points() order."""
         i, j = divmod(int(index), self.grid[1])
-        return float(self.xs()[i]), float(self.ys()[j])
+        return float(self.xs[i]), float(self.ys[j])
 
     def first_point(self, mask) -> tuple[float, float] | None:
         """The first grid point, in points() order, where the (nx, ny) mask
@@ -80,37 +79,38 @@ class Chart:
 _SIGNATURES = (("+", "+"), ("-", "-"), ("+", "-"))
 
 
-def _signature_code(g11, g22, det):
-    """Index into _SIGNATURES (floats or arrays)."""
-    return np.where(det > 0.0, np.where(g11 + g22 > 0.0, 0, 1), 2)
+def determinant(a, b, c):
+    """det g = a c - b^2 of the entries (g11, g12, g22) = (a, b, c), given as
+    floats, arrays or ScalarFields, as for inverse()."""
+    return a * c - b * b
 
 
-def _signature_of(m: np.ndarray, det: float) -> tuple[str, str]:
-    if det > 0.0:
-        return ("+", "+") if m[0, 0] + m[1, 1] > 0.0 else ("-", "-")
-    return ("+", "-")
+def inverse(a, b, c, det):
+    """(g^11, g^12, g^22) = (c, -b, a) / det g."""
+    return c / det, -b / det, a / det
 
 
-def singular(det, norm2):
-    """The one singular-metric test: |det| negligible against the squared
-    entries (norm2 = g11^2 + 2 g12^2 + g22^2); floats or arrays.  On floats
-    max() does what np.maximum does, NaN included, without making arrays."""
+def singular(a, b, c, det):
+    """The one singular-metric test: |det g| negligible against the squared
+    entries a^2 + 2 b^2 + c^2.  On floats max() does what np.maximum does,
+    NaN included, without making arrays."""
+    norm2 = a * a + 2.0 * b * b + c * c
     floor = np.maximum(norm2, 1e-300) if isinstance(norm2, np.ndarray) else max(norm2, 1e-300)
     return abs(det) < 1e-12 * floor
 
 
-def _singular_entries(a, b, c, det) -> bool:
-    """singular() from the entries' values, as checked_jets_at applies it."""
-    return singular(det, a ** 2 + 2 * b ** 2 + c ** 2)
+def _signature_code(a, c, det):
+    """Index into _SIGNATURES: 2 unless det g > 0, then 0 or 1 by the sign
+    of the trace a + c."""
+    return 2 - (det > 0.0) * (1 + (a + c > 0.0))
 
 
 class Metric2:
     """Symmetric metric (g11, g12, g22) of scalar fields on a chart.
 
-    Construction checks that the determinant is nonzero and the signature
-    constant across the chart's grid.
-
-    Grid sweeps evaluate the entries' own functions (ScalarField.on).
+    Construction sweeps the entries over the chart's grid (ScalarField.on)
+    into read-only (nx, ny) arrays, kept as `values` and with det g as `det`,
+    and checks that the metric is nowhere singular() nor changes signature.
     Pointwise reads run a kernel compiled from the entries' expressions on
     first use, one per kind: 'value' for values_at, 'jet' for the jets, det
     g and the jets of g^{-1}.
@@ -122,6 +122,9 @@ class Metric2:
         self.g22 = g22
         self.chart = chart
         self._kernels = {}
+        self.values = (g11.on(chart).v, g12.on(chart).v, g22.on(chart).v)
+        self.det = determinant(*self.values)
+        self.det.flags.writeable = False
         self.signature = self._validate()
 
     @classmethod
@@ -137,25 +140,19 @@ class Metric2:
         return cls(zero, f * 0.5, zero, chart)
 
     def _validate(self):
-        chart = self.chart
-        a, b, c = self.values_on(chart)
-        det = a * c - b * b
-        sing = singular(det, a * a + 2.0 * b * b + c * c)
+        (a, b, c), det = self.values, self.det
+        sing = singular(a, b, c, det)
         sig = _signature_code(a, c, det)
         bad = sing | (sig != sig.flat[0])
         if bad.any():
             i = int(np.argmax(bad))
-            x, y = chart.point(i)
+            x, y = self.chart.point(i)
             if sing.flat[i]:
                 raise SingularMetric(x, y, float(det.flat[i]))
             raise InvariantViolation(
                 f"metric signature changes across the chart "
                 f"({_SIGNATURES[sig.flat[0]]} vs {_SIGNATURES[sig.flat[i]]})", (x, y))
         return _SIGNATURES[sig.flat[0]]
-
-    def values_on(self, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g11, g12, g22) over the chart grid as (nx, ny) arrays."""
-        return self.g11.on(chart).v, self.g12.on(chart).v, self.g22.on(chart).v
 
     # pointwise data -----------------------------------------------------------
     def _kernel(self, kind: str):
@@ -170,18 +167,21 @@ class Metric2:
             if kind == "value":
                 kernel = kernel_function((a, b, c), "value", where)
             else:
-                det = BinOp("-", BinOp("*", a, c), BinOp("*", b, b))
-                inverse = (BinOp("/", c, det), BinOp("/", Neg(b), det), BinOp("/", a, det))
-                kernel = kernel_function((a, b, c, det, *inverse), "jet", where,
-                                         stop=(4, _singular_entries))
+                det = determinant(self.g11, self.g12, self.g22)
+                inv = inverse(self.g11, self.g12, self.g22, det)
+                kernel = kernel_function((a, b, c, *(f.expr for f in (det, *inv))), "jet",
+                                         where, stop=(4, singular))
             self._kernels[kind] = kernel
         return kernel
 
-    def values_at(self, x: float, y: float):
+    def _entries_at(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """g11, g12, g22 and det g at a point, as floats."""
         a, b, c = self._kernel("value")(x, y)
-        m = np.array([[a, b], [b, c]])
-        det = a * c - b * b
-        return m, det, _signature_of(m, det)
+        return a, b, c, determinant(a, b, c)
+
+    def values_at(self, x: float, y: float):
+        """(2x2 matrix, det g, signature) at a point, unchecked."""
+        return _matrix(*self._entries_at(x, y))
 
     def jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         return self._kernel("jet")(x, y)[:3]
@@ -205,19 +205,22 @@ class Metric2:
         return self._checked(x, y)[4:]
 
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        det = self.g11 * self.g22 - self.g12 * self.g12
-        return self.g22 / det, -self.g12 / det, self.g11 / det
+        return inverse(self.g11, self.g12, self.g22, determinant(self.g11, self.g12, self.g22))
 
     def scaled(self, c: float) -> "Metric2":
         return Metric2(self.g11 * c, self.g12 * c, self.g22 * c, self.chart)
 
 
+def _matrix(a: float, b: float, c: float, det: float):
+    return np.array([[a, b], [b, c]]), det, _SIGNATURES[_signature_code(a, c, det)]
+
+
 def metric_at(g: Metric2, x: float, y: float):
     """(2x2 matrix, det, signature) with a singularity check."""
-    m, det, sig = g.values_at(x, y)
-    if singular(det, float(np.sum(m * m))):
+    a, b, c, det = entries = g._entries_at(x, y)
+    if singular(a, b, c, det):
         raise SingularMetric(x, y, det)
-    return m, det, sig
+    return _matrix(*entries)
 
 
 def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
@@ -225,7 +228,8 @@ def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
     written out for 2-D with the sums in index order (l = 0 first, from
     0.0), so that it is bit for bit the sum over k, i, j, l."""
     a, b, c, det = g.checked_jets_at(x, y)
-    rows = ((c.v / det, -b.v / det), (-b.v / det, a.v / det))
+    i11, i12, i22 = inverse(a.v, b.v, c.v, det)
+    rows = ((i11, i12), (i12, i22))
     # (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) for l = 0, 1, by (i, j)
     xx = (a.dx + a.dx - a.dx, b.dx + b.dx - a.dy)
     xy = (b.dx + a.dy - b.dx, c.dx + b.dy - b.dy)
@@ -237,7 +241,7 @@ def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
 def _pair_tensor(a, b, c, abar, bbar, cbar, det):
     """Entries (G11, G12, G21, G22) of G = g^{-1} gbar from the metric
     entries (floats or arrays), det = a c - b^2."""
-    i11, i12, i22 = c / det, -b / det, a / det
+    i11, i12, i22 = inverse(a, b, c, det)
     return (i11 * abar + i12 * bbar, i11 * bbar + i12 * cbar,
             i12 * abar + i22 * bbar, i12 * bbar + i22 * cbar)
 
@@ -322,28 +326,21 @@ class PairClassification:
 
 
 def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) -> PairClassification:
-    """Classify at every grid point; report the modal case and the fraction
-    of grid points agreeing with it."""
+    """Classify at every grid point of g's chart, from the values each metric
+    keeps there (gbar is rebuilt on that chart if on another); report the
+    modal case and the fraction of grid points agreeing with it."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     chart = g.chart
-    a, b, c = g.values_on(chart)
-    abar, bbar, cbar = gbar.values_on(chart)
-    det = a * c - b * b
-    det_bar = abar * cbar - bbar * bbar
-    sing = singular(det, a * a + 2.0 * b * b + c * c)
-    sing_bar = singular(det_bar, abar * abar + 2.0 * bbar * bbar + cbar * cbar)
-    if (sing | sing_bar).any():
-        i = int(np.argmax(sing | sing_bar))
-        raise SingularMetric(*chart.point(i), float((det if sing.flat[i] else det_bar).flat[i]))
-    G = _pair_tensor(a, b, c, abar, bbar, cbar, det)
+    if gbar.chart != chart:
+        gbar = Metric2(gbar.g11, gbar.g12, gbar.g22, chart)
+    G = _pair_tensor(*g.values, *gbar.values, g.det)
     codes, e0, e1 = _classify(*G, tol)
 
     per_point = []
     counts: Counter = Counter()
     rep = {}
-    points = itertools.product(chart.xs().tolist(), chart.ys().tolist())
-    for (x, y), code, v0, v1 in zip(points, codes.ravel().tolist(),
+    for (x, y), code, v0, v1 in zip(chart.points(), codes.ravel().tolist(),
                                     e0.ravel().tolist(), e1.ravel().tolist()):
         cl = _classification(code, v0, v1, tol)
         per_point.append((x, y, cl))

@@ -174,7 +174,7 @@ def gen_jordan_killing_free(spec: JordanKillingFreeSpec) -> GeneratedPair:
     w = Yt + xf
     chart = spec.chart
     _check(chart, w.on(chart).v != 0.0, "Ytilde(y) + x vanishes on the chart")
-    _check(chart, chart.mesh()[1] != 0.0, "y = 0 lies on the chart")
+    _check(chart, chart.mesh[1] != 0.0, "y = 0 lies on the chart")
 
     zero = ScalarField.constant(0.0)
     y3 = yf * yf * yf

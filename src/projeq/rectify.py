@@ -212,7 +212,7 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     Xsp = CubicSpline(us, Xs)
     Ysp = CubicSpline(vs, Ys)
 
-    x, y = chart.mesh()
+    x, y = chart.mesh
     Yv = Ysp(x - y)
     Xv = Xsp(x + y)
     f_rec = (Yv - Xv) / 4.0
@@ -257,7 +257,7 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
         raise NotHolomorphic(worst, chart.point(i))
     # h = fb + 2if is 4x the h whose normal form reads 2 Im(h) dx dy
     h = rj.v + 1j * ij.v
-    return Case2Result(chart.xs(), chart.ys(), h, worst,
+    return Case2Result(chart.xs, chart.ys, h, worst,
                        {"h_scale": 4.0, "readoff": "h = f b + 2 i f"})
 
 
@@ -283,7 +283,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     chart = nf.chart
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
     x_ref, y0 = chart.center
-    ys = chart.ys()
+    ys = chart.ys
 
     fb = nf.f * F.b
 
@@ -327,10 +327,10 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
 
     new_chart = nf_fin.chart
-    yn_grid = new_chart.ys()
+    yn_grid = new_chart.ys
     y_old = beta.inverse(yn_grid)
     Yv, Yp, _ = Y_jets(y_old)
-    gT = 1.0 + new_chart.xs()[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
+    gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
     fv = nf_fin.f.on(new_chart).v
     av, bv, cv = (j.v for j in F_fin.on(new_chart))
     resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
@@ -352,8 +352,6 @@ class NullFormChange:
 
     M: np.ndarray
     chart: Chart
-    flipped_F: bool = False
-    swapped_axes: bool = False
 
 
 def to_null_form(g, F: QuadraticForm):
@@ -375,10 +373,10 @@ def to_null_form(g, F: QuadraticForm):
         return nf, F, NullFormChange(np.eye(2), g.chart)
 
     # null slopes m: g11 + 2 g12 m + g22 m^2 = 0
-    g11, g12, g22 = g.values_on(g.chart)
+    g11, g12, g22 = g.values
     if np.any(abs(g22) < 1e-12 * (abs(g11) + abs(g12) + 1e-300)):
         raise RectifyError("null direction along dy; swap coordinates first")
-    root = np.sqrt(-(g11 * g22 - g12 * g12))      # det < 0: signature (+,-)
+    root = np.sqrt(-g.det)      # det < 0: signature (+,-)
     sp, sm = (-g12 + root) / g22, (-g12 - root) / g22
     mp, mm = float(sp.flat[0]), float(sm.flat[0])
     if np.any(abs(sp - mp) > 1e-9 * (1.0 + abs(mp))) or \

@@ -2,10 +2,12 @@
 
 These are the tree walkers projeq used before it compiled expressions: a
 walk of the AST per evaluation, for floats and for coordinate arrays, real
-and complex.  Their power rule is the compiler's: an exponent without
+and complex.  Their constants are the compiler's: a sub-expression without
 variables is a constant, whose value the floats compute once (value() for
-real ones).  They share nothing with the compiler but the AST, Jet2's
-arithmetic and render(), so the tests compare compiled code against them.
+real ones, the complex walk for complex ones) and whose derivatives are 0;
+a constant exponent takes the power rule.  They share nothing with the
+compiler but the AST, Jet2's arithmetic and render(), so the tests compare
+compiled code against them.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ COMPLEX_DOMAIN = {
 
 
 def has_variable(e):
-    """An exponent without variables is a constant, whose value the floats'
-    value code computes (complex code in the complex context)."""
+    """A sub-expression without variables is a constant, whose value the
+    floats' value code computes (complex code in the complex context)."""
     match e:
         case Var(_):
             return True
@@ -135,8 +137,8 @@ def value(e):
 
 
 def constant(evaluate, e):
-    """evaluate(e) for an exponent e without variables; a math domain error
-    there (sin or cos of an infinity) counts as an overflow."""
+    """evaluate(e) for an expression e without variables; a math domain
+    error there (sin or cos of an infinity) counts as an overflow."""
     try:
         return evaluate(e)
     except ValueError:
@@ -201,6 +203,8 @@ def _eval_jet(e, x, y):
     match e:
         case Num(v):
             return Jet2(v)
+        case _ if not has_variable(e):
+            return Jet2(constant(value, e))
         case Var("x"):
             return Jet2(x, 1.0, 0.0)
         case Var("y"):
@@ -240,8 +244,8 @@ def eval_complex(e, z):
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         return Grid(z.real, z.imag, {"z": CJet(z, 1.0 + 0j)}, lambda v: CJet(np.complex128(v)),
-                    HOLOMORPHIC, COMPLEX_DOMAIN, lambda e: _eval_complex(e, 0j).v, grid_cpow,
-                    "complex division by zero (pole)", "complex").evaluate(e)
+                    HOLOMORPHIC, COMPLEX_DOMAIN, lambda e: _eval_complex(e, 0j, False).v,
+                    grid_cpow, "complex division by zero (pole)", "complex").evaluate(e)
     try:
         return _eval_complex(e, complex(z))
     except ZeroDivisionError:
@@ -271,22 +275,26 @@ def cpow(u, w):
     return CMATH["exp"](w * CMATH["log"](u))
 
 
-def _eval_complex(e, z):
+def _eval_complex(e, z, constants=True):
+    """The complex jet at z; with constants False, a constant is walked
+    like any other sub-expression (as the compiler computes its value)."""
     match e:
         case Num(v):
             return CJet(complex(v))
+        case _ if constants and not has_variable(e):
+            return CJet(constant(lambda e: _eval_complex(e, z, False).v, e))
         case Var("z"):
             return CJet(z, 1.0 + 0j)
         case Var(name):
             raise DomainError(f"variable '{name}' has no complex-context value")
         case Neg(arg):
-            return -_eval_complex(arg, z)
+            return -_eval_complex(arg, z, constants)
         case BinOp("^", left, right):
-            lu = _eval_complex(left, z)
-            return cpow(lu, _eval_complex(right, z) if has_variable(right)
-                        else constant(lambda e: _eval_complex(e, z).v, right))
+            lu = _eval_complex(left, z, constants)
+            return cpow(lu, _eval_complex(right, z, constants) if has_variable(right)
+                        else constant(lambda e: _eval_complex(e, z, False).v, right))
         case BinOp(op, left, right):
-            lu, ru = _eval_complex(left, z), _eval_complex(right, z)
+            lu, ru = _eval_complex(left, z, constants), _eval_complex(right, z, constants)
             if op == "+":
                 return lu + ru
             if op == "-":
@@ -297,7 +305,7 @@ def _eval_complex(e, z):
         case Call("abs", _):
             raise DomainError("abs is not holomorphic")
         case Call(func, arg):
-            u = _eval_complex(arg, z)
+            u = _eval_complex(arg, z, constants)
             for bad, message in COMPLEX_DOMAIN.get(func, ()):
                 if bad(u.v):
                     raise DomainError(message, render(e))
@@ -374,6 +382,8 @@ class Grid:
         match e:
             case Num(v):
                 out = self.constant(v)
+            case _ if not has_variable(e):
+                out = self.constant(self.constant_value(e))
             case Var(name):
                 if name not in self.variables:
                     raise DomainError(f"variable '{name}' has no {self.context}-context value")
@@ -385,7 +395,7 @@ class Grid:
                 if has_variable(right):
                     out = self.power(u, self.walk(right, strict), e, x, y)
                 else:
-                    out = self.power(u, self.constant_exponent(right), e, x, y)
+                    out = self.power(u, self.constant_value(right), e, x, y)
             case BinOp(op, left, right):
                 lu, ru = self.walk(left, strict), self.walk(right, strict)
                 if op == "+":
@@ -410,8 +420,8 @@ class Grid:
             reject(nonfinite(out), "non-finite value", e, x, y)
         return out
 
-    def constant_exponent(self, e):
-        """The floats' value of an exponent without variables; where that
+    def constant_value(self, e):
+        """The floats' value of an expression without variables; where that
         raises, the error at the first grid point."""
         try:
             return constant(self.exponent, e)

@@ -89,7 +89,7 @@ def kernel_logs(caplog):
 class TestChart:
     def test_grid_and_contains(self):
         c = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
-        assert list(c.xs()) == [0.0, 0.5, 1.0]
+        assert list(c.xs) == [0.0, 0.5, 1.0]
         assert len(list(c.points())) == 15
         assert c.contains(0.5, 3.0)
         assert not c.contains(1.5, 3.0)
@@ -99,6 +99,21 @@ class TestChart:
     def test_degenerate_ranges_rejected(self):
         with pytest.raises(InvariantViolation):
             pq.Chart((1.0, 1.0), (0.0, 1.0))
+
+    def test_axes_are_kept_read_only_and_outside_equality(self):
+        c = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
+        xs, ys = np.linspace(0.0, 1.0, 3), np.linspace(2.0, 4.0, 5)
+        assert c.xs.tobytes() == xs.tobytes() and c.ys.tobytes() == ys.tobytes()
+        for got, want in zip(c.mesh, np.meshgrid(xs, ys, indexing="ij")):
+            assert got.tobytes() == want.tobytes() and got.shape == (3, 5)
+        for a in (c.xs, c.ys, *c.mesh):
+            with pytest.raises(ValueError):
+                a[0] = 9.0
+        assert list(c.points()) == [c.point(i) for i in range(15)]
+        assert c.first_point(c.mesh[1] > 3.0) == (0.0, 3.5)
+        d = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
+        assert c == d and hash(c) == hash(d) and c != pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 4))
+        assert repr(c) == "Chart(x_range=(0.0, 1.0), y_range=(2.0, 4.0), grid=(3, 5))"
 
 
 class TestMetric2:
@@ -126,10 +141,18 @@ class TestMetric2:
 
     def test_near_singular_off_grid_point_rejected(self):
         # det = 1e-20 at x = 0.05, between grid points: nonzero, but below
-        # 1e-12 times the squared entries
+        # 1e-12 times the squared entries.  Every checked read refuses it:
+        # the jet kernel's and metric_at's, and the reads built on them.
         g = pq.Metric2.from_exprs("1", "0", "(x - 0.05)^2 + 1e-20", UNIT)
+        e = euclidean()
         for read in (g.inverse_jets_at, g.checked_jets_at, lambda x, y: christoffel_at(g, x, y),
-                     lambda x, y: metric_at(g, x, y)):
+                     lambda x, y: metric_at(g, x, y),
+                     lambda x, y: g_tensor_at(g, e, x, y), lambda x, y: g_tensor_at(e, g, x, y),
+                     lambda x, y: pq.hamiltonian(g, pq.PhaseState(x, y, 0.3, 0.4)),
+                     lambda x, y: pq.projective_integral_I(g, e, x, y, (1.0, 0.5)),
+                     lambda x, y: pq.projective_integral_I(e, g, x, y, (1.0, 0.5)),
+                     lambda x, y: pq.projective_integral_momentum(
+                         g, e, pq.PhaseState(x, y, 0.3, 0.4))):
             with pytest.raises(SingularMetric) as ei:
                 read(0.05, 0.3)
             assert ei.value.det == 1e-20
@@ -138,6 +161,20 @@ class TestMetric2:
         assert [j.v for j in g.jets_at(0.05, 0.3)] == [1.0, 0.0, 1e-20]
         assert g.values_at(0.05, 0.3)[1] == 1e-20
         g.inverse_jets_at(0.3, 0.3)
+
+    def test_kept_sweep_is_a_fresh_sweep(self, instances):
+        """values and det are the entries' own grid sweep and det g over it,
+        bit for bit, and cannot be written."""
+        metrics = [euclidean(), pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT),
+                   pq.NullFormMetric.from_expr("2 + x", UNIT).to_metric2()]
+        metrics += [m for inst in instances[::5] for m in (inst["pair"].g, inst["pair"].gbar)]
+        for g in metrics:
+            a, b, c = (f.on(g.chart).v for f in (g.g11, g.g12, g.g22))
+            for kept, fresh in zip((*g.values, g.det), (a, b, c, a * c - b * b)):
+                assert kept.shape == g.chart.grid
+                assert kept.tobytes() == fresh.tobytes()
+                with pytest.raises(ValueError):
+                    kept[0, 0] = 1.0
 
     def test_inverse_fields(self):
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
@@ -331,6 +368,20 @@ class TestClassifyPair:
         res = pq.classify_pair(g, gbar)
         assert res.tag == "proportional"
         assert res.fraction == 1.0
+
+    def test_gbar_on_another_chart_is_read_on_g_chart(self):
+        g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
+        other = pq.Chart((-2.0, 2.0), (-1.5, 1.5), (9, 4))
+        gbar = pq.Metric2.from_exprs("1 + x^2", "0.1", "2 + y", other)
+        res = pq.classify_pair(g, gbar)
+        want = [classify_at(g_tensor_at(g, gbar, x, y)) for x, y in UNIT.points()]
+        assert [(x, y, c.tag, c.eigenvalues) for x, y, c in res.per_point] == \
+            [(x, y, c.tag, c.eigenvalues) for (x, y), c in zip(UNIT.points(), want)]
+        # singular on g's grid, though not on its own chart
+        gbar = pq.Metric2.from_exprs("x", "0", "1", pq.Chart((0.5, 2.0), (-1.0, 1.0), (4, 4)))
+        with pytest.raises(SingularMetric) as ei:
+            pq.classify_pair(g, gbar)
+        assert ei.value.point == (0.0, -1.0)
 
     def test_counts_sum_to_grid(self):
         g = euclidean()
