@@ -13,6 +13,10 @@ is what the second-order jets of a composed field need) and a numerically
 inverted evaluation.  A map is immutable, so each keeps its last
 _SOLVED_INPUTS inversions: composed fields invert the same maps on the same
 inputs many times over in one sweep, and each such input is solved once.
+
+QuinticHermite interpolates a function of one variable from its exact
+order-2 jets at knots; QuadratureMap integrates it, and the case-1 solver
+reads the Liouville functions through it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 _XTOL = 1e-13                       # converged bracket width: absolute part
 _RTOL = 4.0 * np.finfo(float).eps   # and relative part, as in scipy's brentq
 _MAX_STEPS = 100
-_QUADRATURE_SAMPLES = 513           # spline knots of a QuadratureMap's derivative
 _MONOTONE_SAMPLES = 65              # derivative samples of validate_monotone
+_QUADRATURE_SAMPLES = _MONOTONE_SAMPLES   # Hermite knots of a QuadratureMap: the same samples
 _SOLVED_INPUTS = 4                  # inversions each map keeps, least recently used out first
 
 
@@ -337,33 +341,86 @@ class IdentityMap(LinearMap):
         super().__init__(1.0, 0.0, tmin, tmax)
 
 
+class QuinticHermite:
+    """The piecewise quintic through values d, first derivatives d1 and
+    second derivatives d2 at increasing knots ts: twice continuously
+    differentiable, and equal to any function that is a quintic on each knot
+    interval.  Evaluates at a float or elementwise at an array, beyond the
+    knots by the end pieces.  A float goes through the same NumPy operations
+    as a one-entry array, so that floats and arrays agree bit for bit."""
+
+    def __init__(self, ts, d, d1, d2):
+        ts = np.asarray(ts, dtype=float)
+        d, d1, d2 = (np.broadcast_to(np.asarray(j, dtype=float), ts.shape) for j in (d, d1, d2))
+        h = np.diff(ts)
+        # the piece on [t_i, t_i + h] as a polynomial in s = (t - t_i) / h
+        y0, y1 = d[:-1], d[1:]
+        v0, v1 = h * d1[:-1], h * d1[1:]
+        a0, a1 = h * h * d2[:-1], h * h * d2[1:]
+        dy = y1 - y0
+        c = [y0, v0, 0.5 * a0,
+             10.0 * dy - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1,
+             -15.0 * dy + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1,
+             6.0 * dy - 3.0 * v0 - 3.0 * v1 - 0.5 * a0 + 0.5 * a1]
+        # each piece's integral, exact for the quintic, summed from ts[0]
+        area = (0.5 * h * (y0 + y1) + h * h / 10.0 * (d1[:-1] - d1[1:])
+                + h * h * h / 120.0 * (d2[:-1] + d2[1:]))
+        start = np.concatenate(([0.0], np.cumsum(area)[:-1]))
+        self._ts, self._h = ts, h
+        # Horner coefficients per piece (one row each), lowest power first
+        self._value = np.stack(c, axis=1)
+        self._slope = np.stack([k * c[k] / h for k in range(1, 6)], axis=1)
+        self._area = np.stack([start] + [h * c[k] / (k + 1) for k in range(6)], axis=1)
+
+    def _horner(self, table, t):
+        a = np.asarray(t, dtype=float)
+        flat = a.reshape(-1)
+        # the piece of each entry; the end pieces extend beyond the knots
+        i = np.searchsorted(self._ts[1:-1], flat, side="right")
+        s = (flat - self._ts[i]) / self._h[i]
+        rows = table[i]
+        r = rows[:, -1] * s
+        for k in range(table.shape[1] - 2, 0, -1):
+            r += rows[:, k]
+            r *= s
+        r += rows[:, 0]
+        return r.reshape(a.shape) if isinstance(t, np.ndarray) else float(r[0])
+
+    def __call__(self, t):
+        return self._horner(self._value, t)
+
+    def derivative(self, t):
+        return self._horner(self._slope, t)
+
+    def antiderivative(self, t):
+        """The integral from the first knot to t."""
+        return self._horner(self._area, t)
+
+
 class QuadratureMap(Monotone1D):
     """Map defined by its derivative: value(t) = integral of deriv from t0.
 
     deriv_jet(t) must return (d, d', d'') of the derivative function, for a
-    float or an array t; values come from the exact antiderivative of a dense
-    cubic-spline fit of the derivative, which keeps positional error far
-    below the 1e-6 tolerances downstream.
+    float or an array t.  Values are the exact integral of the quintic
+    Hermite interpolant of those jets at _QUADRATURE_SAMPLES knots, which
+    keeps positional error far below the 1e-6 tolerances downstream; the
+    derivative slots of fjet are deriv_jet's own.
     """
 
     def __init__(self, deriv_jet, t0: float, tmin: float, tmax: float):
         super().__init__(tmin, tmax)
         self.t0 = float(t0)
         self._deriv_jet = deriv_jet
-        from scipy.interpolate import CubicSpline
-
-        # the knots include validate_monotone's samples: checking them suffices
+        # the knots are validate_monotone's samples: checking them suffices
         ts = np.linspace(tmin, tmax, _QUADRATURE_SAMPLES)
-        ds = np.broadcast_to(deriv_jet(ts)[0], ts.shape)
-        if not np.all(ds > 0.0):
+        jets = deriv_jet(ts)
+        if not np.all(np.broadcast_to(jets[0], ts.shape) > 0.0):
             raise NonMonotone("quadrature map derivative is not positive")
-        spline = CubicSpline(ts, ds)
-        self._anti = spline.antiderivative()
-        self._base = float(self._anti(self.t0))
+        self._fit = QuinticHermite(ts, *jets)
+        self._base = self._fit.antiderivative(self.t0)
 
     def __call__(self, t):
-        value = self._anti(t) - self._base
-        return value if isinstance(t, np.ndarray) else float(value)
+        return self._fit.antiderivative(t) - self._base
 
     def fjet(self, t):
         d0, d1, d2 = self._deriv_jet(t)

@@ -5,7 +5,6 @@ normal-form data from a null-form metric plus a quadratic integral."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -13,18 +12,15 @@ from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral, NotAxisA
                      NotCase1, NotCase3, NotHolomorphic, RectifyError, SignatureMismatch,
                      TrivialIntegral, YhatVanishes)
 from .expr import Expr, parse
-from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, ScalarField
+from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite, ScalarField
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
 from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
 
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
-
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
 _ZERO_COEFF_RTOL = 1e-7   # below this (relative) a coefficient counts as identically 0
-_CASE1_SAMPLES = 129      # spline samples of X and Y along the diagonals
+_CASE1_SAMPLES = 129      # samples of X and Y along the diagonals: Hermite knots
 
 
 # --- admissible coordinate changes ------------------------------------------------
@@ -174,8 +170,8 @@ class Case1Result:
     X_values: np.ndarray
     v_grid: np.ndarray
     Y_values: np.ndarray
-    X: CubicSpline = field(repr=False, default=None)
-    Y: CubicSpline = field(repr=False, default=None)
+    X: QuinticHermite = field(repr=False, default=None)
+    Y: QuinticHermite = field(repr=False, default=None)
     reconstruction_residual: float = 0.0
     gauge: dict = field(default_factory=dict)
     family = "liouville"
@@ -185,8 +181,6 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
                 tol: float = DEFAULT_CASE_TOL) -> Case1Result:
     """a = 1, c = 1 form: fb + 2f is a function of x - y alone and fb - 2f of
     x + y alone; read off Y and X, reconstruct f and b, report the residual."""
-    from scipy.interpolate import CubicSpline
-
     chart = nf.chart
 
     def p_and_q(fj, bj):
@@ -207,23 +201,26 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     vs = np.linspace(xlo - yhi, xhi - ylo, _CASE1_SAMPLES)
     xq, yq = _diag_point(chart, us, "sum")
     xp, yp = _diag_point(chart, vs, "diff")
-    Xs = np.broadcast_to(p_and_q(nf.f.jet(xq, yq), F.b.jet(xq, yq))[1].v, us.shape)
-    Ys = np.broadcast_to(p_and_q(nf.f.jet(xp, yp), F.b.jet(xp, yp))[0].v, vs.shape)
-    Xsp = CubicSpline(us, Xs)
-    Ysp = CubicSpline(vs, Ys)
+    q = p_and_q(nf.f.jet(xq, yq), F.b.jet(xq, yq))[1]
+    p = p_and_q(nf.f.jet(xp, yp), F.b.jet(xp, yp))[0]
+    # jets along the diagonals: d/du = (d/dx + d/dy) / 2, d/dv = (d/dx - d/dy) / 2
+    Xs = [np.broadcast_to(j, us.shape) for j in
+          (q.v, (q.dx + q.dy) / 2.0, (q.dxx + 2.0 * q.dxy + q.dyy) / 4.0)]
+    Ys = [np.broadcast_to(j, vs.shape) for j in
+          (p.v, (p.dx - p.dy) / 2.0, (p.dxx - 2.0 * p.dxy + p.dyy) / 4.0)]
+    # normal-form-scale functions: ds^2 = (X_T - Y_T)(du^2 - dv^2)
+    X = QuinticHermite(us, *(j / -16.0 for j in Xs))
+    Y = QuinticHermite(vs, *(j / -16.0 for j in Ys))
 
     x, y = chart.mesh
-    Yv = Ysp(x - y)
-    Xv = Xsp(x + y)
-    f_rec = (Yv - Xv) / 4.0
-    b_rec = 2.0 * (Xv + Yv) / (Yv - Xv)
+    Xv, Yv = X(x + y), Y(x - y)
+    f_rec = 4.0 * (Xv - Yv)             # du^2 - dv^2 = 4 dx dy
+    b_rec = -2.0 * (Xv + Yv) / (Xv - Yv)
     fscale = np.max(np.abs(fj.v))
     resid = float(max(np.max(np.abs(f_rec - fj.v)) / fscale,
                       np.max(np.abs(b_rec - bj.v) / (1.0 + np.abs(bj.v)))))
 
-    # normal-form-scale functions: ds^2 = (X_T - Y_T)(du^2 - dv^2)
-    XT, YT = -Xs / 16.0, -Ys / 16.0
-    return Case1Result(us, XT, vs, YT, CubicSpline(us, XT), CubicSpline(vs, YT),
+    return Case1Result(us, -Xs[0] / 16.0, vs, -Ys[0] / 16.0, X, Y,
                        resid, {"rotation": "u = x + y, v = x - y",
                                "function_scale": -1.0 / 16.0,
                                "one_variable_residual": worst})

@@ -170,9 +170,8 @@ def test_criterion_6_holomorphic_identity(acceptance_log):
     rng = np.random.default_rng(SEED + 13)
     worst = 0.0
     for h in H_CHOICES + ("z^2 - z",):
-        for _ in range(50):
-            x, y = rng.uniform(-1.0, 1.0, 2)
-            worst = max(worst, pq.remark1_identity_residual(h, float(x), float(y)))
+        x, y = rng.uniform(-1.0, 1.0, (50, 2)).T      # the draws of 50 (x, y) pairs
+        worst = max(worst, pq.remark1_identity_residual(h, x, y))
     ok = worst < 1e-12
     _record(acceptance_log, ok,
             f"criterion 6: holomorphic-coefficient identity holds at 50 points "

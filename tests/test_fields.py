@@ -1,5 +1,6 @@
 """Monotone1D.inverse: one bracketed root finder for floats and arrays, and
-the recent inputs each map keeps."""
+the recent inputs each map keeps; the quintic Hermite quadrature of
+QuadratureMap and of the case-1 solver."""
 
 from __future__ import annotations
 
@@ -11,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projeq import codegen, fields
+from projeq.dynamics import QuadraticForm
 from projeq.errors import NonMonotone
 from projeq.expr import parse
-from projeq.fields import ExprMap, QuadratureMap
+from projeq.fields import ExprMap, QuadratureMap, ScalarField
+from projeq.geometry import Chart
+from projeq.equivalence import NullFormMetric
+from projeq.rectify import solve_case1
 
 from conftest import poly_expr
 
@@ -30,7 +35,7 @@ def cubic_map(c0, c2, c3, lo, width):
 
 def quadrature_map(k1, k2, lo, width):
     """The map whose derivative is d(t) = exp(k1 t + k2 t^2) on [lo, lo +
-    width], through the spline quadrature of QuadratureMap."""
+    width], through the Hermite quadrature of QuadratureMap."""
 
     def deriv_jet(t):
         d = np.exp(k1 * t + k2 * t * t)
@@ -210,3 +215,67 @@ def test_only_the_most_recent_inputs_are_kept(root_finds):
     m.inverse(us[-fields._SOLVED_INPUTS - 1])
     assert len(root_finds) == 1
     assert len(m._solved) == fields._SOLVED_INPUTS
+
+
+# --- quintic Hermite quadrature --------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(-0.15, 0.15), min_size=1, max_size=5), **ranges,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_quintic_derivatives_are_integrated_exactly(coeffs, lo, width, fractions):
+    """A derivative that is a polynomial of degree <= 5 (here >= 0.25 on the
+    range) is its own interpolant: the map is its integral up to rounding."""
+    d = np.polynomial.Polynomial([1.0] + coeffs, domain=[lo, lo + width])
+    t0 = lo + 0.3 * width
+    m = QuadratureMap(lambda t: (d(t), d.deriv()(t), d.deriv(2)(t)), t0, lo, lo + width)
+    ts = lo + width * np.array(fractions)
+    anti = d.integ()
+    assert np.max(np.abs(m(ts) - (anti(ts) - anti(t0)))) <= 1e-14 * (1.0 + width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(-1.0, 1.0).filter(lambda k: abs(k) > 1e-6), **ranges,
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_exponential_matches_its_closed_form_integral(k, lo, width, fractions):
+    """Within 1e-12 of the exact integral where the sixth derivative, which
+    sets the quadrature error, stays below e^2.5."""
+    t0 = lo + 0.3 * width
+    m = QuadratureMap(lambda t: (np.exp(k * t), k * np.exp(k * t), k * k * np.exp(k * t)),
+                      t0, lo, lo + width)
+    ts = lo + width * np.array(fractions)
+    exact = np.exp(k * t0) * np.expm1(k * (ts - t0)) / k
+    assert np.all(np.abs(m(ts) - exact) <= 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(make=st.builds(partial, st.just(quadrature_map), st.floats(-1.0, 1.0),
+                      st.floats(-0.5, 0.5), **ranges),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_fjet_returns_the_derivative_jets(make, fractions):
+    m = make()
+    ts = m.tmin + (m.tmax - m.tmin) * np.array(fractions)
+    assert all(np.array_equal(a, b) for a, b in zip(m.fjet(ts)[1:], m._deriv_jet(ts)))
+    t = float(ts[0])
+    assert m.fjet(t)[1:] == m._deriv_jet(t)
+    assert type(m.fjet(t)[0]) is float and m.fjet(t)[0] == m(ts)[0]
+
+
+def test_case1_interpolant_reproduces_samples_and_slopes():
+    """solve_case1's X and Y pass through their samples with the slopes of
+    X_T(u) = 2 + 0.3 u - 0.1 u^3 and Y_T(v) = -1 - 0.2 v^2 at the knots."""
+    chart = Chart((-0.5, 0.5), (-0.4, 0.4), (11, 11))
+    X = "(2 + 0.3*(x + y) - 0.1*(x + y)^3)"
+    Y = "(-1 - 0.2*(x - y)^2)"
+    # ds^2 = (X - Y)(du^2 - dv^2) = 4 (X - Y) dx dy, b = -2 (X + Y) / (X - Y)
+    f = ScalarField.from_expr(parse(f"4*({X} - {Y})"))
+    b = ScalarField.from_expr(parse(f"-2*({X} + {Y})/({X} - {Y})"))
+    one = ScalarField.constant(1.0)
+    res = solve_case1(NullFormMetric(f, chart), QuadraticForm(one, b, one, chart))
+    u, v = res.u_grid, res.v_grid
+    assert np.allclose(res.X(u), res.X_values, rtol=0.0, atol=1e-14)
+    assert np.allclose(res.Y(v), res.Y_values, rtol=0.0, atol=1e-14)
+    assert np.allclose(res.X.derivative(u), 0.3 - 0.3 * u * u, rtol=0.0, atol=1e-12)
+    assert np.allclose(res.Y.derivative(v), -0.4 * v, rtol=0.0, atol=1e-12)
+    assert np.allclose(res.X_values, 2.0 + 0.3 * u - 0.1 * u ** 3, rtol=0.0, atol=1e-13)
+    assert res.reconstruction_residual < 1e-12

@@ -517,11 +517,34 @@ class TestChartBounds:
         assert str(MAX_GRID_POINTS) in grid["description"]
 
 
-def test_import_leaves_scipy_unloaded():
-    """classify, verify, generate and geodesic never need scipy; rectification
-    imports it on first use."""
-    code = "import sys, projeq; print(any(m.startswith('scipy') for m in sys.modules))"
+def run_and_list_scipy(code: str) -> list[str]:
+    """Run code in a fresh interpreter with projeq on the path; its stdout
+    lines, then whether any scipy module was loaded."""
+    code += "\nimport sys; print(any(m.startswith('scipy') for m in sys.modules))"
     src = os.path.dirname(os.path.dirname(pq.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_leaves_scipy_unloaded():
+    """projeq imports numpy alone: importing it loads no scipy module."""
+    assert run_and_list_scipy("import projeq") == ["False"]
+
+
+def test_rectification_leaves_scipy_unloaded():
+    """One rectification per case loads no scipy module.  Each input went
+    through an admissible change first, so that its BK maps integrate a
+    varying derivative."""
+    code = """
+import projeq as pq
+square = pq.Chart((-0.5, 0.5), (-0.5, 0.5), (9, 9))
+for spec in (pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "-", square),
+             pq.ComplexLiouvilleSpec("z^2", pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 9))),
+             pq.JordanBlockSpec("3/2 + y/10 - y^3/20", square)):
+    pair = pq.generate(spec)
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    nf, F = pq.apply_admissible_change(nf, F, pq.AdmissibleChange("x + x^2/8", "y + y^3/20"))
+    print(pq.rectification_pipeline(nf, F).case)
+"""
+    assert run_and_list_scipy(code) == ["1", "2", "3", "False"]

@@ -177,9 +177,8 @@ class TestRemark1:
     def test_identity_residual(self):
         rng = np.random.default_rng(5)
         for h in ("z", "z^2", "exp(z)", "z + z^3", "z^2 - z"):
-            for _ in range(10):
-                x, y = rng.uniform(-1, 1, 2)
-                assert pq.remark1_identity_residual(h, float(x), float(y)) < 1e-12
+            x, y = rng.uniform(-1, 1, (10, 2)).T
+            assert pq.remark1_identity_residual(h, x, y) < 1e-12
 
 
 class TestDispatcher:
