@@ -3,12 +3,12 @@ integral I, the null-coordinate PDE residuals, and the triviality test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SignatureMismatch
-from .expr import parse
+from .expr import Jet2, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, metric_at
 from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
@@ -25,13 +25,18 @@ _MOMENTUM_BASIS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
 
 @dataclass
 class NullFormMetric:
-    """ds^2 = f dx dy with f > 0 on the chart."""
+    """ds^2 = f dx dy with f > 0 on the chart.
+
+    Construction sweeps f over the chart's grid (ScalarField.on) to check
+    its sign and keeps that sweep, read-only, as `sweep`."""
 
     f: ScalarField
     chart: Chart
+    sweep: Jet2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        point = self.chart.first_point(~(self.f.on(self.chart).v > 0.0))
+        self.sweep = self.f.on(self.chart)
+        point = self.chart.first_point(~(self.sweep.v > 0.0))
         if point is not None:
             raise InvariantViolation("null-form coefficient f must be positive", point)
 
@@ -40,7 +45,13 @@ class NullFormMetric:
         return cls(ScalarField.from_expr(parse(f)), chart)
 
     def to_metric2(self) -> Metric2:
-        return Metric2.null_form(self.f, self.chart)
+        """The metric g11 = g22 = 0, g12 = f/2, its grid values read off the
+        kept sweep: f * 0.5 sweeps to f.v * 0.5 bit for bit."""
+        zero = ScalarField.constant(0.0)
+        half = self.sweep.v * 0.5
+        half.flags.writeable = False
+        flat = np.broadcast_to(0.0, half.shape)
+        return Metric2._with_values(zero, self.f * 0.5, zero, self.chart, (flat, half, flat))
 
 
 def null_form_of(g: Metric2) -> NullFormMetric | None:
@@ -248,10 +259,25 @@ def triviality_check(F: QuadraticForm, g: Metric2,
                      tol: float = DEFAULT_TRIVIALITY_TOL) -> TrivialityResult:
     """F is trivial iff F - lambda H vanishes (coefficient-wise on g's chart
     grid) for the deviation-minimizing lambda."""
-    chart = g.chart
+    return _triviality_from_jets(F.on(g.chart), g, tol)
+
+
+def _triviality_from_jets(F_jets, g: Metric2,
+                          tol: float = DEFAULT_TRIVIALITY_TOL) -> TrivialityResult:
+    """triviality_check from F's coefficient jets on g's chart grid.  H's
+    coefficients (g^11/2, g^12, g^22/2) come from the values and det g that
+    g keeps, by the operations of a sweep of hamiltonian_form(g): a Jet2
+    quotient multiplies by the reciprocal."""
+    a, b, c = g.values
     # coefficients interleaved point by point: (a, b, c) at each grid point
-    fvals = np.stack([j.v for j in F.on(chart)], axis=-1).ravel()
-    hvals = np.stack([j.v for j in hamiltonian_form(g).on(chart)], axis=-1).ravel()
+    with np.errstate(all="ignore"):
+        iv = 1.0 / g.det
+        h = np.stack((c * iv * 0.5, -b * iv, a * iv * 0.5), axis=-1)
+    overflow = g.chart.first_point(~np.isfinite(h).all(axis=-1))
+    if overflow is not None:
+        raise DomainError("inverse metric takes a non-finite value", point=overflow)
+    fvals = np.stack([j.v for j in F_jets], axis=-1).ravel()
+    hvals = h.ravel()
     denom = float(hvals @ hvals)
     lam = float(fvals @ hvals) / denom if denom > 0.0 else 0.0
     dev = float(np.max(np.abs(fvals - lam * hvals)))

@@ -11,8 +11,9 @@ Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
 is what the second-order jets of a composed field need) and a numerically
 inverted evaluation.  A map is immutable, so each keeps its last
-_SOLVED_INPUTS inversions: composed fields invert the same maps on the same
-inputs many times over in one sweep, and each such input is solved once.
+_SOLVED_INPUTS inversions, and beside each the forward jets there once they
+are asked for: composed fields invert the same maps on the same inputs many
+times over, and each such input is solved, and its jets walked, once.
 
 QuinticHermite interpolates a function of one variable from its exact
 order-2 jets at knots; QuadratureMap integrates it, and the case-1 solver
@@ -37,6 +38,13 @@ _MAX_STEPS = 100
 _MONOTONE_SAMPLES = 65              # derivative samples of validate_monotone
 _QUADRATURE_SAMPLES = _MONOTONE_SAMPLES   # Hermite knots of a QuadratureMap: the same samples
 _SOLVED_INPUTS = 4                  # inversions each map keeps, least recently used out first
+
+
+def _input_key(u):
+    """The key of an input among a map's kept inversions: its type, dtype,
+    shape and bytes, so that equal values of one kind share an entry."""
+    a = np.asarray(u)
+    return (type(u), a.dtype.str, a.shape, a.tobytes())
 
 
 def _where(cond, x, y):
@@ -193,15 +201,13 @@ class ScalarField:
                           kx: int, ky: int) -> "ScalarField":
         """The field in the new coordinates (u, v) = (xmap(x), ymap(y)) times
         xmap'(x)^kx ymap'(y)^ky: the transformation law of a coefficient of
-        those weights.  Each evaluation inverts each map once; fields composed
-        with the same maps share those inversions through the inputs each
-        map keeps (Monotone1D.inverse)."""
+        those weights.  Each evaluation inverts each map once, with its
+        forward jets there; fields composed with the same maps share both
+        through the inputs each map keeps (Monotone1D.inverse_jets)."""
 
         def jet(u, v):
-            t = xmap.inverse(u)
-            s = ymap.inverse(v)
-            _, xd1, xd2, xd3 = xmap.fjet(t)
-            _, yd1, yd2, yd3 = ymap.fjet(s)
+            t, xd1, xd2, xd3 = xmap.inverse_jets(u)
+            s, yd1, yd2, yd3 = ymap.inverse_jets(v)
             wx = 1.0 / xd1           # dt/du
             wy = 1.0 / yd1
             wxx = -xd2 * wx * wx * wx
@@ -244,7 +250,9 @@ class Monotone1D:
             raise NonMonotone(f"degenerate range [{tmin}, {tmax}]")
         self.tmin = float(tmin)
         self.tmax = float(tmax)
-        self._solved = {}       # inverse's recent inputs -> results, oldest first
+        # inverse's recent inputs -> [result] or [result, *forward jets there],
+        # oldest first
+        self._solved = {}
 
     def fjet(self, t: float) -> tuple[float, float, float, float]:
         """(value, first, second, third derivative) at t."""
@@ -262,28 +270,45 @@ class Monotone1D:
         value within round-off (1e-9 relative) of an end of the range gives
         that end; one further outside raises NonMonotone.
 
-        The last _SOLVED_INPUTS inputs solved are kept, keyed by the input's
-        type, dtype, shape and bytes, and answered with the stored result:
-        the root finder is deterministic, so that is the fresh solve bit for
-        bit.  Arrays come back read-only, since later calls share them."""
-        a = np.asarray(u)
-        key = (type(u), a.dtype.str, a.shape, a.tobytes())
-        t = self._solved.pop(key, None)
-        if t is None:
+        The last _SOLVED_INPUTS inputs solved are kept (see _input_key) and
+        answered with the stored result: the root finder is deterministic,
+        so that is the fresh solve bit for bit.  Arrays come back read-only,
+        since later calls share them."""
+        key = _input_key(u)
+        entry = self._solved.pop(key, None)
+        if entry is None:
             vlo, vhi = self.range
             glo, ghi = vlo - u, vhi - u
             slack = 1e-9 * (abs(u) + 1.0)
             ok = (glo < slack) & (ghi > -slack)
             if np.count_nonzero(ok) < np.size(ok):
-                value = float(a[np.logical_not(ok)].flat[0])
+                value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
                 raise NonMonotone(f"value {value!r} outside the map range {self.range}")
             t = brentq(lambda t: self(t) - u, self.tmin, self.tmax, glo, ghi)
             if isinstance(t, np.ndarray):
                 t.flags.writeable = False
+            entry = [t]
             if len(self._solved) >= _SOLVED_INPUTS:
                 del self._solved[next(iter(self._solved))]
-        self._solved[key] = t
-        return t
+        self._solved[key] = entry
+        return entry[0]
+
+    def inverse_jets(self, u):
+        """(t, first, second, third derivative at t) for t = inverse(u): the
+        inversion with the forward jets there.  A kept inversion keeps its
+        jets beside it from their first request on (read-only, like t), so
+        that inverse alone walks no jets."""
+        t = self.inverse(u)
+        entry = self._solved.get(_input_key(u))
+        if entry is None:           # a map that inverts in closed form keeps none
+            return (t, *self.fjet(t)[1:])
+        if len(entry) == 1:
+            jets = self.fjet(t)[1:]
+            for j in jets:
+                if isinstance(j, np.ndarray):
+                    j.flags.writeable = False
+            entry.extend(jets)
+        return tuple(entry)
 
     def validate_monotone(self):
         ts = np.linspace(self.tmin, self.tmax, _MONOTONE_SAMPLES)
@@ -437,8 +462,7 @@ class _InverseMap(Monotone1D):
         return self._fwd.inverse(u)
 
     def fjet(self, u):
-        t = self._fwd.inverse(u)
-        _, d1, d2, d3 = self._fwd.fjet(t)
+        t, d1, d2, d3 = self._fwd.inverse_jets(u)
         w1 = 1.0 / d1
         w2 = -d2 * w1 ** 3
         w3 = (3.0 * d2 * d2 - d1 * d3) * w1 ** 5

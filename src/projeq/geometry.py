@@ -117,12 +117,24 @@ class Metric2:
     """
 
     def __init__(self, g11: ScalarField, g12: ScalarField, g22: ScalarField, chart: Chart):
+        self._keep(g11, g12, g22, chart, (g11.on(chart).v, g12.on(chart).v, g22.on(chart).v))
+
+    @classmethod
+    def _with_values(cls, g11: ScalarField, g12: ScalarField, g22: ScalarField,
+                     chart: Chart, values) -> "Metric2":
+        """The metric whose entries sweep to `values` on the chart (read-only
+        arrays, bit for bit those sweeps), validated without sweeping again."""
+        g = cls.__new__(cls)
+        g._keep(g11, g12, g22, chart, values)
+        return g
+
+    def _keep(self, g11, g12, g22, chart, values):
         self.g11 = g11
         self.g12 = g12
         self.g22 = g22
         self.chart = chart
         self._kernels = {}
-        self.values = (g11.on(chart).v, g12.on(chart).v, g22.on(chart).v)
+        self.values = values
         self.det = determinant(*self.values)
         self.det.flags.writeable = False
         self.signature = self._validate()
@@ -132,12 +144,6 @@ class Metric2:
         return cls(ScalarField.from_expr(parse(g11)),
                    ScalarField.from_expr(parse(g12)),
                    ScalarField.from_expr(parse(g22)), chart)
-
-    @classmethod
-    def null_form(cls, f: ScalarField, chart: Chart) -> "Metric2":
-        """ds^2 = f dx dy, i.e. g11 = g22 = 0, g12 = f/2."""
-        zero = ScalarField.constant(0.0)
-        return cls(zero, f * 0.5, zero, chart)
 
     def _validate(self):
         (a, b, c), det = self.values, self.det

@@ -12,10 +12,11 @@ from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral, NotAxisA
                      NotCase1, NotCase3, NotHolomorphic, RectifyError, SignatureMismatch,
                      TrivialIntegral, YhatVanishes)
 from .expr import Expr, parse
-from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite, ScalarField
+from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite,
+                     ScalarField, _where)
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
-from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
+from .equivalence import NullFormMetric, _sys_from_jets, _triviality_from_jets, null_form_of
 
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
@@ -109,8 +110,14 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
     coordinate (identity map).  Raises NotAxisAligned when a depends on y
     (or c on x) beyond tolerance, i.e. the input is not an integral.
     """
+    return _bk_from_jets(nf, F, F.on(nf.chart), axis_tol)
+
+
+def _bk_from_jets(nf: NullFormMetric, F: QuadraticForm, F_jets,
+                  axis_tol: float = DEFAULT_CASE_TOL) -> BKResult:
+    """bk_normalize from F's coefficient jets on nf's chart grid."""
     chart = nf.chart
-    aj, bj, cj = F.on(chart)
+    aj, bj, cj = F_jets
     scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
 
     def axis_plan(coef, j, axis, lo, hi):
@@ -187,7 +194,7 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
         fb = fj * bj
         return fb + 2.0 * fj, fb - 2.0 * fj     # = Y_s(x - y), X_s(x + y)
 
-    fj, bj = nf.f.on(chart), F.b.on(chart)
+    fj, bj = nf.sweep, F.b.on(chart)
     pj, qj = p_and_q(fj, bj)
     ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
     qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
@@ -243,7 +250,7 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
     """a = 1, c = -1 form: (fb, 2f) satisfy the Cauchy-Riemann equations;
     return the sampled holomorphic h = fb + 2if."""
     chart = nf.chart
-    fj = nf.f.on(chart)
+    fj = nf.sweep
     rj = fj * F.b.on(chart)
     ij = fj * 2.0
     s = 1.0 + abs(rj.dx) + abs(rj.dy) + abs(ij.dx) + abs(ij.dy)
@@ -289,7 +296,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
         return (-0.5 * j.v, -0.5 * j.dy, -0.5 * j.dyy)
 
     # Y must not depend on x; Yhat_x = f_x - Y' must vanish
-    fj = nf.f.on(chart)
+    fj = nf.sweep
     fbj = fj * F.b.on(chart)
     yp = Y_jets(ys)[1]
     s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
@@ -298,21 +305,25 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     if worst > tol:
         raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
 
+    def yhat_d1(t):
+        return nf.f.jet(x_ref, t).dy + 0.5 * x_ref * fb.jet(x_ref, t).dyy
+
     def yhat_jets(t):
         fj = nf.f.jet(x_ref, t)
         _, yp, ypp = Y_jets(t)
         v = fj.v - x_ref * yp
         d1 = fj.dy - x_ref * ypp
-        # third-order term Y''' is not carried by order-2 jets; finite
-        # difference is fine here (enters only second-order map slots)
+        # Yhat'' needs Y''', which order-2 jets do not carry: a difference of
+        # Yhat' (it enters only second-order map slots), central inside and
+        # one-sided of second order where a chart end is within eps
         eps = 1e-5
-        if isinstance(t, np.ndarray):
-            tc = np.clip(t, ylo + eps, yhi - eps)
-        else:
-            tc = min(max(t, ylo + eps), yhi - eps)
-        d1p = nf.f.jet(x_ref, tc + eps).dy + 0.5 * x_ref * fb.jet(x_ref, tc + eps).dyy
-        d1m = nf.f.jet(x_ref, tc - eps).dy + 0.5 * x_ref * fb.jet(x_ref, tc - eps).dyy
-        return (v, d1, (d1p - d1m) / (2.0 * eps))
+        side = (t < ylo + eps) * 1.0 - (t > yhi - eps) * 1.0    # +1 at ylo, -1 at yhi
+        inside = side == 0.0
+        da = yhat_d1(t + _where(inside, -1.0, side) * eps)
+        db = yhat_d1(t + _where(inside, 1.0, 2.0 * side) * eps)
+        d2 = _where(inside, (db - da) / (2.0 * eps),
+                    side * (4.0 * da - 3.0 * d1 - db) / (2.0 * eps))
+        return (v, d1, d2)
 
     yhat_vals = np.broadcast_to(yhat_jets(ys)[0], ys.shape)
     if np.min(yhat_vals) <= 0.0:
@@ -328,7 +339,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     y_old = beta.inverse(yn_grid)
     Yv, Yp, _ = Y_jets(y_old)
     gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
-    fv = nf_fin.f.on(new_chart).v
+    fv = nf_fin.sweep.v
     av, bv, cv = (j.v for j in F_fin.on(new_chart))
     resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
                       np.max(np.abs(bv + 2.0 * Yv / gT) / (1.0 + np.abs(bv))),
@@ -500,16 +511,20 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     null form -> sign normalization of F -> quadrature rectification ->
     case dispatch on the signs of (a, c)."""
     g_metric = g.to_metric2() if isinstance(g, NullFormMetric) else g
-    triv = triviality_check(F, g_metric)
+    # F swept once: the triviality test, the sys check and the BK plan read it
+    jets = F.on(g_metric.chart)
+    triv = _triviality_from_jets(jets, g_metric)
     if triv.trivial:
         raise TrivialIntegral(
             f"F = {triv.scale:.6g} * H is a trivial integral; nothing to rectify")
 
-    nf, F, change = to_null_form(g, F)
+    nf, F_null, _ = to_null_form(g, F)
+    if F_null is not F:             # a linear change made new fields on a new chart
+        F, jets = F_null, F_null.on(nf.chart)
     chart = nf.chart
 
-    aj, bj, cj = F.on(chart)
-    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj).max_normalized()
+    aj, bj, cj = jets
+    r = _sys_from_jets(nf.sweep, aj, bj, cj).max_normalized()
     i = int(np.argmax(r))
     worst_sys = float(r.flat[i])
     if worst_sys > sys_tol:
@@ -541,8 +556,10 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
         F = F.scaled(-1.0)
         sa, sc = -sa, -sc
         flipped = True
+    if swapped or flipped:          # new fields
+        jets = F.on(nf.chart)
 
-    bk = bk_normalize(nf, F, axis_tol=tol)
+    bk = _bk_from_jets(nf, F, jets, tol)
     gauge = {"flipped_integral": flipped, "swapped_axes": swapped,
              "bk_base_point": bk.base_point}
 

@@ -91,6 +91,20 @@ def instances():
     return out
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """(field, chart) of each ScalarField.on call, in order."""
+    calls = []
+    on = pq.ScalarField.on
+
+    def counted(field, chart):
+        calls.append((field, chart))
+        return on(field, chart)
+
+    monkeypatch.setattr(pq.ScalarField, "on", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(SEED + 1)

@@ -4,7 +4,7 @@ import pytest
 import projeq as pq
 from projeq.dynamics import hamiltonian_form
 from projeq.equivalence import bracket_cubic_from_sys, sys_residuals
-from projeq.errors import SignatureMismatch
+from projeq.errors import DomainError, SignatureMismatch
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
 
@@ -19,6 +19,27 @@ class TestNullForm:
     def test_not_recognized(self):
         g = pq.Metric2.from_exprs("1", "0", "-1", UNIT)
         assert pq.null_form_of(g) is None
+
+    def test_kept_sweep_and_metric_are_fresh_sweeps(self, monkeypatch):
+        """The sweep of f that a null-form metric keeps, and the values and
+        det g of its Metric2, which sweeps nothing, are the bits of fresh
+        sweeps, read-only."""
+        nf = pq.NullFormMetric.from_expr("2 + x/3 + y^2/5 + x*y/7", UNIT)
+        fresh = nf.f.on(UNIT)
+        for slot in pq.Jet2.__slots__:
+            kept = getattr(nf.sweep, slot)
+            assert kept.tobytes() == getattr(fresh, slot).tobytes()
+            assert not kept.flags.writeable
+        with monkeypatch.context() as m:
+            m.setattr(pq.ScalarField, "on", None)
+            g = nf.to_metric2()
+        zero = pq.ScalarField.constant(0.0)
+        swept = pq.Metric2(zero, nf.f * 0.5, zero, UNIT)
+        for got, want in zip((*g.values, g.det), (*swept.values, swept.det), strict=True):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert g.signature == swept.signature == ("+", "-")
+        assert [j.v for j in g.jets_at(0.3, -0.2)] == [j.v for j in swept.jets_at(0.3, -0.2)]
 
 
 class TestProjectiveIntegralI:
@@ -124,6 +145,37 @@ class TestTriviality:
         chart = pq.Chart((-0.5, 0.5), (0.2, 0.9))
         pair = pq.generate(pq.LiouvilleSpec("3 + x^2/2", "y", "-", chart))
         assert not pq.triviality_check(pair.F, pair.g).trivial
+
+    def test_overflowing_inverse_metric_raises(self):
+        # det g = 1.024e-309 is not singular() against entries of its size,
+        # but 1/det g overflows
+        g = pq.Metric2.from_exprs("3.2e-155", "0", "3.2e-155", UNIT)
+        F = pq.QuadraticForm.from_exprs("1", "0", "1", UNIT)
+        with pytest.raises(DomainError) as e:
+            pq.triviality_check(F, g)
+        assert e.value.point == (-1.0, -1.0)
+
+    @pytest.mark.parametrize("spec", [
+        lambda chart: pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "+", chart),
+        lambda chart: pq.LiouvilleSpec("3 + x/4 - x^2/5", "0.55 + y/7", "-", chart),
+        lambda chart: pq.ComplexLiouvilleSpec("z^2", chart),
+        lambda chart: pq.JordanBlockSpec("3/2 + y/10 - y^3/20", chart),
+    ])
+    def test_reads_the_hamiltonian_off_the_kept_values(self, spec, sweeps):
+        """H's coefficients come from the values g keeps, bit for bit those of
+        a sweep of hamiltonian_form(g): only F's coefficients are swept."""
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 9))
+        pair = pq.generate(spec(chart))
+        h = [j.v for j in hamiltonian_form(pair.g).on(chart)]
+        for F in (pair.F, hamiltonian_form(pair.g).scaled(3.0)):
+            del sweeps[:]
+            res = pq.triviality_check(F, pair.g)
+            assert sweeps == [(F.a, chart), (F.b, chart), (F.c, chart)]
+            fvals = np.stack([j.v for j in F.on(chart)], axis=-1).ravel()
+            hvals = np.stack(h, axis=-1).ravel()
+            lam = float(fvals @ hvals) / float(hvals @ hvals)
+            assert res.scale == lam
+            assert res.deviation == float(np.max(np.abs(fvals - lam * hvals)))
 
 
 class TestFitIntegralCombination:

@@ -152,16 +152,23 @@ def same_bits(x, y):
        fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12, unique=True))
 def test_repeated_inverses_are_fresh_solves(make, fractions):
     """However often an input comes back, and whatever was inverted in
-    between, the answer is the bits of a fresh map's first solve."""
+    between, the answer is the bits of a fresh map's first solve, and the
+    jets kept with it are the bits of the fresh map's jets there, whether
+    they were asked for with the inversion or after it."""
     m, fresh = make(), make()
     vlo, vhi = m.range
     us = vlo + (vhi - vlo) * np.array(fractions)
     floats = [float(u) for u in us]
     inputs = [us, us[::-1].copy(), *floats]
     expected = [fresh.inverse(u) for u in inputs]
-    for _ in range(3):          # more inputs than are kept: some are solved again
-        for u, t in zip(inputs, expected):
-            assert same_bits(m.inverse(u), t)
+    jets = [fresh.fjet(t)[1:] for t in expected]
+    for rnd in range(3):        # more inputs than are kept: some are solved again
+        for i, (u, t, d) in enumerate(zip(inputs, expected, jets)):
+            if (i + rnd) % 2:
+                assert same_bits(m.inverse(u), t)
+            got = m.inverse_jets(u)
+            assert same_bits(got[0], t)
+            assert all(same_bits(a, b) for a, b in zip(got[1:], d, strict=True))
 
 
 def test_float_kinds_keep_their_type(root_finds):
@@ -182,6 +189,12 @@ def test_inverted_arrays_are_read_only():
         ts[0] = 0.0
     assert m.inverse(us) is ts
     assert np.array_equal(ts, expected)
+    kept = m.inverse_jets(us)
+    assert kept[0] is ts
+    for d in kept[1:]:
+        if isinstance(d, np.ndarray):
+            with pytest.raises(ValueError):
+                d[0] = 0.0
     us[0] = us[1]               # the key is the input's value, not its identity
     assert np.array_equal(m.inverse(us), cubic_map(0.1, 0.05, -0.03, -0.5, 1.0).inverse(us))
 

@@ -204,6 +204,22 @@ class TestCaseSolvers:
             y_old = res.beta.inverse(float(t))
             assert Yv == pytest.approx(1.5 + y_old / 10 + y_old**2 / 20, rel=1e-8)
 
+    def test_case3_second_derivative_at_the_chart_ends(self):
+        """Yhat'' of the rectifying map is a difference of Yhat'; where the
+        central difference would leave the chart it is one-sided, and of
+        second order, so it holds to 1e-6 at both ends too."""
+        chart = pq.Chart((-0.4, 0.4), (-0.5, 0.5), (9, 9))
+        # f = x Y'(y) + Yhat(y) and f b = -2 Y(y), for Y = y/5
+        yhat = "(2 + y/4 + y^2/5 + y^3 + y^4)"
+        nf = null_metric(f"x/5 + {yhat}", chart)
+        F = QuadraticForm.from_exprs("1", f"-2*(y/5)/(x/5 + {yhat})", "0", chart)
+        res = solve_case3(nf, F)
+        ends = np.array(chart.y_range)
+        exact = 0.4 + 6.0 * ends + 12.0 * ends ** 2
+        assert np.all(np.abs(res.beta.fjet(ends)[3] - exact) <= 1e-6)
+        for t, d2 in zip(ends.tolist(), exact):
+            assert res.beta.fjet(t)[3] == pytest.approx(d2, abs=1e-6)
+
     def test_case3_rejects_x_dependence(self):
         chart = pq.Chart((-0.4, 0.4), (-0.5, 0.5), (7, 7))
         nf = null_metric("2 + x^2/4", chart)
@@ -326,17 +342,24 @@ class TestPipeline:
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_repeated_inversions_are_not_solved_again(self, spec, monkeypatch):
         """Composed fields invert the same maps on the same inputs many
-        times in one pipeline run; each map keeps its recent inputs, so at
-        most a quarter of the inversions may run the root finder."""
+        times in one pipeline run; each map keeps its recent inputs, so no
+        map runs the root finder twice on one input (by the key of the
+        store) in that run."""
         inverse, solve = Monotone1D.inverse, fields.brentq
-        calls = {"inverse": 0, "brentq": 0}
+        finds, solved, again = [0], set(), []
 
         def counted_inverse(self, u):
-            calls["inverse"] += 1
-            return inverse(self, u)
+            before = finds[0]
+            t = inverse(self, u)
+            if finds[0] > before:       # this call ran the root finder
+                key = (self, fields._input_key(u))
+                if key in solved:
+                    again.append(key)
+                solved.add(key)
+            return t
 
         def counted_brentq(*args):
-            calls["brentq"] += 1
+            finds[0] += 1
             return solve(*args)
 
         monkeypatch.setattr(Monotone1D, "inverse", counted_inverse)
@@ -346,10 +369,27 @@ class TestPipeline:
         nf, F, _ = pq.to_null_form(pair.g, pair.F)
         nf2, F2 = pq.apply_admissible_change(
             nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
-        calls.update(inverse=0, brentq=0)
+        finds[0] = 0
+        solved.clear()
         pq.rectification_pipeline(nf2, F2)
-        assert calls["inverse"] > 0
-        assert 4 * calls["brentq"] <= calls["inverse"]
+        assert finds[0] == len(solved) > 0
+        assert again == []
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_each_field_is_swept_once(self, spec, sweeps):
+        """One pipeline run sweeps no field twice on one chart: the sweep of F
+        feeds the triviality test, the sys check and the BK plan, and the
+        case solvers read the sweep of f that each null-form metric keeps."""
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+        pair = pq.generate(spec(chart))
+        nf, F, _ = pq.to_null_form(pair.g, pair.F)
+        nf2, F2 = pq.apply_admissible_change(
+            nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+        for g, form in ((nf2, F2), (pair.g, pair.F)):
+            del sweeps[:]
+            pq.rectification_pipeline(g, form)
+            assert sweeps
+            assert len(set(sweeps)) == len(sweeps)
 
     def test_report_serializable(self):
         import json
