@@ -3,12 +3,12 @@ integral I, the null-coordinate PDE residuals, and the triviality test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SignatureMismatch
-from .expr import Jet2, parse
+from .expr import parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, metric_at
 from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
@@ -28,15 +28,13 @@ class NullFormMetric:
     """ds^2 = f dx dy with f > 0 on the chart.
 
     Construction sweeps f over the chart's grid (ScalarField.on) to check
-    its sign and keeps that sweep, read-only, as `sweep`."""
+    its sign; f keeps that sweep for every later read of f.on(chart)."""
 
     f: ScalarField
     chart: Chart
-    sweep: Jet2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sweep = self.f.on(self.chart)
-        point = self.chart.first_point(~(self.sweep.v > 0.0))
+        point = self.chart.first_point(~(self.f.on(self.chart).v > 0.0))
         if point is not None:
             raise InvariantViolation("null-form coefficient f must be positive", point)
 
@@ -45,13 +43,9 @@ class NullFormMetric:
         return cls(ScalarField.from_expr(parse(f)), chart)
 
     def to_metric2(self) -> Metric2:
-        """The metric g11 = g22 = 0, g12 = f/2, its grid values read off the
-        kept sweep: f * 0.5 sweeps to f.v * 0.5 bit for bit."""
+        """The metric g11 = g22 = 0, g12 = f/2."""
         zero = ScalarField.constant(0.0)
-        half = self.sweep.v * 0.5
-        half.flags.writeable = False
-        flat = np.broadcast_to(0.0, half.shape)
-        return Metric2._with_values(zero, self.f * 0.5, zero, self.chart, (flat, half, flat))
+        return Metric2(zero, self.f * 0.5, zero, self.chart)
 
 
 def null_form_of(g: Metric2) -> NullFormMetric | None:
@@ -258,16 +252,11 @@ class TrivialityResult:
 def triviality_check(F: QuadraticForm, g: Metric2,
                      tol: float = DEFAULT_TRIVIALITY_TOL) -> TrivialityResult:
     """F is trivial iff F - lambda H vanishes (coefficient-wise on g's chart
-    grid) for the deviation-minimizing lambda."""
-    return _triviality_from_jets(F.on(g.chart), g, tol)
-
-
-def _triviality_from_jets(F_jets, g: Metric2,
-                          tol: float = DEFAULT_TRIVIALITY_TOL) -> TrivialityResult:
-    """triviality_check from F's coefficient jets on g's chart grid.  H's
-    coefficients (g^11/2, g^12, g^22/2) come from the values and det g that
-    g keeps, by the operations of a sweep of hamiltonian_form(g): a Jet2
-    quotient multiplies by the reciprocal."""
+    grid) for the deviation-minimizing lambda.  H's coefficients (g^11/2,
+    g^12, g^22/2) come from the values and det g that g keeps, by the
+    operations of a sweep of hamiltonian_form(g): a Jet2 quotient multiplies
+    by the reciprocal."""
+    F_jets = F.on(g.chart)
     a, b, c = g.values
     # coefficients interleaved point by point: (a, b, c) at each grid point
     with np.errstate(all="ignore"):

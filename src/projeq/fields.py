@@ -92,11 +92,12 @@ class ScalarField:
     field as an expression; without one given it is a Leaf calling the
     function."""
 
-    __slots__ = ("_jet", "expr")
+    __slots__ = ("_jet", "expr", "_swept")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
         self.expr = Leaf(jet_fn) if expr is None else expr
+        self._swept = None          # (chart, Jet2) of the last sweep
 
     def jet(self, x: float, y: float) -> Jet2:
         return self._jet(x, y)
@@ -105,9 +106,16 @@ class ScalarField:
         return self._jet(x, y).v
 
     def on(self, chart) -> Jet2:
-        """The jet over the chart grid: each slot an (nx, ny) array, entry
-        [i, j] at (xs[i], ys[j]), i.e. in chart.points() order.  A NaN or
-        infinite entry raises DomainError naming the first such grid point."""
+        """The jet over the chart grid: each slot a read-only (nx, ny) array,
+        entry [i, j] at (xs[i], ys[j]), i.e. in chart.points() order.  A NaN
+        or infinite entry raises DomainError naming the first such grid point.
+
+        A field is immutable, so it keeps its last sweep and answers a sweep
+        on an equal chart with it: each field is evaluated once per chart,
+        however many steps read it.  A sweep that raises keeps nothing."""
+        kept = self._swept
+        if kept is not None and kept[0] == chart:
+            return kept[1]
         x, y = chart.mesh
         with np.errstate(all="ignore"):
             j = self._jet(x, y)
@@ -119,7 +127,9 @@ class ScalarField:
         if bad.any():
             raise DomainError("field takes a non-finite value (overflow or division "
                               "by zero)", point=chart.first_point(bad))
-        return Jet2(*slots)
+        jets = Jet2(*slots)
+        self._swept = (chart, jets)
+        return jets
 
     # constructors -----------------------------------------------------------
     @classmethod

@@ -16,7 +16,7 @@ from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHer
                      ScalarField, _where)
 from .geometry import Chart, Metric2
 from .dynamics import QuadraticForm
-from .equivalence import NullFormMetric, _sys_from_jets, _triviality_from_jets, null_form_of
+from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
 
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
@@ -110,14 +110,8 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
     coordinate (identity map).  Raises NotAxisAligned when a depends on y
     (or c on x) beyond tolerance, i.e. the input is not an integral.
     """
-    return _bk_from_jets(nf, F, F.on(nf.chart), axis_tol)
-
-
-def _bk_from_jets(nf: NullFormMetric, F: QuadraticForm, F_jets,
-                  axis_tol: float = DEFAULT_CASE_TOL) -> BKResult:
-    """bk_normalize from F's coefficient jets on nf's chart grid."""
     chart = nf.chart
-    aj, bj, cj = F_jets
+    aj, bj, cj = F.on(chart)
     scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
 
     def axis_plan(coef, j, axis, lo, hi):
@@ -194,7 +188,7 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
         fb = fj * bj
         return fb + 2.0 * fj, fb - 2.0 * fj     # = Y_s(x - y), X_s(x + y)
 
-    fj, bj = nf.sweep, F.b.on(chart)
+    fj, bj = nf.f.on(chart), F.b.on(chart)
     pj, qj = p_and_q(fj, bj)
     ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
     qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
@@ -250,7 +244,7 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
     """a = 1, c = -1 form: (fb, 2f) satisfy the Cauchy-Riemann equations;
     return the sampled holomorphic h = fb + 2if."""
     chart = nf.chart
-    fj = nf.sweep
+    fj = nf.f.on(chart)
     rj = fj * F.b.on(chart)
     ij = fj * 2.0
     s = 1.0 + abs(rj.dx) + abs(rj.dy) + abs(ij.dx) + abs(ij.dy)
@@ -296,7 +290,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
         return (-0.5 * j.v, -0.5 * j.dy, -0.5 * j.dyy)
 
     # Y must not depend on x; Yhat_x = f_x - Y' must vanish
-    fj = nf.sweep
+    fj = nf.f.on(chart)
     fbj = fj * F.b.on(chart)
     yp = Y_jets(ys)[1]
     s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
@@ -339,7 +333,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     y_old = beta.inverse(yn_grid)
     Yv, Yp, _ = Y_jets(y_old)
     gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
-    fv = nf_fin.sweep.v
+    fv = nf_fin.f.on(new_chart).v
     av, bv, cv = (j.v for j in F_fin.on(new_chart))
     resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
                       np.max(np.abs(bv + 2.0 * Yv / gT) / (1.0 + np.abs(bv))),
@@ -511,20 +505,15 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     null form -> sign normalization of F -> quadrature rectification ->
     case dispatch on the signs of (a, c)."""
     g_metric = g.to_metric2() if isinstance(g, NullFormMetric) else g
-    # F swept once: the triviality test, the sys check and the BK plan read it
-    jets = F.on(g_metric.chart)
-    triv = _triviality_from_jets(jets, g_metric)
+    triv = triviality_check(F, g_metric)
     if triv.trivial:
         raise TrivialIntegral(
             f"F = {triv.scale:.6g} * H is a trivial integral; nothing to rectify")
 
-    nf, F_null, _ = to_null_form(g, F)
-    if F_null is not F:             # a linear change made new fields on a new chart
-        F, jets = F_null, F_null.on(nf.chart)
+    nf, F, _ = to_null_form(g, F)
     chart = nf.chart
-
-    aj, bj, cj = jets
-    r = _sys_from_jets(nf.sweep, aj, bj, cj).max_normalized()
+    aj, bj, cj = F.on(chart)
+    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj).max_normalized()
     i = int(np.argmax(r))
     worst_sys = float(r.flat[i])
     if worst_sys > sys_tol:
@@ -556,10 +545,8 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
         F = F.scaled(-1.0)
         sa, sc = -sa, -sc
         flipped = True
-    if swapped or flipped:          # new fields
-        jets = F.on(nf.chart)
 
-    bk = _bk_from_jets(nf, F, jets, tol)
+    bk = bk_normalize(nf, F, tol)
     gauge = {"flipped_integral": flipped, "swapped_axes": swapped,
              "bk_base_point": bk.base_point}
 

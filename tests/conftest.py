@@ -93,13 +93,17 @@ def instances():
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """(field, chart) of each ScalarField.on call, in order."""
+    """(field, chart, returned jets) of each ScalarField.on call, in order.
+    The list holds every field and jet it names, so object identities stay
+    unique for the test: a call answered from the field's kept sweep
+    returns the very jets of an earlier call."""
     calls = []
     on = pq.ScalarField.on
 
     def counted(field, chart):
-        calls.append((field, chart))
-        return on(field, chart)
+        jets = on(field, chart)
+        calls.append((field, chart, jets))
+        return jets
 
     monkeypatch.setattr(pq.ScalarField, "on", counted)
     return calls

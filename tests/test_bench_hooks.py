@@ -71,3 +71,25 @@ def test_tracer_counts_kept_inversions_apart_from_root_finds(tracer_module):
     assert np.array_equal(first, again)
     assert tracer.counts["fields.inverse_calls"] == 2
     assert tracer.counts["fields.root_finds"] == 1
+
+
+def test_traced_pipeline_spans_its_steps(tracer_module):
+    """A traced rectification run records the triviality test and the BK
+    normalization as spans of their own inside the pipeline's span, so
+    their time is theirs and not the pipeline's self time."""
+    chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 9))
+    pair = pq.generate(pq.JordanBlockSpec("3/2 + y/10 - y^3/20", chart))
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    nf2, F2 = pq.apply_admissible_change(nf, F, pq.AdmissibleChange("x + x^2/20", "y"))
+    tracer = tracer_module.Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        pq.rectification_pipeline(nf2, F2)
+    finally:
+        tracer.uninstall()
+    pipeline = [s["id"] for s in tracer.spans if s["name"] == "rectification_pipeline"]
+    assert len(pipeline) == 1
+    for name in ("triviality_check", "bk_normalize"):
+        spans = [s for s in tracer.spans if s["name"] == name]
+        assert [s["parent"] for s in spans] == pipeline, name
+        assert tracer.span_seconds(name) > 0.0

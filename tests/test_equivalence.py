@@ -20,26 +20,30 @@ class TestNullForm:
         g = pq.Metric2.from_exprs("1", "0", "-1", UNIT)
         assert pq.null_form_of(g) is None
 
-    def test_kept_sweep_and_metric_are_fresh_sweeps(self, monkeypatch):
-        """The sweep of f that a null-form metric keeps, and the values and
-        det g of its Metric2, which sweeps nothing, are the bits of fresh
-        sweeps, read-only."""
-        nf = pq.NullFormMetric.from_expr("2 + x/3 + y^2/5 + x*y/7", UNIT)
-        fresh = nf.f.on(UNIT)
+    def test_kept_sweep_and_metric_are_fresh_sweeps(self):
+        """The sweep of f that a null-form metric's construction made, and
+        that f keeps, has the bits of a fresh sweep of an equal field on an
+        equal chart, read-only; its Metric2 is the metric with entries 0,
+        f/2, 0."""
+        text = "2 + x/3 + y^2/5 + x*y/7"
+        nf = pq.NullFormMetric.from_expr(text, UNIT)
+        equal_chart = pq.Chart(UNIT.x_range, UNIT.y_range, UNIT.grid)
+        kept = nf.f.on(equal_chart)
+        assert kept is nf.f.on(UNIT)
+        fresh = pq.ScalarField.from_expr(pq.parse(text)).on(equal_chart)
         for slot in pq.Jet2.__slots__:
-            kept = getattr(nf.sweep, slot)
-            assert kept.tobytes() == getattr(fresh, slot).tobytes()
-            assert not kept.flags.writeable
-        with monkeypatch.context() as m:
-            m.setattr(pq.ScalarField, "on", None)
-            g = nf.to_metric2()
+            assert getattr(kept, slot).tobytes() == getattr(fresh, slot).tobytes()
+            assert not getattr(kept, slot).flags.writeable
+        g = nf.to_metric2()
         zero = pq.ScalarField.constant(0.0)
         swept = pq.Metric2(zero, nf.f * 0.5, zero, UNIT)
         for got, want in zip((*g.values, g.det), (*swept.values, swept.det), strict=True):
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
         assert g.signature == swept.signature == ("+", "-")
-        assert [j.v for j in g.jets_at(0.3, -0.2)] == [j.v for j in swept.jets_at(0.3, -0.2)]
+        for got, want in zip(g.jets_at(0.3, -0.2), swept.jets_at(0.3, -0.2), strict=True):
+            assert [getattr(got, s) for s in pq.Jet2.__slots__] == \
+                [getattr(want, s) for s in pq.Jet2.__slots__]
 
 
 class TestProjectiveIntegralI:
@@ -170,7 +174,7 @@ class TestTriviality:
         for F in (pair.F, hamiltonian_form(pair.g).scaled(3.0)):
             del sweeps[:]
             res = pq.triviality_check(F, pair.g)
-            assert sweeps == [(F.a, chart), (F.b, chart), (F.c, chart)]
+            assert [call[:2] for call in sweeps] == [(F.a, chart), (F.b, chart), (F.c, chart)]
             fvals = np.stack([j.v for j in F.on(chart)], axis=-1).ravel()
             hvals = np.stack(h, axis=-1).ravel()
             lam = float(fvals @ hvals) / float(hvals @ hvals)

@@ -1,6 +1,6 @@
-"""Monotone1D.inverse: one bracketed root finder for floats and arrays, and
-the recent inputs each map keeps; the quintic Hermite quadrature of
-QuadratureMap and of the case-1 solver."""
+"""The last sweep each ScalarField keeps; Monotone1D.inverse: one bracketed
+root finder for floats and arrays, and the recent inputs each map keeps; the
+quintic Hermite quadrature of QuadratureMap and of the case-1 solver."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from projeq import codegen, fields
 from projeq.dynamics import QuadraticForm
-from projeq.errors import NonMonotone
-from projeq.expr import parse
+from projeq.errors import DomainError, NonMonotone
+from projeq.expr import Jet2, parse
 from projeq.fields import ExprMap, QuadratureMap, ScalarField
 from projeq.geometry import Chart
 from projeq.equivalence import NullFormMetric
@@ -43,6 +43,44 @@ def quadrature_map(k1, k2, lo, width):
         return (d, g * d, (g * g + 2.0 * k2) * d)
 
     return QuadratureMap(deriv_jet, lo + 0.3 * width, lo, lo + width)
+
+
+def test_a_field_keeps_its_last_sweep():
+    """A sweep on a chart equal to the last one is the kept sweep, with no
+    evaluation; another chart is evaluated and replaces it; a sweep that
+    raises keeps nothing; the kept slots are read-only; jet() is not kept."""
+    calls = []
+
+    def counted(x, y):      # 1/x + y^2, infinite at x = 0
+        calls.append(np.shape(x))
+        return Jet2(1.0 / x + y * y, -1.0 / (x * x), 2.0 * y, 2.0 / (x * x * x), 0.0, 2.0)
+
+    f = ScalarField(counted)
+    first = f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4)))
+    assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is first
+    assert calls == [(5, 4)]
+    for slot in ("v", "dx", "dy", "dxx", "dxy", "dyy"):
+        kept = getattr(first, slot)
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.0
+
+    other = f.on(Chart((0.5, 1.5), (0.0, 1.0), (3, 3)))
+    assert other is not first and calls[-1] == (3, 3)
+    again = f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4)))
+    assert again is not first and len(calls) == 3
+    assert all(np.array_equal(getattr(again, s), getattr(first, s)) for s in ("v", "dx", "dyy"))
+
+    bad = Chart((-1.0, 1.0), (0.0, 1.0), (5, 5))       # x = 0 on the grid
+    for n in (4, 5):
+        with pytest.raises(DomainError) as e:
+            f.on(bad)
+        assert e.value.point == (0.0, 0.0) and len(calls) == n
+    assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is again and len(calls) == 5
+
+    assert f.jet(0.7, 0.2).v == 1.0 / 0.7 + 0.2 * 0.2 == f(0.7, 0.2)
+    assert calls[-2:] == [(), ()]
+    assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is again
 
 
 ranges = dict(lo=st.floats(-1.0, 0.5), width=st.floats(0.2, 2.0))

@@ -377,10 +377,20 @@ class TestPipeline:
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_each_field_is_swept_once(self, spec, sweeps):
-        """One pipeline run sweeps no field twice on one chart: the sweep of F
-        feeds the triviality test, the sys check and the BK plan, and the
-        case solvers read the sweep of f that each null-form metric keeps."""
+        """No field is evaluated twice on one chart, however often it is
+        swept: every ScalarField.on call for one (field, chart) returns the
+        same jets, in a pipeline run (the triviality test, the sys check and
+        the BK plan read one sweep of F, the case solvers the sweep of f)
+        and in a benchmark grid-sweep item."""
         chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+
+        def evaluations():
+            kept = {}
+            for field, on_chart, jets in sweeps:
+                kept.setdefault((field, on_chart), set()).add(id(jets))
+            assert sweeps
+            return {len(ids) for ids in kept.values()}
+
         pair = pq.generate(spec(chart))
         nf, F, _ = pq.to_null_form(pair.g, pair.F)
         nf2, F2 = pq.apply_admissible_change(
@@ -388,8 +398,18 @@ class TestPipeline:
         for g, form in ((nf2, F2), (pair.g, pair.F)):
             del sweeps[:]
             pq.rectification_pipeline(g, form)
-            assert sweeps
-            assert len(set(sweeps)) == len(sweeps)
+            assert evaluations() == {1}
+
+        del sweeps[:]
+        pair = pq.generate(spec(chart))
+        if pq.verify_integral(pair.g, pair.F).method == "sys":
+            pq.verify_integral(pq.null_form_of(pair.g), pair.F, method="bracket")
+        pq.classify_pair(pair.g, pair.gbar)
+        pq.triviality_check(pq.hamiltonian_form(pair.g).scaled(3.0), pair.g)
+        pq.triviality_check(pair.F, pair.g)
+        b_bad = pair.F.b + pq.ScalarField.from_expr(pq.parse("x/100"))
+        pq.verify_integral(pair.g, QuadraticForm(pair.F.a, b_bad, pair.F.c, chart))
+        assert evaluations() == {1}
 
     def test_report_serializable(self):
         import json
