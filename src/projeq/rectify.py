@@ -101,6 +101,13 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
     return QuadratureMap(deriv_jet, base, lo, hi)
 
 
+def _vanishing(aj, bj, cj) -> tuple[bool, bool]:
+    """Whether a and c count as identically zero on the grid: max |value| at
+    most _ZERO_COEFF_RTOL times the largest |value| of a, b and c."""
+    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
+    return tuple(bool(np.max(np.abs(j.v)) <= _ZERO_COEFF_RTOL * scale) for j in (aj, cj))
+
+
 def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
                  axis_tol: float = DEFAULT_CASE_TOL) -> BKResult:
     """Rectify coordinates by integrating dx / sqrt(|a|) and dy / sqrt(|c|).
@@ -112,11 +119,11 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
     """
     chart = nf.chart
     aj, bj, cj = F.on(chart)
-    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
+    zero_a, zero_c = _vanishing(aj, bj, cj)
 
-    def axis_plan(coef, j, axis, lo, hi):
+    def axis_plan(coef, j, zero, axis, lo, hi):
         vals = j.v.ravel()
-        if np.max(np.abs(vals)) <= _ZERO_COEFF_RTOL * scale:
+        if zero:
             return 0, IdentityMap(lo, hi)
         # relative cross-axis derivative: a_y for axis 'x', c_x for 'y'
         cross = j.dy if axis == "x" else j.dx
@@ -135,8 +142,8 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
         base = 0.5 * (lo + hi)
         return sign, _bk_axis_map(coef, axis, lo, hi, ref, base)
 
-    sign_a, xmap = axis_plan(F.a, aj, "x", *chart.x_range)
-    sign_c, ymap = axis_plan(F.c, cj, "y", *chart.y_range)
+    sign_a, xmap = axis_plan(F.a, aj, zero_a, "x", *chart.x_range)
+    sign_c, ymap = axis_plan(F.c, cj, zero_c, "y", *chart.y_range)
     nf2, F2 = transform_separable(nf, F, xmap, ymap)
     return BKResult(xmap, ymap, nf2, F2, sign_a, sign_c,
                     (0.5 * sum(chart.x_range), 0.5 * sum(chart.y_range)))
@@ -519,11 +526,10 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     if worst_sys > sys_tol:
         raise NotAnIntegral(worst_sys, chart.point(i))
 
-    avals, cvals = aj.v, cj.v
-    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
+    zero_a, zero_c = _vanishing(aj, bj, cj)
 
-    def sign_of(vals, name):
-        if np.max(np.abs(vals)) <= _ZERO_COEFF_RTOL * scale:
+    def sign_of(vals, zero, name):
+        if zero:
             return 0
         if np.min(vals) > 0.0:
             return 1
@@ -532,7 +538,7 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
         raise AmbiguousCase(f"coefficient {name} changes sign inside the chart; "
                             "pick a chart on one side of its zero set")
 
-    sa, sc = sign_of(avals, "a"), sign_of(cvals, "c")
+    sa, sc = sign_of(aj.v, zero_a, "a"), sign_of(cj.v, zero_c, "c")
     swapped = False
     flipped = False
     if sa == 0 and sc == 0:

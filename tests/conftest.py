@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import projeq as pq
+from projeq.geometry import TAGS
 
 SEED = 20240817
 N_PER_FAMILY = 20
@@ -89,6 +90,26 @@ def instances():
         for _ in range(N_PER_FAMILY):
             out.append(maker(rng))
     return out
+
+
+def perturbed(F):
+    """The negative control: b + x/100 makes an integral a non-integral."""
+    return pq.QuadraticForm(F.a, F.b + pq.ScalarField.from_expr(pq.parse("x/100")), F.c,
+                            F.chart)
+
+
+def assert_classified_pointwise(res, g, gbar):
+    """Each grid point's tag and eigen data in a PairClassification (codes,
+    e0 and e1, read-only arrays of g's grid in points() order) equal those of
+    classify_at of the pair tensor there.  Returns those classifications."""
+    want = [pq.classify_at(pq.g_tensor_at(g, gbar, x, y)) for x, y in g.chart.points()]
+    for a in (res.codes, res.e0, res.e1):
+        assert a.shape == g.chart.grid and not a.flags.writeable
+    got = zip(res.codes.ravel().tolist(), res.e0.ravel().tolist(), res.e1.ravel().tolist())
+    assert [(TAGS[code], (e0, e1)[:len(c.eigenvalues)])
+            for (code, e0, e1), c in zip(got, want, strict=True)] == \
+        [(c.tag, c.eigenvalues) for c in want]
+    return want
 
 
 @pytest.fixture

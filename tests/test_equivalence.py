@@ -6,6 +6,8 @@ from projeq.dynamics import hamiltonian_form
 from projeq.equivalence import bracket_cubic_from_sys, sys_residuals
 from projeq.errors import DomainError, SignatureMismatch
 
+from conftest import perturbed
+
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
 
 
@@ -180,6 +182,22 @@ class TestTriviality:
             lam = float(fvals @ hvals) / float(hvals @ hvals)
             assert res.scale == lam
             assert res.deviation == float(np.max(np.abs(fvals - lam * hvals)))
+
+    def test_power_of_two_scales_of_f_scale_the_result(self, instances):
+        """Scaling F by 2^k (|k| <= 8) is exact in binary floating point, so
+        triviality_check's scale and deviation scale by 2^k bit for bit and
+        its verdict stays; verification passes F and fails its b + x/100
+        control whatever the scale."""
+        for i, inst in enumerate(instances):
+            g, F = inst["pair"].g, inst["pair"].F
+            k = 2.0 ** (i % 17 - 8)
+            for form in (F, hamiltonian_form(g).scaled(3.0)):
+                res, scaled = pq.triviality_check(form, g), pq.triviality_check(form.scaled(k), g)
+                assert (scaled.trivial, scaled.scale, scaled.deviation) == \
+                    (res.trivial, k * res.scale, k * res.deviation)
+            for form in (F, perturbed(F)):
+                assert pq.verify_integral(g, form.scaled(k)).passed == \
+                    pq.verify_integral(g, form).passed == (form is F)
 
 
 class TestFitIntegralCombination:

@@ -3,12 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projeq as pq
 from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
 from projeq.expr import Leaf
 from projeq.geometry import christoffel_at, classify_at, g_tensor_at, metric_at
+
+from conftest import assert_classified_pointwise
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
 SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
@@ -369,22 +373,100 @@ class TestClassifyPair:
         assert res.tag == "proportional"
         assert res.fraction == 1.0
 
-    def test_gbar_on_another_chart_is_read_on_g_chart(self):
+    def test_gbar_on_another_chart_is_read_on_g_chart(self, monkeypatch):
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
         other = pq.Chart((-2.0, 2.0), (-1.5, 1.5), (9, 4))
         gbar = pq.Metric2.from_exprs("1 + x^2", "0.1", "2 + y", other)
-        res = pq.classify_pair(g, gbar)
-        want = [classify_at(g_tensor_at(g, gbar, x, y)) for x, y in UNIT.points()]
-        assert [(x, y, c.tag, c.eigenvalues) for x, y, c in res.per_point] == \
-            [(x, y, c.tag, c.eigenvalues) for (x, y), c in zip(UNIT.points(), want)]
+        assert_classified_pointwise(pq.classify_pair(g, gbar), g, gbar)
+
+        # and without walking the grid point by point
+        def no_walk(chart):
+            raise AssertionError("classify_pair walked the chart's points")
+
+        with monkeypatch.context() as m:
+            m.setattr(pq.Chart, "points", no_walk)
+            res = pq.classify_pair(g, gbar)
+        assert_classified_pointwise(res, g, gbar)
         # singular on g's grid, though not on its own chart
         gbar = pq.Metric2.from_exprs("x", "0", "1", pq.Chart((0.5, 2.0), (-1.0, 1.0), (4, 4)))
         with pytest.raises(SingularMetric) as ei:
             pq.classify_pair(g, gbar)
         assert ei.value.point == (0.0, -1.0)
 
+    @pytest.mark.parametrize("x_range, first, then, eigenvalues", [
+        ((-1.0, 0.0), "real_distinct", "proportional", (2.0, 1.0)),
+        ((0.0, 1.0), "proportional", "real_distinct", (2.0,)),
+    ], ids=["real_distinct_first", "proportional_first"])
+    def test_ties_go_to_the_case_met_first(self, x_range, first, then, eigenvalues):
+        """Two grid points of each case: the modal case, its summary and
+        the order of counts follow the first occurrence in points() order."""
+        chart = pq.Chart(x_range, (-1.0, 1.0), (2, 2))
+        res = pq.classify_pair(euclidean(chart), pq.Metric2.from_exprs("2 + x", "0", "2", chart))
+        assert (res.tag, res.summary.eigenvalues, res.fraction) == (first, eigenvalues, 0.5)
+        assert list(res.counts.items()) == [(first, 2), (then, 2)]
+        assert all(type(n) is int for n in res.counts.values())
+
     def test_counts_sum_to_grid(self):
         g = euclidean()
         gbar = pq.Metric2.from_exprs("2 + x", "0", "1", UNIT)
         res = pq.classify_pair(g, gbar)
         assert sum(res.counts.values()) == 25
+
+
+# --- invariance of the classification -----------------------------------------------
+
+
+def test_power_of_two_scales_of_gbar_scale_the_eigen_data(instances):
+    """Scaling gbar by 2^k (|k| <= 8) is exact in binary floating point:
+    every grid point keeps its case, and e0, e1 scale by 2^k bit for bit."""
+    for i, inst in enumerate(instances):
+        g, gbar = inst["pair"].g, inst["pair"].gbar
+        k = 2.0 ** (i % 17 - 8)
+        res, scaled = pq.classify_pair(g, gbar), pq.classify_pair(g, gbar.scaled(k))
+        assert np.array_equal(scaled.codes, res.codes)
+        assert np.array_equal(scaled.e0, k * res.e0) and np.array_equal(scaled.e1, k * res.e1)
+        assert (scaled.tag, scaled.fraction, scaled.counts) == (res.tag, res.fraction, res.counts)
+
+
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+CASES = {
+    "proportional": lambda u, v: np.diag([u, u]),
+    "real_distinct": lambda u, v: np.diag([u + v, u - v]),
+    "complex_pair": lambda u, v: np.array([[u, -v], [v, u]]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag=st.sampled_from(sorted(CASES)), u=st.floats(-4.0, 4.0), v=st.floats(0.05, 4.0),
+       e=st.integers(-30, 30), t1=st.floats(0.0, 6.3), t2=st.floats(0.0, 6.3),
+       s=st.floats(0.1, 1.0))
+def test_tag_is_invariant_under_well_conditioned_conjugation(tag, u, v, e, t1, t2, s):
+    """classify_at(P G P^-1) keeps G's tag and, within 1e-9 of |G|, its eigen
+    data, for P = R(t1) diag(1, s) R(t2) (condition number 1/s <= 10) and G
+    at least 0.05 of its size away from every case boundary."""
+    G = 2.0 ** e * CASES[tag](u, v)
+    P = rotation(t1) @ np.diag([1.0, s]) @ rotation(t2)
+    want, got = classify_at(G), classify_at(P @ G @ np.linalg.inv(P))
+    assert got.tag == want.tag == tag
+    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0.0,
+                       atol=1e-9 * np.linalg.norm(G))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.integers(-9, 9), mu=st.integers(-9, 9).filter(bool), m=st.integers(-4, 4),
+       n=st.integers(-4, 4), flip=st.booleans(), e=st.integers(-30, 30))
+def test_jordan_block_is_invariant_under_unimodular_conjugation(lam, mu, m, n, flip, e):
+    """Under an integer P with det +-1, P G P^-1 of an integer Jordan block G
+    is computed exactly: it stays a jordan_block with the same eigenvalue."""
+    P = np.array([[1.0, m], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [n, 1.0]])
+    P_inv = np.array([[1.0, 0.0], [-n, 1.0]]) @ np.array([[1.0, -m], [0.0, 1.0]])
+    if flip:
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        P, P_inv = P @ swap, swap @ P_inv
+    G = 2.0 ** e * np.array([[lam, mu], [0.0, lam]])
+    got = classify_at(P @ G @ P_inv)
+    assert got.tag == "jordan_block"
+    assert got.eigenvalues == (2.0 ** e * lam,)

@@ -32,6 +32,8 @@ from projeq.errors import DomainError, InvariantViolation
 from projeq.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 from projeq.geometry import MAX_GRID_POINTS
 
+from conftest import assert_classified_pointwise, perturbed
+
 SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 BASIS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
 
@@ -100,11 +102,6 @@ def reference_bracket(g, nf, F, chart):
     return worst_of(values, chart)
 
 
-def perturbed(F):
-    return pq.QuadraticForm(F.a, F.b + pq.ScalarField.from_expr(pq.parse("x/100")), F.c,
-                            F.chart)
-
-
 # --- fields ------------------------------------------------------------------------
 
 
@@ -157,13 +154,11 @@ def test_classify_pair_matches_pointwise(instances):
     for inst in instances[::3]:
         g, gbar = inst["pair"].g, inst["pair"].gbar
         res = pq.classify_pair(g, gbar)
-        ref = [pq.classify_at(pq.g_tensor_at(g, gbar, x, y)) for x, y in g.chart.points()]
+        ref = assert_classified_pointwise(res, g, gbar)
         tags = [c.tag for c in ref]
         counts = {t: tags.count(t) for t in set(tags)}
         assert res.counts == counts
         assert res.fraction == max(counts.values()) / len(tags)
-        assert [(x, y, c.tag, c.eigenvalues) for x, y, c in res.per_point] == \
-            [(x, y, c.tag, c.eigenvalues) for (x, y), c in zip(g.chart.points(), ref)]
 
 
 def test_triviality_matches_pointwise(instances):
