@@ -8,14 +8,13 @@ integrals, and rectify a metric-integral pair back to normal-form data.
 __version__ = "0.1.0"
 
 from .errors import (AmbiguousCase, ChartExit, CoefficientVanishes, ConfigError,
-                     DomainError, ExprSyntaxError, InvariantViolation, NonMonotone,
-                     NotAnIntegral, NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
-                     ProjEqError, RectifyError, SignatureMismatch, SingularMetric,
-                     StepFailure, TrivialIntegral, UnknownIdentifier, YhatVanishes,
-                     ZeroVelocity)
+                     DomainError, ExprSyntaxError, InvalidArgument, InvariantViolation,
+                     NonMonotone, NotAnIntegral, NotAxisAligned, NotCase1, NotCase3,
+                     NotHolomorphic, ProjEqError, RectifyError, SignatureMismatch,
+                     SingularMetric, StepFailure, TrivialIntegral, UnknownIdentifier,
+                     YhatVanishes, ZeroVelocity)
 from .expr import ComplexJet, Jet2, diff, parse, render
-from .codegen import (complex_function, eval_complex, eval_jet, jet_function,
-                      value_function)
+from .codegen import complex_function, eval_complex, eval_jet, jet_function
 from .fields import ExprMap, IdentityMap, LinearMap, Monotone1D, QuadratureMap, ScalarField
 from .geometry import (Chart, Classification, Metric2, PairClassification, christoffel_at,
                        classify_at, classify_pair, g_tensor_at, metric_at)

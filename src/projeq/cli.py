@@ -183,10 +183,12 @@ def _cmd_generate(cfg, tols, outdir):
     if pair.F is not None:
         rep = verify_integral(pair.g, pair.F, tol=tols["verify"])
         report["verification"] = rep.to_dict()
+        # the third grid point from each end, clamped to axes of 2 points
+        nx, ny = chart.grid
         states = [PhaseState(x, y, 1.0, 0.3) for x, y in
-                  [chart.center, (chart.xs[2], chart.ys[2])]]
+                  [chart.center, (chart.xs[min(2, nx - 1)], chart.ys[min(2, ny - 1)])]]
         states += [PhaseState(x, y, -0.4, 1.0) for x, y in
-                   [chart.center, (chart.xs[-3], chart.ys[-3])]]
+                   [chart.center, (chart.xs[max(-3, -nx)], chart.ys[max(-3, -ny)])]]
         try:
             alpha, beta, resid, scale = fit_integral_combination(
                 pair.g, pair.gbar, pair.F, states)

@@ -4,9 +4,9 @@ eval_jet returns the value and all partial derivatives up to second order of
 an expression, computed exactly by the product/chain rules; eval_complex
 returns the value and the first two z-derivatives of a holomorphic
 expression.  Both compile the expression into straight-line Python code;
-jet_function, complex_function and value_function keep the compiled code
-for repeated evaluation, and kernel_function compiles several expressions,
-which may hold opaque Leaf fields, into one float function.
+jet_function and complex_function keep the compiled code for repeated
+evaluation, and kernel_function compiles several expressions, which may
+hold opaque Leaf fields, into one float function.
 """
 
 from __future__ import annotations
@@ -81,30 +81,6 @@ def complex_function(e: Expr):
                               render(e)) from None
 
     return jet
-
-
-def value_function(e: Expr):
-    """A function (x, y) -> eval_jet(e, x, y).v that computes no derivatives:
-    the jet's value code alone, so values are bit-identical.  Where a domain
-    check fails, arithmetic raises or an array value is not finite, it
-    returns the jet's value instead, so that errors and their messages are
-    the jet's own."""
-    fn, jet = _Compiled(e, "value"), jet_function(e)
-
-    def value(x, y):
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            with np.errstate(all="ignore"):
-                try:
-                    v = fn(True)(x, y)
-                except DomainError:
-                    return jet(x, y).v
-            return v if np.isfinite(v).all() else jet(x, y).v
-        try:
-            return fn(False)(x, y)
-        except (DomainError, ArithmeticError, ValueError):
-            return jet(x, y).v
-
-    return value
 
 
 def kernel_function(roots: tuple[Expr, ...], kind: str, where, stop=None):
@@ -308,7 +284,7 @@ class _Emitter:
         live = [s for jet in jets for s in jet if not _const(s)]
         if self.record:
             self.line(f"if _mark(None, 0, {', '.join(live)}): _raise(E, *B, {self.at})")
-        if self.grid and self.kind != "value":
+        if self.grid:
             for s in live:
                 self.taint(s)
         self.guard()

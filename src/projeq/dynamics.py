@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartExit, SingularMetric, StepFailure, ZeroVelocity
+from .errors import ChartExit, InvalidArgument, SingularMetric, StepFailure, ZeroVelocity
 from .expr import Jet2, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, christoffel_at, inverse, metric_at
@@ -125,12 +125,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState.from_array(self.states[i])
-
-    def final_state(self) -> PhaseState:
-        return self.state(len(self) - 1)
-
 
 def _flow(i11, i12, i22, px, py):
     """Hamilton's equations for H = 1/2 p g^{-1} p from the jets of g^{-1}:
@@ -176,8 +170,8 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     h0 = hamiltonian(g, s0)
     pscale = s0.px * s0.px + s0.py * s0.py
     if not allow_null and abs(h0) < 1e-12 * max(pscale, 1e-300):
-        raise ValueError("initial covector is (numerically) null; "
-                         "pass allow_null=True to integrate null geodesics")
+        raise InvalidArgument("initial covector is (numerically) null; "
+                              "pass allow_null=True to integrate null geodesics")
 
     y = s0.as_array()
     t = 0.0

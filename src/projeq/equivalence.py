@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, SignatureMismatch
+from .errors import DomainError, InvalidArgument, InvariantViolation, SignatureMismatch
 from .expr import parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, metric_at
@@ -212,7 +212,7 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
 
     if method == "sys":
         if nf is None:
-            raise ValueError("sys residuals require a null-form metric")
+            raise InvalidArgument("sys residuals require a null-form metric")
         r = _sys_from_jets(nf.f.on(chart), *F.on(chart)).max_normalized()
     elif method == "bracket":
         h_jets = hamiltonian_form(g).on(chart)
@@ -228,7 +228,7 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
             cnorm = 1.0 + abs(a2.v) + abs(b2.v) + abs(c2.v)
             r = np.max([abs(v) / (fnorm * cnorm) for v in vals], axis=0)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     overflow = chart.first_point(~np.isfinite(r))
     if overflow is not None:
         raise DomainError(f"{method} residual is not finite", point=overflow)
@@ -267,8 +267,11 @@ def triviality_check(F: QuadraticForm, g: Metric2,
         raise DomainError("inverse metric takes a non-finite value", point=overflow)
     fvals = np.stack([j.v for j in F_jets], axis=-1).ravel()
     hvals = h.ravel()
-    denom = float(hvals @ hvals)
-    lam = float(fvals @ hvals) / denom if denom > 0.0 else 0.0
-    dev = float(np.max(np.abs(fvals - lam * hvals)))
+    with np.errstate(all="ignore"):
+        denom = float(hvals @ hvals)
+        lam = float(fvals @ hvals) / denom if denom > 0.0 else 0.0
+        dev = float(np.max(np.abs(fvals - lam * hvals)))
+    if not np.isfinite(dev):
+        raise DomainError("triviality deviation is not finite")
     scale = float(np.max(np.abs(fvals)) + 1e-300)
     return TrivialityResult(dev <= tol * scale, lam, dev, tol)

@@ -5,6 +5,10 @@ class ProjEqError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(ProjEqError, ValueError):
+    """A library call got an argument outside what it accepts."""
+
+
 # --- expression language ---------------------------------------------------
 
 class ExprSyntaxError(ProjEqError):

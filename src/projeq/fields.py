@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NonMonotone
-from .codegen import jet_function, value_function
+from .codegen import jet_function
 from .codegen import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fields.eval_jet)
 from .expr import BinOp, Expr, Jet2, Leaf, Neg, Num, Var, diff
 
@@ -333,27 +333,27 @@ class Monotone1D:
 
 
 class ExprMap(Monotone1D):
-    """Map given by an expression in a single variable."""
+    """Map given by an expression in a single variable.  Its values (which
+    the root finder reads) and jets come from two compiled jet functions:
+    those of the expression and of its third derivative."""
 
     def __init__(self, e: Expr, var: str, tmin: float, tmax: float):
         super().__init__(tmin, tmax)
         self.expr = e
         self.var = var
         self._jet = jet_function(e)
-        self._d3 = value_function(diff(diff(diff(e, var), var), var))
-        self._value = value_function(e)
+        self._d3 = jet_function(diff(diff(diff(e, var), var), var))
         self.validate_monotone()
 
     def __call__(self, t):
-        # values only: root finding in inverse() calls this at every step
-        return self._value(t, 0.0) if self.var == "x" else self._value(0.0, t)
+        return (self._jet(t, 0.0) if self.var == "x" else self._jet(0.0, t)).v
 
     def fjet(self, t):
         if self.var == "x":
             j = self._jet(t, 0.0)
-            return (j.v, j.dx, j.dxx, self._d3(t, 0.0))
+            return (j.v, j.dx, j.dxx, self._d3(t, 0.0).v)
         j = self._jet(0.0, t)
-        return (j.v, j.dy, j.dyy, self._d3(0.0, t))
+        return (j.v, j.dy, j.dyy, self._d3(0.0, t).v)
 
 
 class LinearMap(Monotone1D):
@@ -449,6 +449,8 @@ class QuadratureMap(Monotone1D):
         # the knots are validate_monotone's samples: checking them suffices
         ts = np.linspace(tmin, tmax, _QUADRATURE_SAMPLES)
         jets = deriv_jet(ts)
+        if not all(np.isfinite(j).all() for j in jets):
+            raise DomainError("quadrature map derivative is not finite")
         if not np.all(np.broadcast_to(jets[0], ts.shape) > 0.0):
             raise NonMonotone("quadrature map derivative is not positive")
         self._fit = QuinticHermite(ts, *jets)

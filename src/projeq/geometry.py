@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, SingularMetric
+from .errors import DomainError, InvalidArgument, InvariantViolation, SingularMetric
 from .codegen import kernel_function
 from .expr import Jet2, parse, render
 from .fields import ScalarField
@@ -124,9 +124,10 @@ class Metric2:
         self.chart = chart
         self._kernels = {}
         self.values = (g11.on(chart).v, g12.on(chart).v, g22.on(chart).v)
-        self.det = determinant(*self.values)
+        with np.errstate(over="ignore", invalid="ignore"):    # _validate judges overflows
+            self.det = determinant(*self.values)
+            self.signature = self._validate()
         self.det.flags.writeable = False
-        self.signature = self._validate()
 
     @classmethod
     def from_exprs(cls, g11: str, g12: str, g22: str, chart: Chart) -> "Metric2":
@@ -136,6 +137,9 @@ class Metric2:
 
     def _validate(self):
         (a, b, c), det = self.values, self.det
+        overflow = self.chart.first_point(~np.isfinite(det))
+        if overflow is not None:
+            raise DomainError("det g is not finite", point=overflow)
         sing = singular(a, b, c, det)
         sig = _signature_code(a, c, det)
         bad = sing | (sig != sig.flat[0])
@@ -298,7 +302,7 @@ def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Classify a 2x2 matrix by its eigenstructure, with scale-relative
     tolerances.  Points too close to a case boundary come back 'ambiguous'."""
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument("tol must be positive")
     G = np.asarray(G, dtype=float)
     code, e0, e1 = _classify(G[0, 0], G[0, 1], G[1, 0], G[1, 1], tol)
     return _classification(int(code), float(e0), float(e1), tol)
@@ -331,7 +335,7 @@ def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) 
     keeps there (gbar is rebuilt on that chart if on another); report the
     modal case and the fraction of grid points agreeing with it."""
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument("tol must be positive")
     chart = g.chart
     if gbar.chart != chart:
         gbar = Metric2(gbar.g11, gbar.g12, gbar.g22, chart)

@@ -92,10 +92,11 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
         # the C library's pow for floats and arrays alike, so that both round
         # the same (as compiled expressions do, see codegen._Emitter.pw)
         power = np.float_power if isinstance(mag, np.ndarray) else pow
-        m15 = power(mag, -1.5)
-        d0 = power(mag, -0.5)
-        d1 = -0.5 * s * a1 * m15
-        d2 = -0.5 * s * a2 * m15 + 0.75 * a1 * a1 * power(mag, -2.5)
+        with np.errstate(all="ignore"):     # QuadratureMap rejects non-finite jets
+            m15 = power(mag, -1.5)
+            d0 = power(mag, -0.5)
+            d1 = -0.5 * s * a1 * m15
+            d2 = -0.5 * s * a2 * m15 + 0.75 * a1 * a1 * power(mag, -2.5)
         return (d0, d1, d2)
 
     return QuadratureMap(deriv_jet, base, lo, hi)

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from projeq import cli
 from projeq.cli import run
@@ -369,3 +373,99 @@ class TestNonFiniteNumbers:
         assert "config error: $." + path in captured.err
         assert "ok" not in captured.out
         assert not (tmp_path / "geodesic.csv").exists()
+
+
+# --- the exit-code contract over configs shaped by config.schema.json ----------------
+
+
+def _expressions(*variables):
+    """Expression strings over the variables, with literals whose values or
+    derivatives overflow, underflow or vanish."""
+    atoms = st.sampled_from([*variables, "0", "1", "2", "0.5", "-1", "1e300", "1e-300"])
+    return st.recursive(atoms, lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/^"), e).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), e).map(
+            lambda t: f"{t[0]}({t[1]})")), max_leaves=5)
+
+
+_exprs = _expressions("x", "y")
+_numbers = st.floats(-1.0, 1.0)
+_charts = st.builds(
+    lambda x, dx, y, dy, grid: {"x_range": [x, x + dx], "y_range": [y, y + dy], "grid": grid},
+    _numbers, st.floats(-0.2, 2.0), _numbers, st.floats(-0.2, 2.0),
+    st.lists(st.integers(2, 9), min_size=2, max_size=2))
+_metrics = st.one_of(st.fixed_dictionaries({"f": _exprs}),
+                     st.fixed_dictionaries({"g11": _exprs, "g12": _exprs, "g22": _exprs}))
+_integrals = st.fixed_dictionaries({"a": _exprs, "b": _exprs, "c": _exprs})
+_normal_forms = st.one_of(
+    st.fixed_dictionaries({"family": st.just("liouville"), "X": _exprs, "Y": _exprs,
+                           "sign": st.sampled_from(["+", "-"])}),
+    st.fixed_dictionaries({"family": st.just("complex_liouville"), "h": _expressions("z")}),
+    st.fixed_dictionaries({"family": st.just("jordan_block"), "Y": _exprs}),
+    st.fixed_dictionaries({"family": st.just("jordan_killing_free"), "Ytilde": _exprs}))
+_sections = {
+    "classify": {"metric_pair": st.fixed_dictionaries({"g": _metrics, "gbar": _metrics})},
+    "verify": {"metric": _metrics, "integral": _integrals},
+    "generate": {"normal_form": _normal_forms},
+    "rectify": {"metric": _metrics, "integral": _integrals},
+    "geodesic": {"metric": _metrics, "t_end": _numbers,
+                 "initial_state": st.lists(_numbers, min_size=4, max_size=4)},
+}
+_optional = {
+    "verify": {"method": st.sampled_from(["auto", "sys", "bracket", "newton"])},
+    "geodesic": {"allow_null": st.booleans(), "integral": _integrals},
+}
+_configs = st.sampled_from(sorted(_sections)).flatmap(lambda command: st.fixed_dictionaries(
+    {"command": st.just(command), "chart": _charts, **_sections[command]},
+    optional=_optional.get(command, {})))
+
+_CHART = {"x_range": [-0.4, 0.4], "y_range": [-0.5, 0.5]}
+_INTEGRAL = {"a": "1", "b": "0", "c": "0"}
+# configs that once raised out of run, with the exit codes they end in
+FORMER_TRACEBACKS = [
+    ({"command": "generate", "chart": {**_CHART, "grid": [2, 5]},
+      "normal_form": {"family": "jordan_block", "Y": "3/2 + y/10"}}, 0),
+    ({"command": "verify", "chart": _CHART, "method": "sys", "integral": _INTEGRAL,
+      "metric": {"g11": "2 + x", "g12": "0", "g22": "3 - y"}}, 2),
+    ({"command": "verify", "chart": _CHART, "method": "newton", "integral": _INTEGRAL,
+      "metric": {"f": "1 + x/10"}}, 2),
+    ({"command": "geodesic", "chart": _CHART, "initial_state": [0, 0, 1, 1], "t_end": 1.0,
+      "metric": {"g11": "1", "g12": "0", "g22": "-1"}}, 2),
+    ({"command": "rectify", "chart": _CHART, "integral": _INTEGRAL,
+      "metric": {"g11": "-1", "g12": "1e300", "g22": "1e300"}}, 2),
+]
+# configs whose arithmetic overflowed with a RuntimeWarning
+OVERFLOWS = [
+    {"command": "verify", "chart": {"x_range": [1e-05, 1.6], "y_range": [-0.3, 0.9],
+                                    "grid": [7, 2]},
+     "metric": {"f": "x^2"}, "integral": {"a": "1", "b": "1e300/2", "c": "log(0.5)"}},
+    {"command": "verify", "chart": {"x_range": [-0.5, -0.2], "y_range": [0.2, 1.2]},
+     "metric": {"g11": "0.5", "g12": "exp(1)", "g22": "1e300"},
+     "integral": {"a": "2", "b": "exp(1)", "c": "exp(1)"}},
+    {"command": "generate", "chart": {"x_range": [0, 0.7], "y_range": [-0.6, 1.1]},
+     "normal_form": {"family": "complex_liouville", "h": "1e300 - z"}},
+    {"command": "rectify", "chart": {"x_range": [-0.85, 0.86], "y_range": [1e-285, 0.999]},
+     "metric": {"f": "0.5"}, "integral": {"a": "-1e-300", "b": "-1e-300", "c": "-1e-300"}},
+]
+
+
+@pytest.mark.parametrize("cfg, code", FORMER_TRACEBACKS)
+def test_former_traceback_ends_in_its_exit_code(tmp_path, capsys, cfg, code):
+    assert run(write_config(tmp_path, cfg)) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_configs)
+def test_every_config_ends_in_an_exit_code(cfg):
+    """A config shaped by the schema ends in exit code 0, 1 or 2, whatever
+    its expressions evaluate to: nothing is raised out of run, and (as the
+    test suite turns RuntimeWarnings into errors) no NumPy overflow warns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run(path, quiet=True) in (0, 1, 2)
+
+
+for _cfg in [cfg for cfg, _ in FORMER_TRACEBACKS] + OVERFLOWS:
+    test_every_config_ends_in_an_exit_code = example(_cfg)(test_every_config_ends_in_an_exit_code)

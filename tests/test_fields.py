@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from projeq import codegen, fields
 from projeq.dynamics import QuadraticForm
 from projeq.errors import DomainError, NonMonotone
-from projeq.expr import Jet2, parse
+from projeq.expr import Jet2, diff, parse
 from projeq.fields import ExprMap, QuadratureMap, ScalarField
 from projeq.geometry import Chart
 from projeq.equivalence import NullFormMetric
@@ -131,24 +131,53 @@ def test_inverse_of_float_is_float():
     assert type(m.inverse(0.2)) is float
 
 
-def test_array_inverse_walks_no_jets(monkeypatch):
-    """Root finding evaluates the map's values only: inverting an array runs
-    no order-2 jet evaluation over the grid."""
+def test_array_inverse_runs_no_third_derivative(monkeypatch):
+    """Root finding reads the map's values off its jet code alone: inverting
+    an array runs no third-derivative code, and the map keeps t alone until
+    inverse_jets asks for the jets there."""
     m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
     vlo, vhi = m.range
+    us = np.linspace(vlo, vhi, 50)
     function = codegen._Compiled.__call__
-    walks = []
+    runs = []
 
     def counted(compiled, grid):
-        if compiled.kind == "jet" and grid:
-            walks.append(compiled.expr)
+        if grid:
+            runs.append(compiled.expr)
         return function(compiled, grid)
 
     monkeypatch.setattr(codegen._Compiled, "__call__", counted)
-    ts = m.inverse(np.linspace(vlo, vhi, 50))
-    assert walks == []
-    m.fjet(ts)                      # the counter does see jet evaluations
-    assert walks
+    ts = m.inverse(us)
+    assert runs and all(e is m.expr for e in runs)
+    entry = m._solved[fields._input_key(us)]
+    assert len(entry) == 1 and entry[0] is ts
+    del runs[:]
+    assert m.inverse_jets(us)[0] is ts
+    assert any(e is not m.expr for e in runs)   # the counter does see the third derivative
+    assert len(entry) == 4
+
+
+@pytest.mark.parametrize("text", ["x + 0.1*x^2 - 0.03*x^3", "exp(x/2) + x/4", "y + sin(y)/3"])
+def test_expr_map_reads_its_jet_code_alone(text, monkeypatch):
+    """An ExprMap compiles jet code only, and its values and forward jets are
+    the slots of eval_jet of its expression and the value of eval_jet of
+    its third derivative, bit for bit, on floats and on arrays."""
+    kinds = []
+    function = codegen._Compiled.__call__
+    monkeypatch.setattr(codegen._Compiled, "__call__",
+                        lambda self, grid: kinds.append(self.kind) or function(self, grid))
+    var = "y" if "y" in text else "x"
+    e = parse(text, variables=(var,))
+    m = ExprMap(e, var, -0.5, 0.5)
+    d3 = diff(diff(diff(e, var), var), var)
+    d, dd = ("dx", "dxx") if var == "x" else ("dy", "dyy")
+    for t in (0.3, -0.5, np.linspace(-0.5, 0.5, 9)):
+        at = (t, 0.0) if var == "x" else (0.0, t)
+        j = codegen.eval_jet(e, *at)
+        expected = (j.v, getattr(j, d), getattr(j, dd), codegen.eval_jet(d3, *at).v)
+        assert same_bits(m(t), j.v)
+        assert all(same_bits(a, b) for a, b in zip(m.fjet(t), expected, strict=True))
+    assert kinds and set(kinds) == {"jet"}
 
 
 def test_inverse_map_value_needs_no_jets(monkeypatch):

@@ -225,9 +225,9 @@ def test_grid_jets_agree_with_scalar_jets(e):
             assert g == pytest.approx(getattr(j, s), rel=1e-9, abs=1e-9), (s, px, py)
 
 
-# how eval_jet reports a derivative slot that fails where the value does not
-DERIVATIVE_FAILURES = {True: ("non-finite value",),
-                       False: ("numerical overflow", "division by zero")}
+# how eval_jet reports, on floats, a derivative slot that fails where the
+# value does not
+DERIVATIVE_FAILURES = ("numerical overflow", "division by zero")
 # GRID_CHART's coordinates are round enough that numpy's ** agrees with pow
 # on them; these are not
 IRREGULAR_MESH = (GRID_CHART.mesh[0] * (math.pi / 3.0), GRID_CHART.mesh[1] * (math.e / 3.0))
@@ -254,23 +254,21 @@ def _outcome(f, *args):
 @example(Call("abs", BinOp("-", Y, Y)))
 @example(BinOp("^", X, Y))
 def test_value_path_is_the_jets_value(e):
-    """value_function(e) is eval_jet(e, ...).v bit for bit wherever eval_jet
-    succeeds, on arrays and on floats, and raises eval_jet's own error
-    wherever it raises at all.  It may succeed where eval_jet fails only
-    when a derivative slot alone overflows or divides by zero; every domain
-    predicate fails both, and on arrays a value it returns is finite."""
-    value = pq.value_function(e)
-    for args in [GRID_CHART.mesh, IRREGULAR_MESH, *list(GRID_CHART.points())[::5]]:
+    """The float value kernel, which Metric2's pointwise reads run, is
+    eval_jet(e, ...).v bit for bit wherever eval_jet succeeds, and eval_jet
+    raises wherever the kernel raises.  The kernel may succeed where
+    eval_jet fails only when a derivative slot alone overflows or divides
+    by zero."""
+    value = codegen.kernel_function((e,), "value", lambda: "the test")
+    for args in list(GRID_CHART.points())[::5]:
         jets, jet_error = _outcome(lambda x, y: pq.eval_jet(e, x, y).v, *args)
-        values, value_error = _outcome(value, *args)
+        values, value_error = _outcome(lambda x, y: value(x, y)[0], *args)
         if jet_error is None:
             assert values == jets, args
         elif value_error is None:
-            on_arrays = isinstance(args[0], np.ndarray)
-            assert jet_error[1].startswith(DERIVATIVE_FAILURES[on_arrays]), (jet_error, args)
-            assert not on_arrays or np.isfinite(np.frombuffer(values)).all()
+            assert jet_error[1].startswith(DERIVATIVE_FAILURES), (jet_error, args)
         if value_error is not None:
-            assert value_error == jet_error, args
+            assert jet_error is not None, (value_error, args)
 
 
 # --- compiled code against the reference walkers ------------------------------------
@@ -388,7 +386,7 @@ def test_emitter_rejects_foreign_nodes(node, monkeypatch):
     for e in (node, BinOp("+", X, node), Neg(Call("log", node))):
         for evaluate in (lambda: pq.eval_jet(e, 1.0, 2.0),
                          lambda: pq.eval_jet(e, *GRID_CHART.mesh),
-                         lambda: pq.value_function(e)(1.0, 2.0),
+                         lambda: codegen.kernel_function((e,), "value", str)(1.0, 2.0),
                          lambda: pq.eval_complex(e, 1j)):
             with pytest.raises(TypeError):
                 evaluate()
