@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ChartExit, InvalidArgument, SingularMetric, StepFailure, ZeroVelocity
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, christoffel_at, inverse, metric_at
+from .geometry import Chart, Metric2, christoffel_at, inverse
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
 MAX_STEPS = 1_000_000
@@ -23,13 +23,6 @@ class PhaseState:
     y: float
     px: float
     py: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.px, self.py])
-
-    @classmethod
-    def from_array(cls, a) -> "PhaseState":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
 @dataclass
@@ -66,8 +59,7 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
-    m, det, _ = metric_at(g, s.x, s.y)
-    gxx, gxy, gyy = inverse(m[0, 0], m[0, 1], m[1, 1], det)
+    gxx, gxy, gyy = inverse(*g.checked_entries_at(s.x, s.y))
     return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
 
 
@@ -136,25 +128,43 @@ def _flow(i11, i12, i22, px, py):
     return vx, vy, dpx, dpy
 
 
-def _hamilton_rhs(g: Metric2, y: np.ndarray) -> np.ndarray:
-    x, yy, px, py = y.tolist()      # floats: the kernels' arithmetic is faster on them
-    return np.array(_flow(*g.inverse_jets_at(x, yy), px, py))
+# Dormand-Prince 5(4) tableau (FSAL).  The flow is autonomous, so the
+# stage times c_i are never read.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-# Dormand-Prince 5(4) tableau (FSAL)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+def _advance(y, h, row, ks):
+    """y + h * (row[0] ks[0] + row[1] ks[1] + ...) componentwise, each sum
+    taken left to right in tableau order (builtin sum would compensate on
+    Python >= 3.12, and a BLAS dot product picks its own order)."""
+    terms = zip(row, ks)
+    r, (k0, k1, k2, k3) = next(terms)
+    s0, s1, s2, s3 = r * k0, r * k1, r * k2, r * k3
+    for r, (k0, k1, k2, k3) in terms:
+        s0 += r * k0
+        s1 += r * k1
+        s2 += r * k2
+        s3 += r * k3
+    y0, y1, y2, y3 = y
+    return y0 + h * s0, y1 + h * s1, y2 + h * s2, y3 + h * s3
+
+
+def _error_norm(y5, y4, tol):
+    """RMS over the four components of (y5 - y4) / (tol (1 + |y5|))."""
+    total = 0.0
+    for a, b in zip(y5, y4):
+        e = (a - b) / (tol * (1.0 + abs(a)))
+        total += e * e
+    return math.sqrt(total / 4.0)
 
 
 def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
@@ -163,7 +173,8 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
                        allow_null: bool = False,
                        max_steps: int = MAX_STEPS) -> Trajectory:
     """Integrate Hamilton's equations with an embedded RK 4/5 pair and PI
-    step-size control, sampling at every accepted step."""
+    step-size control, sampling at every accepted step.  A step runs on
+    Python floats: the state and the stage slopes are 4-tuples."""
     integrals = integrals or {}
     if not g.chart.contains(s0.x, s0.y):
         raise ChartExit(0.0, s0)
@@ -173,47 +184,47 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
         raise InvalidArgument("initial covector is (numerically) null; "
                               "pass allow_null=True to integrate null geodesics")
 
-    y = s0.as_array()
+    jets = g.inverse_jets_at
+
+    def rhs(x, y, px, py):
+        return _flow(*jets(x, y), px, py)
+
+    y = (float(s0.x), float(s0.y), float(s0.px), float(s0.py))
     t = 0.0
     ts = [0.0]
-    ys = [y.copy()]
-    k_first = _hamilton_rhs(g, y)
+    ys = [y]
+    k_first = rhs(*y)
     # conservative initial step from the RHS magnitude
-    h = min(abs(t_end), max(1e-6, 0.01 / (np.max(np.abs(k_first)) + 1.0)))
+    h = min(abs(t_end), max(1e-6, 0.01 / (max(map(abs, k_first)) + 1.0)))
     direction = 1.0 if t_end >= 0.0 else -1.0
     h *= direction
     err_prev = 1.0
     steps = 0
-    ks = np.empty((7, 4))
-    ks[0] = k_first
 
     while (t_end - t) * direction > 0.0:
         if steps >= max_steps:
             raise StepFailure(f"exceeded the budget of {max_steps} steps")
         if (t + h - t_end) * direction > 0.0:
             h = t_end - t
+        ks = [k_first]
         try:
-            for i in range(1, 7):
-                yi = y + h * sum(_DP_A[i][j] * ks[j] for j in range(i))
-                ks[i] = _hamilton_rhs(g, yi)
+            for row in _DP_A:
+                ks.append(rhs(*_advance(y, h, row, ks)))
         except (SingularMetric, ZeroDivisionError):
             h *= 0.5
             if abs(h) < 1e-14 * max(abs(t_end), 1.0):
                 raise StepFailure("step size underflow near a metric singularity")
             continue
-        y5 = y + h * (_DP_B5 @ ks)
-        y4 = y + h * (_DP_B4 @ ks)
-        scale = tol * (1.0 + np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        y5 = _advance(y, h, _DP_B5, ks)
+        err = _error_norm(y5, _advance(y, h, _DP_B4, ks), tol)
         if err <= 1.0:
             t += h
             y = y5
             if not g.chart.contains(y[0], y[1]):
-                raise ChartExit(t, PhaseState.from_array(y),
-                                _build_trajectory(g, ts, ys, integrals))
+                raise ChartExit(t, PhaseState(*y), _build_trajectory(g, ts, ys, integrals))
             ts.append(t)
-            ys.append(y.copy())
-            ks[0] = ks[6]  # FSAL
+            ys.append(y)
+            k_first = ks[6]  # FSAL
             fac = 0.9 * (err + 1e-16) ** -0.14 * (err_prev + 1e-16) ** 0.08
             err_prev = err
             steps += 1
@@ -222,20 +233,16 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
         h *= min(5.0, max(0.2, fac))
         if abs(h) < 1e-14 * max(abs(t_end), 1.0):
             raise StepFailure("step size underflow")
-        if err > 1.0:
-            ks[0] = _hamilton_rhs(g, y)
 
     return _build_trajectory(g, ts, ys, integrals)
 
 
 def _build_trajectory(g, ts, ys, integrals):
-    times = np.array(ts)
-    states = np.array(ys)
-    hs = np.array([hamiltonian(g, PhaseState.from_array(s)) for s in states])
-    logs = {}
-    for name, F in integrals.items():
-        logs[name] = np.array([quadratic_value(F, PhaseState.from_array(s)) for s in states])
-    return Trajectory(g, times, states, hs, logs)
+    samples = [PhaseState(*s) for s in ys]
+    hs = np.array([hamiltonian(g, s) for s in samples])
+    logs = {name: np.array([quadratic_value(F, s) for s in samples])
+            for name, F in integrals.items()}
+    return Trajectory(g, np.array(ts), np.array(ys), hs, logs)
 
 
 def projective_residual(g: Metric2, traj: Trajectory) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError, InvalidArgument, InvariantViolation, SignatureMismatch
 from .expr import parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, metric_at
+from .geometry import Chart, Metric2
 from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
     hamiltonian_form, poisson_bracket, quadratic_value  # noqa: F401 (importable from here)
 
@@ -64,26 +64,26 @@ def null_form_of(g: Metric2) -> NullFormMetric | None:
 def projective_integral_I(g: Metric2, gbar: Metric2, x: float, y: float,
                           xi: tuple[float, float]) -> float:
     """I(xi) = gbar(xi, xi) * (det g / det gbar)^(2/3), real cube root."""
-    return _integral_I(metric_at(g, x, y)[1], gbar, x, y, xi)
+    return _integral_I(g.checked_entries_at(x, y)[3], gbar, x, y, xi)
 
 
 def _integral_I(det_g: float, gbar: Metric2, x: float, y: float, xi) -> float:
     """projective_integral_I from the determinant of g at (x, y)."""
-    mbar, det_gbar, _ = metric_at(gbar, x, y)
+    a, b, c, det_gbar = gbar.checked_entries_at(x, y)
     ratio = det_g / det_gbar
     if ratio <= 0.0:
         raise SignatureMismatch(
             f"det ratio {ratio:.3e} <= 0 at ({x:.4g}, {y:.4g}); signatures differ")
     vx, vy = xi
-    quad = mbar[0, 0] * vx * vx + 2.0 * mbar[0, 1] * vx * vy + mbar[1, 1] * vy * vy
+    quad = a * vx * vx + 2.0 * b * vx * vy + c * vy * vy
     return quad * ratio ** (2.0 / 3.0)
 
 
 def projective_integral_momentum(g: Metric2, gbar: Metric2, s: PhaseState) -> float:
     """I evaluated on the velocity xi = g^{-1} p of a phase-space state."""
-    m, det, _ = metric_at(g, s.x, s.y)
-    vx = (m[1, 1] * s.px - m[0, 1] * s.py) / det
-    vy = (-m[0, 1] * s.px + m[0, 0] * s.py) / det
+    a, b, c, det = g.checked_entries_at(s.x, s.y)
+    vx = (c * s.px - b * s.py) / det
+    vy = (-b * s.px + a * s.py) / det
     return _integral_I(det, gbar, s.x, s.y, (vx, vy))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,13 +92,35 @@ def inverse(a, b, c, det):
     return c / det, -b / det, a / det
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def singular(a, b, c, det):
     """The one singular-metric test: |det g| negligible against the squared
     entries a^2 + 2 b^2 + c^2.  On floats max() does what np.maximum does,
-    NaN included, without making arrays."""
+    NaN included, without making arrays.  Where that sum overflows, the test
+    is taken on the entries divided by the largest of them."""
     norm2 = a * a + 2.0 * b * b + c * c
-    floor = np.maximum(norm2, 1e-300) if isinstance(norm2, np.ndarray) else max(norm2, 1e-300)
-    return abs(det) < 1e-12 * floor
+    if isinstance(norm2, np.ndarray):
+        sing = abs(det) < 1e-12 * np.maximum(norm2, 1e-300)
+        over = norm2 == math.inf
+        if over.any():
+            a, b, c, det = (np.broadcast_to(v, over.shape)[over] for v in (a, b, c, det))
+            sing[over] = _singular_rescaled(a, b, c, det, np.maximum(np.maximum(abs(a), abs(b)),
+                                                                     abs(c)))
+        return sing
+    if norm2 == math.inf:
+        return _singular_rescaled(a, b, c, det, max(abs(a), abs(b), abs(c)))
+    return abs(det) < 1e-12 * max(norm2, 1e-300)
+
+
+def _singular_rescaled(a, b, c, det, m):
+    """singular() with every term divided by m^2, m the largest |entry|.  m
+    is capped at the largest float, so an infinite entry is judged as it
+    would be without the rescaling."""
+    m = np.minimum(m, _FLOAT_MAX) if isinstance(m, np.ndarray) else min(m, _FLOAT_MAX)
+    a, b, c = a / m, b / m, c / m
+    return abs(det) / m / m < 1e-12 * (a * a + 2.0 * b * b + c * c)
 
 
 def _signature_code(a, c, det):
@@ -178,6 +201,14 @@ class Metric2:
         a, b, c = self._kernel("value")(x, y)
         return a, b, c, determinant(a, b, c)
 
+    def checked_entries_at(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """g11, g12, g22 and det g at a point, as floats; raises
+        SingularMetric where the metric is singular()."""
+        a, b, c, det = entries = self._entries_at(x, y)
+        if singular(a, b, c, det):
+            raise SingularMetric(x, y, det)
+        return entries
+
     def values_at(self, x: float, y: float):
         """(2x2 matrix, det g, signature) at a point, unchecked."""
         return _matrix(*self._entries_at(x, y))
@@ -216,10 +247,7 @@ def _matrix(a: float, b: float, c: float, det: float):
 
 def metric_at(g: Metric2, x: float, y: float):
     """(2x2 matrix, det, signature) with a singularity check."""
-    a, b, c, det = entries = g._entries_at(x, y)
-    if singular(a, b, c, det):
-        raise SingularMetric(x, y, det)
-    return _matrix(*entries)
+    return _matrix(*g.checked_entries_at(x, y))
 
 
 def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:

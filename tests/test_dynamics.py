@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 import projeq as pq
-from projeq.dynamics import hamiltonian_form, quadratic_value
+from projeq.dynamics import _DP_A, _DP_B4, _DP_B5, _advance, hamiltonian_form, quadratic_value
 from projeq.errors import ChartExit, StepFailure
 
 UNIT = pq.Chart((-2.0, 2.0), (-2.0, 2.0), (5, 5))
@@ -68,6 +70,37 @@ class TestPoissonBracket:
         assert pq.poisson_bracket(F, G, s) == pytest.approx(pb_fd(), rel=1e-6, abs=1e-6)
 
 
+def assert_samples(traj, direction):
+    """float64 (n, 4) states and float64 times that run strictly one way
+    from 0."""
+    n = len(traj)
+    assert traj.states.dtype == np.float64 and traj.states.shape == (n, 4)
+    assert traj.times.dtype == np.float64 and traj.times.shape == (n,)
+    assert traj.times[0] == 0.0
+    assert np.all(np.diff(traj.times) * direction > 0.0)
+    assert traj.hamiltonian_values.shape == (n,)
+
+
+def test_stage_sums_run_left_to_right_in_tableau_order():
+    """Each stage and both final combinations are summed term by term in
+    tableau order, so a trajectory's bits follow neither the BLAS kernel
+    nor the Python version (builtin sum compensates from 3.12 on)."""
+    rng = random.Random(7)
+    for row in (*_DP_A, _DP_B5, _DP_B4):
+        for _ in range(200):
+            ks = [tuple(rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(4))
+                  for _ in row]
+            y = tuple(rng.uniform(-1, 1) for _ in range(4))
+            h = rng.uniform(-0.1, 0.1)
+            want = []
+            for c in range(4):
+                acc = row[0] * ks[0][c]
+                for r, k in zip(row[1:], ks[1:]):
+                    acc = acc + r * k[c]
+                want.append(y[c] + h * acc)
+            assert _advance(y, h, row, ks) == tuple(want)
+
+
 class TestIntegrator:
     def test_flat_flow_is_straight(self):
         traj = pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), 1.0)
@@ -93,10 +126,27 @@ class TestIntegrator:
         assert ei.value.state.x > 2.0
         assert 0.0 < ei.value.t <= 1.0
         assert ei.value.trajectory is not None
+        assert_samples(ei.value.trajectory, 1.0)
+        assert ei.value.trajectory.times[-1] < ei.value.t
 
     def test_backward_time(self):
         traj = pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), -1.0)
         assert traj.states[-1][0] == pytest.approx(-1.0, abs=1e-9)
+        assert_samples(traj, -1.0)
+        assert traj.times[-1] == -1.0
+
+    def test_step_underflow_near_a_singularity(self):
+        # det g = (x - 0.05)^2 vanishes between grid points, so the metric
+        # builds; the geodesic runs into x = 0.05, where every stage that
+        # lands close enough is singular and the step is halved away
+        g = pq.Metric2.from_exprs("(x - 0.05)^2", "0", "1",
+                                  pq.Chart((-1, 1), (-1, 1), (5, 5)))
+        with pytest.raises(StepFailure, match="^step size underflow near a metric singularity$"):
+            pq.integrate_geodesic(g, pq.PhaseState(-0.5, 0, 0.01, 0), 50.0)
+
+    def test_step_budget(self):
+        with pytest.raises(StepFailure, match="^exceeded the budget of 3 steps$"):
+            pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), 1.0, max_steps=3)
 
     def test_null_covector_rejected(self):
         nf = pq.NullFormMetric.from_expr("2", UNIT)

@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import projeq as pq
 from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
 from projeq.expr import Leaf
-from projeq.geometry import christoffel_at, classify_at, g_tensor_at, metric_at
+from projeq.geometry import christoffel_at, classify_at, g_tensor_at, metric_at, singular
 
 from conftest import assert_classified_pointwise
 
@@ -137,6 +138,29 @@ class TestMetric2:
     def test_singular_rejected(self):
         with pytest.raises(SingularMetric):
             pq.Metric2.from_exprs("x", "0", "1", UNIT)  # det -> 0 at x = 0
+
+    def test_singular_where_the_squared_entries_overflow(self):
+        # a^2 + 2 b^2 + c^2 overflows once an entry passes about 1.3e154;
+        # the test then runs on the entries divided by the largest one
+        g = pq.Metric2.from_exprs("1e155", "0", "-1e150", UNIT)   # |det| / a^2 = 1e-5
+        assert g.signature == ("+", "-")
+        g = pq.Metric2.from_exprs("1e155", "0", "1e150", UNIT)
+        assert g.signature == ("+", "+")
+        assert g.inverse_jets_at(0.3, 0.4)[0].v == 1e-155
+        assert pq.hamiltonian(g, pq.PhaseState(0.3, 0.4, 1e80, 0.0)) == 0.5e5
+        assert not singular(1e155, 0.0, 1e150, 1e305)
+        with pytest.raises(SingularMetric):
+            pq.Metric2.from_exprs("1e150", "1e150", "1e150", UNIT)   # det = 0
+        # |det| = 5e299 is still negligible against c^2 = 1e600
+        with pytest.raises(SingularMetric) as ei:
+            pq.Metric2.from_exprs("0.5", "exp(1)", "1e300", UNIT)
+        assert ei.value.det == 0.5 * 1e300 - math.e * math.e
+        assert singular(0.5, math.e, 1e300, 0.5 * 1e300 - math.e * math.e)
+        # NaN and infinite entries are judged as before
+        nan, inf = math.nan, math.inf
+        assert not singular(nan, 0.0, 1.0, nan)
+        assert not singular(np.array([nan]), 0.0, 1.0, np.array([nan]))[0]
+        assert singular(inf, 0.0, 1.0, 1.0) == singular(np.array([inf]), 0.0, 1.0, 1.0)[0]
 
     def test_signature_change_rejected(self):
         chart = pq.Chart((0.5, 2.0), (0.0, 1.0), (7, 3))
