@@ -225,8 +225,10 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
             ts.append(t)
             ys.append(y)
             k_first = ks[6]  # FSAL
-            fac = 0.9 * (err + 1e-16) ** -0.14 * (err_prev + 1e-16) ** 0.08
-            err_prev = err
+            fac = 0.9 * (err + 1e-16) ** -0.14 * err_prev ** 0.08
+            # floored as in Hairer's DOPRI5, so that an error of 0 does not
+            # shrink the step after it
+            err_prev = max(err, 1e-4)
             steps += 1
         else:
             fac = max(0.2, 0.9 * err ** -0.2)

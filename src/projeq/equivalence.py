@@ -122,14 +122,18 @@ class SysResiduals:
                 self.r3 / self.norm, self.r4 / self.norm)
 
     def max_normalized(self) -> float:
-        """max |r_i| / norm; an array when the residuals are grid arrays."""
+        """max |r_i| / norm; an array when the residuals are grid arrays.
+        Where the normalizer overflowed it is inf, not the 0 that dividing
+        by it gives, so that no check passes on it."""
         r1, r2, r3, r4 = (abs(v) for v in self.normalized())
-        return np.maximum(np.maximum(r1, r2), np.maximum(r3, r4))
+        worst = np.maximum(np.maximum(r1, r2), np.maximum(r3, r4))
+        return np.where(self.norm == np.inf, np.inf, worst)[()]
 
 
 def _sys_norm(fj, aj, bj, cj):
-    return ((1.0 + abs(fj.v) + abs(fj.dx) + abs(fj.dy))
-            * (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v)))
+    with np.errstate(over="ignore"):        # max_normalized() reports an overflow
+        return ((1.0 + abs(fj.v) + abs(fj.dx) + abs(fj.dy))
+                * (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v)))
 
 
 def _sys_from_jets(fj, aj, bj, cj) -> SysResiduals:

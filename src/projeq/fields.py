@@ -5,7 +5,10 @@ arithmetic, so that derived coefficients (inverse-metric entries, pulled-back
 integrals, ...) keep exact derivatives.  Next to the function it carries the
 field as an expression, which arithmetic extends node by node and in which
 a field known only by its function is an opaque Leaf; Metric2 compiles the
-expressions of its entries into one kernel for its pointwise reads.
+expressions of its entries into one kernel for its pointwise reads.  A field
+keeps its last grid sweep, and a field made by + - * / records its operation
+and operands, so that its sweep reads the sweeps its operands keep rather
+than evaluating them again; the fields in between keep nothing.
 
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
@@ -22,11 +25,12 @@ reads the Liouville functions through it.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NonMonotone
+from .errors import DomainError, InvalidArgument, NonMonotone
 from .codegen import jet_function
 from .codegen import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fields.eval_jet)
 from .expr import BinOp, Expr, Jet2, Leaf, Neg, Num, Var, diff
@@ -90,14 +94,16 @@ class ScalarField:
     constructor below keeps that, so a field can be evaluated point by point
     (jet, __call__) or over a whole chart at once (on).  `expr` is the same
     field as an expression; without one given it is a Leaf calling the
-    function."""
+    function.  A field made by + - * / records its operation and operands,
+    so that a sweep reads the operands' kept sweeps (_grid)."""
 
-    __slots__ = ("_jet", "expr", "_swept")
+    __slots__ = ("_jet", "expr", "_swept", "_op")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
         self.expr = Leaf(jet_fn) if expr is None else expr
-        self._swept = None          # (chart, Jet2) of the last sweep
+        self._swept = None          # (chart, checked Jet2, _grid's Jet2) of the last sweep
+        self._op = None             # (Jet2 operation, operands) of an arithmetic field
 
     def jet(self, x: float, y: float) -> Jet2:
         return self._jet(x, y)
@@ -116,10 +122,10 @@ class ScalarField:
         kept = self._swept
         if kept is not None and kept[0] == chart:
             return kept[1]
-        x, y = chart.mesh
+        shape = chart.mesh[0].shape
         with np.errstate(all="ignore"):
-            j = self._jet(x, y)
-        slots = [np.broadcast_to(np.asarray(getattr(j, s), dtype=float), x.shape)
+            j = self._grid(chart)
+        slots = [np.broadcast_to(np.asarray(getattr(j, s), dtype=float), shape)
                  for s in _SLOTS]
         bad = ~np.isfinite(slots[0])
         for s in slots[1:]:
@@ -128,8 +134,23 @@ class ScalarField:
             raise DomainError("field takes a non-finite value (overflow or division "
                               "by zero)", point=chart.first_point(bad))
         jets = Jet2(*slots)
-        self._swept = (chart, jets)
+        self._swept = (chart, jets, j)
         return jets
+
+    def _grid(self, chart) -> Jet2:
+        """self._jet(*chart.mesh), unchecked and kept nowhere: the kept sweep
+        on the chart as the function returned it, if there is one; else an
+        arithmetic field's operation on its operands' _grid; else the
+        function on the mesh.  A kept sweep is what the function returned,
+        so this runs the closures' operations on the same values and raises
+        or turns non-finite at the same points."""
+        kept = self._swept
+        if kept is not None and kept[0] == chart:
+            return kept[2]
+        if self._op is None:
+            return self._jet(*chart.mesh)
+        op, operands = self._op
+        return op(*[o._grid(chart) for o in operands])
 
     # constructors -----------------------------------------------------------
     @classmethod
@@ -149,43 +170,31 @@ class ScalarField:
             return cls(lambda x, y: Jet2(y, 0.0, 1.0), Var("y"))
         raise ValueError(name)
 
-    # arithmetic: the closure for on() and jet(), the expression for kernels ------
+    # arithmetic: one record for the closure, the grid route and the expression --
     def __add__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) + o._jet(x, y),
-                           BinOp("+", self.expr, o.expr))
+        return _arithmetic("+", self, _as_field(o))
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) - o._jet(x, y),
-                           BinOp("-", self.expr, o.expr))
+        return _arithmetic("-", self, _as_field(o))
 
     def __rsub__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: o._jet(x, y) - self._jet(x, y),
-                           BinOp("-", o.expr, self.expr))
+        return _arithmetic("-", _as_field(o), self)
 
     def __neg__(self):
-        return ScalarField(lambda x, y: -self._jet(x, y), Neg(self.expr))
+        return _arithmetic("-", self)
 
     def __mul__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) * o._jet(x, y),
-                           BinOp("*", self.expr, o.expr))
+        return _arithmetic("*", self, _as_field(o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: self._jet(x, y) / o._jet(x, y),
-                           BinOp("/", self.expr, o.expr))
+        return _arithmetic("/", self, _as_field(o))
 
     def __rtruediv__(self, o):
-        o = _as_field(o)
-        return ScalarField(lambda x, y: o._jet(x, y) / self._jet(x, y),
-                           BinOp("/", o.expr, self.expr))
+        return _arithmetic("/", _as_field(o), self)
 
     # composition ----------------------------------------------------------------
     def compose_linear(self, m: np.ndarray, shift=(0.0, 0.0)) -> "ScalarField":
@@ -247,6 +256,25 @@ def _as_field(o):
     if isinstance(o, ScalarField):
         return o
     return ScalarField.constant(float(o))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _arithmetic(symbol: str, *operands: ScalarField) -> ScalarField:
+    """The field symbol(*operands), with '-' of one operand its negation.
+    The field records (Jet2 operation, operands): its closure applies the
+    operation to the operands' pointwise jets and _grid to their grids."""
+    if len(operands) == 1:
+        (u,) = operands
+        op, expr = operator.neg, Neg(u.expr)
+        field = ScalarField(lambda x, y: -u._jet(x, y), expr)
+    else:
+        u, w = operands
+        op, expr = _BINARY[symbol], BinOp(symbol, u.expr, w.expr)
+        field = ScalarField(lambda x, y: op(u._jet(x, y), w._jet(x, y)), expr)
+    field._op = (op, operands)
+    return field
 
 
 # --- monotone 1D coordinate maps -----------------------------------------------
@@ -448,6 +476,9 @@ class QuadratureMap(Monotone1D):
         self._deriv_jet = deriv_jet
         # the knots are validate_monotone's samples: checking them suffices
         ts = np.linspace(tmin, tmax, _QUADRATURE_SAMPLES)
+        if not np.all(np.diff(ts) > 0.0):
+            raise InvalidArgument(f"range [{tmin!r}, {tmax!r}] is too narrow for "
+                                  f"{_QUADRATURE_SAMPLES} distinct quadrature knots")
         jets = deriv_jet(ts)
         if not all(np.isfinite(j).all() for j in jets):
             raise DomainError("quadrature map derivative is not finite")

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral, NotAxisAligned,
-                     NotCase1, NotCase3, NotHolomorphic, RectifyError, SignatureMismatch,
-                     TrivialIntegral, YhatVanishes)
+from .errors import (AmbiguousCase, CoefficientVanishes, DomainError, NotAnIntegral,
+                     NotAxisAligned, NotCase1, NotCase3, NotHolomorphic, RectifyError,
+                     SignatureMismatch, TrivialIntegral, YhatVanishes)
 from .expr import Expr, parse
 from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite,
                      ScalarField, _where)
@@ -522,6 +522,9 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     chart = nf.chart
     aj, bj, cj = F.on(chart)
     r = _sys_from_jets(nf.f.on(chart), aj, bj, cj).max_normalized()
+    overflow = chart.first_point(~np.isfinite(r))
+    if overflow is not None:
+        raise DomainError("sys residual is not finite", point=overflow)
     i = int(np.argmax(r))
     worst_sys = float(r.flat[i])
     if worst_sys > sys_tol:

@@ -6,11 +6,18 @@ the same parameters and the suites stay deterministic.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import projeq as pq
 from projeq.geometry import TAGS
+
+# HYPOTHESIS_PROFILE=ci: a failing property prints the blob that reproduces it
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SEED = 20240817
 N_PER_FAMILY = 20

@@ -446,6 +446,13 @@ OVERFLOWS = [
      "normal_form": {"family": "complex_liouville", "h": "1e300 - z"}},
     {"command": "rectify", "chart": {"x_range": [-0.85, 0.86], "y_range": [1e-285, 0.999]},
      "metric": {"f": "0.5"}, "integral": {"a": "-1e-300", "b": "-1e-300", "c": "-1e-300"}},
+    # the sys normalizer (1 + |f| + ...)(1 + ... + |c|) overflows
+    {"command": "rectify", "chart": {"x_range": [0.0, 1.0], "y_range": [0.0, 1.0], "grid": [2, 2]},
+     "metric": {"f": "sqrt(1e300)"}, "integral": {"a": "x", "b": "x", "c": "1e300"}},
+    # a y range one float wide: the quadrature knots of the BK map coincide
+    {"command": "rectify",
+     "chart": {"x_range": [0.0, 1.0], "y_range": [0.5, 0.5000000000000001], "grid": [2, 2]},
+     "metric": {"f": "1"}, "integral": {"a": "x", "b": "x", "c": "1e300"}},
 ]
 
 

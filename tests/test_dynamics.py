@@ -129,6 +129,18 @@ class TestIntegrator:
         assert_samples(ei.value.trajectory, 1.0)
         assert ei.value.trajectory.times[-1] < ei.value.t
 
+    def test_an_exact_step_does_not_shrink_the_next(self):
+        """The PI controller floors the previous error at 1e-4, as Hairer's
+        DOPRI5 does.  On the flat chart-exit case the first two steps have
+        error 0 and grow by the 5.0 cap; the third has error 1.1e-7, and the
+        step after it grows by 0.9 err^-0.14 1e-4^0.08 = 4.05, where a floor
+        of 1e-16 made that factor 0.44."""
+        with pytest.raises(ChartExit) as ei:
+            pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 4.0, 0.0), 1.0)
+        h = np.diff(ei.value.trajectory.times)
+        assert (h[1:] / h[:-1]).tolist() == pytest.approx([5.0, 5.0, 4.0531], rel=1e-4)
+        assert ei.value.t == 1.0
+
     def test_backward_time(self):
         traj = pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), -1.0)
         assert traj.states[-1][0] == pytest.approx(-1.0, abs=1e-9)

@@ -133,6 +133,19 @@ class TestVerifyIntegral:
         assert rep.passed
 
 
+    def test_overflowing_normalizer_is_not_finite(self):
+        """Where the sys normalizer (1 + |f| + ...)(1 + |a| + |b| + |c|)
+        overflows, dividing by it would make every residual 0: verification
+        and rectification report the residual as not finite instead."""
+        chart = pq.Chart((0.0, 1.0), (0.0, 1.0), (2, 2))
+        nf = pq.NullFormMetric.from_expr("sqrt(1e300)", chart)
+        F = pq.QuadraticForm.from_exprs("x", "x", "1e300", chart)
+        for check in (pq.verify_integral, pq.rectification_pipeline):
+            with pytest.raises(DomainError, match="^sys residual is not finite") as e:
+                check(nf, F)
+            assert e.value.point == (0.0, 0.0)
+
+
 class TestTriviality:
     def test_scaled_hamiltonian_trivial(self):
         g = pq.Metric2.from_exprs("2 + x", "0", "3 - y", UNIT)

@@ -1,5 +1,6 @@
-"""The last sweep each ScalarField keeps; Monotone1D.inverse: one bracketed
-root finder for floats and arrays, and the recent inputs each map keeps; the
+"""The last sweep each ScalarField keeps, and the sweeps of arithmetic fields
+from their operands' kept sweeps; Monotone1D.inverse: one bracketed root
+finder for floats and arrays, and the recent inputs each map keeps; the
 quintic Hermite quadrature of QuadratureMap and of the case-1 solver."""
 
 from __future__ import annotations
@@ -8,16 +9,16 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projeq import codegen, fields
-from projeq.dynamics import QuadraticForm
-from projeq.errors import DomainError, NonMonotone
+from projeq.dynamics import QuadraticForm, hamiltonian_form
+from projeq.errors import DomainError, InvalidArgument, NonMonotone
 from projeq.expr import Jet2, diff, parse
 from projeq.fields import ExprMap, QuadratureMap, ScalarField
-from projeq.geometry import Chart
-from projeq.equivalence import NullFormMetric
+from projeq.geometry import Chart, Metric2, determinant
+from projeq.equivalence import NullFormMetric, null_form_of
 from projeq.rectify import solve_case1
 
 from conftest import poly_expr
@@ -81,6 +82,135 @@ def test_a_field_keeps_its_last_sweep():
     assert f.jet(0.7, 0.2).v == 1.0 / 0.7 + 0.2 * 0.2 == f(0.7, 0.2)
     assert calls[-2:] == [(), ()]
     assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is again
+
+
+def _operand_tree(field):
+    """The fields under an arithmetic field, each once, operands first."""
+    seen = []
+    for o in field._op[1] if field._op else ():
+        for node in (*_operand_tree(o), o):
+            if all(node is not s for s in seen):
+                seen.append(node)
+    return seen
+
+
+def test_derived_fields_sweep_from_the_entries_kept_sweeps():
+    """Once a Metric2 has swept its entries, sweeps of H = 1/2 g^-1, of the
+    null form f = 2 g12 and of the metric f/2 of to_metric2() read those
+    kept sweeps and run no entry's code on the grid; of the fields in
+    between (det g, g^11, ...) none keeps a sweep."""
+    chart = Chart((-0.5, 0.5), (-0.5, 0.5), (7, 6))
+    grid_calls = []
+
+    def counted(field, name):
+        jet = field._jet
+
+        def on_grid(x, y):
+            if np.ndim(x):
+                grid_calls.append(name)
+            return jet(x, y)
+
+        field._jet = on_grid
+        return field
+
+    entries = [counted(ScalarField.from_expr(parse(text)), name)
+               for text, name in (("0", "g11"), ("1 + x/4 + y^2/5", "g12"), ("0", "g22"))]
+    g = Metric2(*entries, chart)
+    assert grid_calls == ["g11", "g12", "g22"]
+
+    H = hamiltonian_form(g)
+    H.on(chart)
+    nf = null_form_of(g)
+    metrics = [nf.to_metric2(), nf.to_metric2()]
+    assert grid_calls == ["g11", "g12", "g22"]
+
+    for top in (H.a, H.b, H.c, nf.f, *(m.g12 for m in metrics)):
+        assert top._swept is not None
+        below = _operand_tree(top)
+        assert below
+        for node in below:
+            assert (node._swept is not None) == any(node is e for e in (*entries, nf.f))
+    det = H.a._op[1][0]._op[1][1]            # (g22 / det) * 0.5
+    assert det.expr == determinant(*entries).expr and det._swept is None
+
+
+# compiled leaves; the chart below puts x = 0 on its grid, where 1/x is not
+# finite, and 1e200*x overflows in products
+_LEAVES = ("x", "y", "x*y - 1/3", "1/x", "exp(3*x) + y", "sin(x*y) + 2", "0", "2",
+           "1e200*x", "log(y + 2)", "x^2 - y")
+_CHART = Chart((-1.0, 1.0), (-1.0, 1.0), (5, 3))
+# a leaf (text, sweep it first) or a float operand
+_trees = st.recursive(
+    st.tuples(st.sampled_from(_LEAVES), st.booleans()) | st.sampled_from((0.0, 0.5, -2.0, 3.0)),
+    lambda sub: st.tuples(st.sampled_from("+-*/"), sub, sub) | st.tuples(st.just("neg"), sub),
+    max_leaves=8)
+
+
+def _build(tree, leaves):
+    """The field of a drawn tree, or a float; leaves of one text are one field."""
+    if isinstance(tree, float):
+        return tree
+    if tree[0] in _LEAVES:
+        return leaves.setdefault(tree[0], ScalarField.from_expr(parse(tree[0])))
+    if tree[0] == "neg":
+        return -_as_field(_build(tree[1], leaves))
+    left, right = (_build(t, leaves) for t in tree[1:])
+    if isinstance(left, float) and isinstance(right, float):
+        left = ScalarField.constant(left)
+    return {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+            "*": lambda a, b: a * b, "/": lambda a, b: a / b}[tree[0]](left, right)
+
+
+def _as_field(f):
+    return f if isinstance(f, ScalarField) else ScalarField.constant(f)
+
+
+def _swept_leaves(tree):
+    if isinstance(tree, float):
+        return []
+    if tree[0] in _LEAVES:
+        return [tree[0]] if tree[1] else []
+    return [text for t in tree[1:] for text in _swept_leaves(t)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees)
+@example(tree=("*", ("1/x", True), ("y", True)))         # the leaf's own sweep raises
+@example(tree=("-", ("exp(3*x) + y", True), ("1/x", True)))
+@example(tree=("/", ("x", False), ("0", True)))          # a kept constant divisor
+@example(tree=("*", ("1e200*x", True), ("1e200*x", False)))
+def test_a_sweep_equals_the_closure_route(tree):
+    """Whichever leaves were swept first, on(chart) of an arithmetic field is
+    its closure on the mesh bit for bit in all six slots; where the closure
+    raises or is not finite, on raises DomainError with the same message or
+    at the same point.  A leaf whose own sweep raised keeps nothing."""
+    leaves = {}
+    field = _as_field(_build(tree, leaves))
+    for text in _swept_leaves(tree):
+        try:
+            leaves[text].on(_CHART)
+        except DomainError:
+            assert leaves[text]._swept is None
+
+    try:
+        with np.errstate(all="ignore"):
+            closure = field._jet(*_CHART.mesh)
+    except DomainError as e:
+        with pytest.raises(DomainError) as got:
+            field.on(_CHART)
+        assert (str(got.value), got.value.point) == (str(e), e.point)
+        return
+    want = [np.broadcast_to(np.asarray(getattr(closure, s), dtype=float), _CHART.grid)
+            for s in Jet2.__slots__]
+    bad = ~np.all([np.isfinite(w) for w in want], axis=0)
+    if bad.any():
+        with pytest.raises(DomainError) as got:
+            field.on(_CHART)
+        assert got.value.point == _CHART.first_point(bad)
+        assert field._swept is None
+        return
+    swept = field.on(_CHART)
+    assert [getattr(swept, s).tobytes() for s in Jet2.__slots__] == [w.tobytes() for w in want]
 
 
 ranges = dict(lo=st.floats(-1.0, 0.5), width=st.floats(0.2, 2.0))
@@ -339,6 +469,13 @@ def test_fjet_returns_the_derivative_jets(make, fractions):
     t = float(ts[0])
     assert m.fjet(t)[1:] == m._deriv_jet(t)
     assert type(m.fjet(t)[0]) is float and m.fjet(t)[0] == m(ts)[0]
+
+
+def test_quadrature_map_needs_distinct_knots():
+    """A range too narrow for distinct knots is refused, not integrated
+    with zero-width pieces."""
+    with pytest.raises(InvalidArgument, match="too narrow"):
+        QuadratureMap(lambda t: (1.0 + 0.0 * t, 0.0, 0.0), 0.5, 0.5, 0.5000000000000001)
 
 
 def test_case1_interpolant_reproduces_samples_and_slopes():
