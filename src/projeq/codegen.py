@@ -83,20 +83,20 @@ def complex_function(e: Expr):
     return jet
 
 
-def kernel_function(roots: tuple[Expr, ...], kind: str, where, stop=None):
+def kernel_function(roots: tuple[Expr, ...], kind: str, where, check=None):
     """One float function (x, y) -> a tuple with the jet (kind 'jet') or the
     value (kind 'value') of each root, compiled now, with every common
     subexpression computed once.  A Leaf root or sub-expression calls its
     function.
 
-    stop = (n, test): once the first n roots are computed, test(their
-    values) is called, and where it is true the function returns their jets
-    alone, so that later roots may assume it false (a metric is not
-    inverted where singular).  An arithmetic failure is a DomainError that
-    names where(), a string.  Compiling logs one DEBUG record to the
-    'projeq' logger."""
+    check = (n, test, error): once the first n roots are computed, the
+    function raises error(x, y, value of root n) where test(their values)
+    holds, so that later roots may assume it false (a metric is not inverted
+    where singular).  An arithmetic failure is a DomainError that names
+    where(), a string.  Compiling logs one DEBUG record to the 'projeq'
+    logger."""
     start = time.perf_counter()
-    compiled = _Compiled(tuple(roots), kind, stop=stop)
+    compiled = _Compiled(tuple(roots), kind, check=check)
     fn = compiled(False)
     # A process that never imported logging cannot have asked for DEBUG
     # records, so the module (about 0.4 MB) is not imported for them.
@@ -142,19 +142,19 @@ class _Compiled:
     kernel_function) and kind, one for floats and one for arrays, each
     compiled on first use: call with grid = False or True."""
 
-    def __init__(self, e, kind: str, exact: bool = False, stop=None):
-        self.expr, self.kind, self.exact, self.stop, self.fns = e, kind, exact, stop, {}
+    def __init__(self, e, kind: str, exact: bool = False, check=None):
+        self.expr, self.kind, self.exact, self.check, self.fns = e, kind, exact, check, {}
         self.size = None            # (distinct nodes, leaves) once compiled
 
     def __call__(self, grid: bool):
         fn = self.fns.get(grid)
         if fn is None:
-            n, test = self.stop or (0, None)
-            emitter = _Emitter(self.kind, grid, self.exact, stop=n)
+            n, test, error = self.check or (0, None, None)
+            emitter = _Emitter(self.kind, grid, self.exact, check_at=n)
             ns = dict(_NAMESPACES[self.kind == "complex", grid], E=emitter.errors,
-                      L=emitter.leaves, S=test)
+                      L=emitter.leaves, S=test, R=error)
             if not self.exact:
-                exact = _Compiled(self.expr, self.kind, exact=True, stop=self.stop)
+                exact = _Compiled(self.expr, self.kind, exact=True, check=self.check)
                 ns["X"] = lambda *args: exact(grid)(*args)
             exec(compile(emitter.source(self.expr), "<projeq expression>", "exec"), ns)
             fn = self.fns[grid] = ns["f"]
@@ -238,10 +238,11 @@ class _Emitter:
     names of _NAMESPACES and generated temporaries t1, t2, ..."""
 
     def __init__(self, kind: str, grid: bool, exact: bool, top: Expr | None = None,
-                 stop: int = 0, constants: bool = True):
+                 check_at: int = 0, constants: bool = True):
         self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
         # constants=False: a constant is code like any other sub-expression
-        self.complex, self.top, self.stop, self.constants = kind == "complex", top, stop, constants
+        self.complex, self.top, self.constants = kind == "complex", top, constants
+        self.check_at = check_at
         self.zero, self.one = (0j, 1 + 0j) if self.complex else (0.0, 1.0)
         # second-derivative slots as pairs of first-derivative slots
         self.pairs = {"jet": ((1, 1), (1, 2), (2, 2)), "value": (),
@@ -256,23 +257,22 @@ class _Emitter:
     def source(self, e) -> str:
         """The function's source.  e is one expression, or a tuple of roots
         whose jets (values) the function returns as a tuple; then, once the
-        first `stop` roots are computed (if stop > 0), it returns those
-        alone where S of their values holds.  top, if given, is the whole
-        expression that e is part of, which an overflow names; otherwise
-        each root names itself."""
+        first `check_at` roots are computed (if check_at > 0), it raises R(x,
+        y, value of the last of them) where S of their values holds.  top,
+        if given, is the whole expression that e is part of, which an
+        overflow names; otherwise each root names itself."""
         roots, top = e if isinstance(e, tuple) else (e,), self.top
         if self.record:
             self.line("B = None")
         jets = []
         try:
             for root in roots:
-                if self.stop and len(jets) == self.stop:
-                    self.line(f"if S({', '.join(self.txt(j[0]) for j in jets)}):")
-                    self.depth += 1
-                    self.finish(jets, True)
-                    self.depth -= 1
                 self.top = root if top is None else top
                 jets.append(self.node(root))
+                if len(jets) == self.check_at:
+                    values = [self.txt(j[0]) for j in jets]
+                    self.guard()
+                    self.line(f"if S({', '.join(values)}): raise R({self.at}, {values[-1]})")
         except _Dead:
             jets = None
         if jets is not None:
@@ -295,10 +295,11 @@ class _Emitter:
 
     def guard(self):
         """Run the exact function instead if a factor of a product folded to 0
-        so far is not finite."""
+        since the last guard is not finite."""
         if self.fold and self.taints:
             self.line(f"P = {' + '.join(self.taints)}")
             self.line(f"if {'_any(P - P)' if self.grid else 'P - P'}: return X({self.args})")
+            self.taints = {}
 
     def line(self, text: str):
         self.lines.append("    " * self.depth + text)

@@ -59,7 +59,7 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
-    gxx, gxy, gyy = inverse(*g.checked_entries_at(s.x, s.y))
+    gxx, gxy, gyy = inverse(*g.entries_at(s.x, s.y))
     return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
 
 
@@ -175,6 +175,10 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     """Integrate Hamilton's equations with an embedded RK 4/5 pair and PI
     step-size control, sampling at every accepted step.  A step runs on
     Python floats: the state and the stage slopes are 4-tuples."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
+    if not math.isfinite(t_end):
+        raise InvalidArgument(f"t_end must be finite, got {t_end!r}")
     integrals = integrals or {}
     if not g.chart.contains(s0.x, s0.y):
         raise ChartExit(0.0, s0)
@@ -184,10 +188,10 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
         raise InvalidArgument("initial covector is (numerically) null; "
                               "pass allow_null=True to integrate null geodesics")
 
-    jets = g.inverse_jets_at
+    jets = g.jets_at
 
     def rhs(x, y, px, py):
-        return _flow(*jets(x, y), px, py)
+        return _flow(*jets(x, y)[4:], px, py)
 
     y = (float(s0.x), float(s0.y), float(s0.px), float(s0.py))
     t = 0.0
@@ -210,7 +214,7 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
         try:
             for row in _DP_A:
                 ks.append(rhs(*_advance(y, h, row, ks)))
-        except (SingularMetric, ZeroDivisionError):
+        except SingularMetric:
             h *= 0.5
             if abs(h) < 1e-14 * max(abs(t_end), 1.0):
                 raise StepFailure("step size underflow near a metric singularity")
@@ -254,7 +258,7 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
     gen = traj.metric
     worst = 0.0
     for i, (x, y, px, py) in enumerate(traj.states.tolist()):
-        i11, i12, i22 = gen.inverse_jets_at(x, y)
+        i11, i12, i22 = gen.jets_at(x, y)[4:]
         vx, vy, dpx, dpy = _flow(i11, i12, i22, px, py)
         speed2 = vx * vx + vy * vy
         if speed2 < 1e-300:

@@ -64,12 +64,12 @@ def null_form_of(g: Metric2) -> NullFormMetric | None:
 def projective_integral_I(g: Metric2, gbar: Metric2, x: float, y: float,
                           xi: tuple[float, float]) -> float:
     """I(xi) = gbar(xi, xi) * (det g / det gbar)^(2/3), real cube root."""
-    return _integral_I(g.checked_entries_at(x, y)[3], gbar, x, y, xi)
+    return _integral_I(g.entries_at(x, y)[3], gbar, x, y, xi)
 
 
 def _integral_I(det_g: float, gbar: Metric2, x: float, y: float, xi) -> float:
     """projective_integral_I from the determinant of g at (x, y)."""
-    a, b, c, det_gbar = gbar.checked_entries_at(x, y)
+    a, b, c, det_gbar = gbar.entries_at(x, y)
     ratio = det_g / det_gbar
     if ratio <= 0.0:
         raise SignatureMismatch(
@@ -81,7 +81,7 @@ def _integral_I(det_g: float, gbar: Metric2, x: float, y: float, xi) -> float:
 
 def projective_integral_momentum(g: Metric2, gbar: Metric2, s: PhaseState) -> float:
     """I evaluated on the velocity xi = g^{-1} p of a phase-space state."""
-    a, b, c, det = g.checked_entries_at(s.x, s.y)
+    a, b, c, det = g.entries_at(s.x, s.y)
     vx = (c * s.px - b * s.py) / det
     vy = (-b * s.px + a * s.py) / det
     return _integral_I(det, gbar, s.x, s.y, (vx, vy))
@@ -115,7 +115,7 @@ class SysResiduals:
     r2: float
     r3: float
     r4: float
-    norm: float = 1.0  # chart-scale normalizer, see normalized()
+    norm: float             # chart-scale normalizer, see normalized()
 
     def normalized(self) -> tuple[float, float, float, float]:
         return (self.r1 / self.norm, self.r2 / self.norm,

@@ -197,14 +197,13 @@ class ScalarField:
         return _arithmetic("/", _as_field(o), self)
 
     # composition ----------------------------------------------------------------
-    def compose_linear(self, m: np.ndarray, shift=(0.0, 0.0)) -> "ScalarField":
-        """Field in new coordinates (u, v) with (x_old, y_old) = m @ (u, v) + shift."""
+    def compose_linear(self, m: np.ndarray) -> "ScalarField":
+        """Field in new coordinates (u, v) with (x_old, y_old) = m @ (u, v)."""
         m11, m12 = float(m[0][0]), float(m[0][1])
         m21, m22 = float(m[1][0]), float(m[1][1])
-        sx, sy = shift
 
         def jet(u, v):
-            f = self._jet(m11 * u + m12 * v + sx, m21 * u + m22 * v + sy)
+            f = self._jet(m11 * u + m12 * v, m21 * u + m22 * v)
             return Jet2(
                 f.v,
                 f.dx * m11 + f.dy * m21,

@@ -6,12 +6,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgument, InvariantViolation, SingularMetric
 from .codegen import kernel_function
-from .expr import Jet2, parse, render
+from .expr import parse, render
 from .fields import ScalarField
 
 DEFAULT_CLASSIFY_TOL = 1e-8
@@ -135,9 +136,10 @@ class Metric2:
     Construction sweeps the entries over the chart's grid (ScalarField.on),
     keeps their read-only (nx, ny) values as `values` and det g as `det`,
     and checks that the metric is nowhere singular() nor changes signature.
-    Pointwise reads run a kernel compiled from the entries' expressions on
-    first use, one per kind: 'value' for values_at, 'jet' for the jets, det
-    g and the jets of g^{-1}.
+    Off the grid there are two reads, entries_at (floats) and jets_at, each
+    a kernel compiled from the entries' expressions on first use (see
+    codegen.kernel_function); both raise SingularMetric where the metric is
+    singular().
     """
 
     def __init__(self, g11: ScalarField, g12: ScalarField, g22: ScalarField, chart: Chart):
@@ -145,7 +147,6 @@ class Metric2:
         self.g12 = g12
         self.g22 = g22
         self.chart = chart
-        self._kernels = {}
         self.values = (g11.on(chart).v, g12.on(chart).v, g22.on(chart).v)
         with np.errstate(over="ignore", invalid="ignore"):    # _validate judges overflows
             self.det = determinant(*self.values)
@@ -176,63 +177,31 @@ class Metric2:
                 f"({_SIGNATURES[sig.flat[0]]} vs {_SIGNATURES[sig.flat[i]]})", (x, y))
         return _SIGNATURES[sig.flat[0]]
 
-    # pointwise data -----------------------------------------------------------
-    def _kernel(self, kind: str):
-        """The compiled pointwise reads of one kind, built on first use."""
-        kernel = self._kernels.get(kind)
-        if kernel is None:
-            a, b, c = self.g11.expr, self.g12.expr, self.g22.expr
-
-            def where():
-                return ", ".join(map(render, (a, b, c)))
-
-            if kind == "value":
-                kernel = kernel_function((a, b, c), "value", where)
-            else:
-                det = determinant(self.g11, self.g12, self.g22)
-                inv = inverse(self.g11, self.g12, self.g22, det)
-                kernel = kernel_function((a, b, c, *(f.expr for f in (det, *inv))), "jet",
-                                         where, stop=(4, singular))
-            self._kernels[kind] = kernel
-        return kernel
-
-    def _entries_at(self, x: float, y: float) -> tuple[float, float, float, float]:
-        """g11, g12, g22 and det g at a point, as floats."""
-        a, b, c = self._kernel("value")(x, y)
-        return a, b, c, determinant(a, b, c)
-
-    def checked_entries_at(self, x: float, y: float) -> tuple[float, float, float, float]:
-        """g11, g12, g22 and det g at a point, as floats; raises
+    # pointwise reads: each the compiled kernel itself, built on first use -------
+    @cached_property
+    def entries_at(self):
+        """The function (x, y) -> (g11, g12, g22, det g) as floats; it raises
         SingularMetric where the metric is singular()."""
-        a, b, c, det = entries = self._entries_at(x, y)
-        if singular(a, b, c, det):
-            raise SingularMetric(x, y, det)
-        return entries
+        return self._compile("value", 4)
 
-    def values_at(self, x: float, y: float):
-        """(2x2 matrix, det g, signature) at a point, unchecked."""
-        return _matrix(*self._entries_at(x, y))
+    @cached_property
+    def jets_at(self):
+        """The function (x, y) -> the jets of g11, g12, g22, det g, g^11,
+        g^12 and g^22; it raises SingularMetric where the metric is
+        singular(), before inverting."""
+        return self._compile("jet", 7)
 
-    def jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
-        return self._kernel("jet")(x, y)[:3]
+    def _compile(self, kind: str, n: int):
+        """The kernel of the first n of g11, g12, g22, det g and g^{-1}."""
+        a, b, c = self.g11, self.g12, self.g22
+        det = determinant(a, b, c)
+        fields = (a, b, c, det, *inverse(a, b, c, det))[:n]
 
-    def _checked(self, x: float, y: float) -> tuple[Jet2, ...]:
-        """The jets of g11, g12, g22, det g and g^11, g^12, g^22; raises
-        SingularMetric where the metric is singular()."""
-        jets = self._kernel("jet")(x, y)
-        if len(jets) == 4:
-            raise SingularMetric(x, y, jets[3].v)
-        return jets
+        def where():
+            return ", ".join(render(f.expr) for f in (a, b, c))
 
-    def checked_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2, float]:
-        """The jets of (g11, g12, g22) and the value of det g; raises
-        SingularMetric where the metric is singular()."""
-        a, b, c, det = self._checked(x, y)[:4]
-        return a, b, c, det.v
-
-    def inverse_jets_at(self, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
-        """Jets of (g^11, g^12, g^22)."""
-        return self._checked(x, y)[4:]
+        return kernel_function(tuple(f.expr for f in fields), kind, where,
+                               check=(4, singular, SingularMetric))
 
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
         return inverse(self.g11, self.g12, self.g22, determinant(self.g11, self.g12, self.g22))
@@ -241,21 +210,19 @@ class Metric2:
         return Metric2(self.g11 * c, self.g12 * c, self.g22 * c, self.chart)
 
 
-def _matrix(a: float, b: float, c: float, det: float):
-    return np.array([[a, b], [b, c]]), det, _SIGNATURES[_signature_code(a, c, det)]
-
-
 def metric_at(g: Metric2, x: float, y: float):
-    """(2x2 matrix, det, signature) with a singularity check."""
-    return _matrix(*g.checked_entries_at(x, y))
+    """(2x2 matrix, det, signature) at a point; raises SingularMetric where
+    the metric is singular()."""
+    a, b, c, det = g.entries_at(x, y)
+    return np.array([[a, b], [b, c]]), det, _SIGNATURES[_signature_code(a, c, det)]
 
 
 def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
     """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}),
     written out for 2-D with the sums in index order (l = 0 first, from
     0.0), so that it is bit for bit the sum over k, i, j, l."""
-    a, b, c, det = g.checked_jets_at(x, y)
-    i11, i12, i22 = inverse(a.v, b.v, c.v, det)
+    a, b, c, det = g.jets_at(x, y)[:4]
+    i11, i12, i22 = inverse(a.v, b.v, c.v, det.v)
     rows = ((i11, i12), (i12, i22))
     # (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) for l = 0, 1, by (i, j)
     xx = (a.dx + a.dx - a.dx, b.dx + b.dx - a.dy)

@@ -14,7 +14,7 @@ from .errors import (AmbiguousCase, CoefficientVanishes, DomainError, NotAnInteg
 from .expr import Expr, parse
 from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite,
                      ScalarField, _where)
-from .geometry import Chart, Metric2
+from .geometry import Chart, Metric2, metric_at
 from .dynamics import QuadraticForm
 from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
 
@@ -430,7 +430,7 @@ def _linear_null_change(g: Metric2, F: QuadraticForm, M: np.ndarray):
     # orientation: f = 2 (M^T g M)_{12} must be positive
     c = chart_new.center
     x0, y0 = (M @ np.array(c))
-    m_old, _, _ = g.values_at(float(x0), float(y0))
+    m_old, _, _ = metric_at(g, float(x0), float(y0))
     gn = M.T @ m_old @ M
     if gn[0, 1] < 0.0:
         M = M @ np.diag([1.0, -1.0])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import projeq as pq
 from projeq.dynamics import _DP_A, _DP_B4, _DP_B5, _advance, hamiltonian_form, quadratic_value
-from projeq.errors import ChartExit, StepFailure
+from projeq.errors import ChartExit, InvalidArgument, StepFailure
 
 UNIT = pq.Chart((-2.0, 2.0), (-2.0, 2.0), (5, 5))
 
@@ -159,6 +160,17 @@ class TestIntegrator:
     def test_step_budget(self):
         with pytest.raises(StepFailure, match="^exceeded the budget of 3 steps$"):
             pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), 1.0, max_steps=3)
+
+    @pytest.mark.parametrize("t_end, tol", [
+        (1.0, 0.0), (1.0, -1e-10), (1.0, math.nan), (1.0, math.inf),
+        (math.nan, 1e-10), (math.inf, 1e-10), (-math.inf, 1e-10)])
+    def test_bad_tol_or_t_end_rejected(self, t_end, tol):
+        """Unchecked, tol = 0 divides by zero in the error norm, t_end = nan
+        returns a one-sample trajectory and t_end = inf ends in a step
+        underflow."""
+        with pytest.raises(InvalidArgument, match="^(tol must be finite and positive|"
+                                                  "t_end must be finite), got"):
+            pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), t_end, tol=tol)
 
     def test_null_covector_rejected(self):
         nf = pq.NullFormMetric.from_expr("2", UNIT)

@@ -53,7 +53,7 @@ class TestProjectiveIntegralI:
         g = pq.Metric2.from_exprs("2 + x", "0", "3 - y", UNIT)
         xi = (0.7, -0.4)
         v = pq.projective_integral_I(g, g, 0.3, 0.2, xi)
-        m, _, _ = g.values_at(0.3, 0.2)
+        m, _, _ = pq.metric_at(g, 0.3, 0.2)
         quad = m[0, 0] * xi[0] ** 2 + m[1, 1] * xi[1] ** 2
         assert v == pytest.approx(quad, rel=1e-12)
 

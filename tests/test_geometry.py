@@ -1,17 +1,19 @@
 import logging
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projeq as pq
 from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
 from projeq.expr import Leaf
-from projeq.geometry import christoffel_at, classify_at, g_tensor_at, metric_at, singular
+from projeq.geometry import (christoffel_at, classify_at, determinant, g_tensor_at, metric_at,
+                             singular)
 
 from conftest import assert_classified_pointwise
 
@@ -29,13 +31,13 @@ def euclidean(chart=UNIT):
 def fd_christoffel(g, x, y, h=1e-5):
     """Finite-difference oracle for the Christoffel symbols."""
     def mat(a, b):
-        m, _, _ = g.values_at(a, b)
+        m, _, _ = metric_at(g, a, b)
         return m
 
     dg = np.empty((2, 2, 2))
     dg[0] = (mat(x + h, y) - mat(x - h, y)) / (2 * h)
     dg[1] = (mat(x, y + h) - mat(x, y - h)) / (2 * h)
-    m, det, _ = g.values_at(x, y)
+    m, det, _ = metric_at(g, x, y)
     ginv = np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
     gamma = np.zeros((2, 2, 2))
     for k in range(2):
@@ -50,7 +52,7 @@ def fd_christoffel(g, x, y, h=1e-5):
 def loop_christoffel(g, x, y):
     """The sum over k, i, j, l in index order: the reference that
     christoffel_at's closed form must match bit for bit."""
-    j11, j12, j22 = g.jets_at(x, y)
+    j11, j12, j22 = g.jets_at(x, y)[:3]
     det = j11.v * j22.v - j12.v * j12.v
     ginv = np.array([[j22.v, -j12.v], [-j12.v, j11.v]]) / det
     dg = np.empty((2, 2, 2))
@@ -68,15 +70,15 @@ def loop_christoffel(g, x, y):
 
 
 def reference_jets(g, x, y):
-    """The jets of g11, g12, g22 and of g^11, g^12, g^22 from the entries'
-    own jet functions and Jet2 algebra, point by point; with x = y = None
-    over g's chart grid."""
+    """The jets of g11, g12, g22, det g and g^11, g^12, g^22 from the
+    entries' own jet functions and Jet2 algebra, point by point; with
+    x = y = None over g's chart grid."""
     if x is None:
         j11, j12, j22 = g.g11.on(g.chart), g.g12.on(g.chart), g.g22.on(g.chart)
     else:
         j11, j12, j22 = g.g11.jet(x, y), g.g12.jet(x, y), g.g22.jet(x, y)
     det = j11 * j22 - j12 * j12
-    return j11, j12, j22, j22 / det, -j12 / det, j11 / det
+    return j11, j12, j22, det, j22 / det, -j12 / det, j11 / det
 
 
 def off_grid_points(chart):
@@ -123,7 +125,7 @@ class TestChart:
 
 class TestMetric2:
     def test_euclidean_values(self):
-        m, det, sig = euclidean().values_at(0.3, 0.4)
+        m, det, sig = metric_at(euclidean(), 0.3, 0.4)
         assert det == 1.0
         assert sig == ("+", "+")
 
@@ -146,7 +148,7 @@ class TestMetric2:
         assert g.signature == ("+", "-")
         g = pq.Metric2.from_exprs("1e155", "0", "1e150", UNIT)
         assert g.signature == ("+", "+")
-        assert g.inverse_jets_at(0.3, 0.4)[0].v == 1e-155
+        assert g.jets_at(0.3, 0.4)[4].v == 1e-155
         assert pq.hamiltonian(g, pq.PhaseState(0.3, 0.4, 1e80, 0.0)) == 0.5e5
         assert not singular(1e155, 0.0, 1e150, 1e305)
         with pytest.raises(SingularMetric):
@@ -169,11 +171,11 @@ class TestMetric2:
 
     def test_near_singular_off_grid_point_rejected(self):
         # det = 1e-20 at x = 0.05, between grid points: nonzero, but below
-        # 1e-12 times the squared entries.  Every checked read refuses it:
-        # the jet kernel's and metric_at's, and the reads built on them.
+        # 1e-12 times the squared entries.  Every read refuses it: both
+        # kernels, and the reads built on them.
         g = pq.Metric2.from_exprs("1", "0", "(x - 0.05)^2 + 1e-20", UNIT)
         e = euclidean()
-        for read in (g.inverse_jets_at, g.checked_jets_at, lambda x, y: christoffel_at(g, x, y),
+        for read in (g.jets_at, g.entries_at, lambda x, y: christoffel_at(g, x, y),
                      lambda x, y: metric_at(g, x, y),
                      lambda x, y: g_tensor_at(g, e, x, y), lambda x, y: g_tensor_at(e, g, x, y),
                      lambda x, y: pq.hamiltonian(g, pq.PhaseState(x, y, 0.3, 0.4)),
@@ -185,10 +187,43 @@ class TestMetric2:
                 read(0.05, 0.3)
             assert ei.value.det == 1e-20
             assert ei.value.point == (0.05, 0.3)
-        # the unchecked reads still give the entries there
-        assert [j.v for j in g.jets_at(0.05, 0.3)] == [1.0, 0.0, 1e-20]
-        assert g.values_at(0.05, 0.3)[1] == 1e-20
-        g.inverse_jets_at(0.3, 0.3)
+        # and reads the metric where it is regular
+        c = g.g22(0.3, 0.3)
+        assert g.entries_at(0.3, 0.3) == (1.0, 0.0, c, c)
+        assert g.jets_at(0.3, 0.3)[3].v == c
+
+    @settings(max_examples=60, deadline=None)
+    @given(x0=st.floats(-0.9, 0.9), log_eps=st.floats(-24.0, -6.0),
+           points=st.lists(st.tuples(st.one_of(st.floats(-3e-6, 3e-6), st.floats(-0.5, 0.5)),
+                                     st.floats(-1.0, 1.0)), min_size=1, max_size=8))
+    def test_reads_refuse_exactly_where_singular(self, x0, log_eps, points):
+        """Near-singular metrics (1, 0, (x - x0)^2 + eps), read at random
+        points, many within a few 1e-6 of x0: every read raises
+        SingularMetric, with the same det bits, exactly where singular()
+        holds on the fields' own float values; elsewhere entries_at gives
+        those values and determinant() of them, bit for bit."""
+        c22 = f"(x - ({x0!r}))^2 + {10.0 ** log_eps!r}"
+        try:
+            g = pq.Metric2.from_exprs("1", "0", c22, UNIT)
+        except SingularMetric:
+            assume(False)               # x0 on a grid line
+        reads = (g.entries_at, g.jets_at, lambda x, y: christoffel_at(g, x, y),
+                 lambda x, y: pq.hamiltonian(g, pq.PhaseState(x, y, 0.3, 0.4)))
+        for dx, y in points:
+            x = x0 + dx
+            a, b, c = g.g11(x, y), g.g12(x, y), g.g22(x, y)
+            det = determinant(a, b, c)
+            if singular(a, b, c, det):
+                for read in reads:
+                    with pytest.raises(SingularMetric) as ei:
+                        read(x, y)
+                    assert ei.value.point == (x, y)
+                    assert struct.pack("<d", ei.value.det) == struct.pack("<d", det)
+            else:
+                for read in reads:
+                    read(x, y)
+                entries = g.entries_at(x, y)
+                assert struct.pack("<4d", *entries) == struct.pack("<4d", a, b, c, det)
 
     def test_kept_sweep_is_a_fresh_sweep(self, instances):
         """values and det are the entries' own grid sweep and det g over it,
@@ -208,7 +243,7 @@ class TestMetric2:
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
         i11, i12, i22 = g.inverse_fields()
         x, y = 0.3, -0.4
-        m, det, _ = g.values_at(x, y)
+        m, det, _ = metric_at(g, x, y)
         inv = np.linalg.inv(m)
         assert i11(x, y) == pytest.approx(inv[0, 0], rel=1e-12)
         assert i12(x, y) == pytest.approx(inv[0, 1], rel=1e-12)
@@ -216,11 +251,12 @@ class TestMetric2:
 
 
 class TestKernels:
-    """Metric2's pointwise reads run one compiled kernel per kind; the
-    entries' own jet functions and Jet2 algebra are the reference."""
+    """Metric2's two pointwise reads, entries_at and jets_at, are compiled
+    kernels; the entries' own jet functions and Jet2 algebra are the
+    reference."""
 
     def test_reads_match_the_fields(self, instances):
-        """jets_at, inverse_jets_at and values_at at off-grid points, for g
+        """jets_at and entries_at at off-grid points, for g
         and gbar of every instance, within 1e-15 of each slot's largest
         magnitude over the chart grid (assert_grid_matches_points' bar).
 
@@ -236,14 +272,13 @@ class TestKernels:
                          for j in reference_jets(g, None, None) for s in SLOTS]
                 for x, y in off_grid_points(g.chart):
                     want = [getattr(j, s) for j in reference_jets(g, x, y) for s in SLOTS]
-                    got = [getattr(j, s) for j in (*g.jets_at(x, y), *g.inverse_jets_at(x, y))
-                           for s in SLOTS]
-                    for w, v, sc in zip(want, got, scale):
+                    got = [getattr(j, s) for j in g.jets_at(x, y) for s in SLOTS]
+                    for w, v, sc in zip(want, got, scale, strict=True):
                         assert abs(v - w) <= bar * sc, (inst["family"], x, y)
-                    m, det, _ = g.values_at(x, y)
+                    a, b, c, det = g.entries_at(x, y)
                     values = (g.g11(x, y), g.g12(x, y), g.g22(x, y))
-                    assert [m[0, 0], m[0, 1], m[1, 1]] == pytest.approx(values, rel=1e-15)
-                    assert m[1, 0] == m[0, 1] and det == m[0, 0] * m[1, 1] - m[0, 1] ** 2
+                    assert [a, b, c] == pytest.approx(values, rel=1e-15)
+                    assert det == a * c - b * b
 
     def test_opaque_leaves_integrate_through_the_kernel(self, instances, caplog):
         """Fields known only by their functions (h = log z, which has no
@@ -264,8 +299,7 @@ class TestKernels:
             with caplog.at_level(logging.DEBUG, logger="projeq"):
                 for x, y in off_grid_points(g.chart)[::3]:
                     want = [getattr(j, s) for j in reference_jets(g, x, y) for s in SLOTS]
-                    got = [getattr(j, s) for j in (*g.jets_at(x, y), *g.inverse_jets_at(x, y))
-                           for s in SLOTS]
+                    got = [getattr(j, s) for j in g.jets_at(x, y) for s in SLOTS]
                     assert got == want, (x, y)
                 s0 = pq.PhaseState(*g.chart.center, 0.2, 0.15)
                 traj = pq.integrate_geodesic(g, s0, 0.3, tol=1e-10)
@@ -281,12 +315,12 @@ class TestKernels:
     def test_compiles_are_logged_once_per_kind_at_debug(self, caplog, tmp_path, capsys):
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
         with caplog.at_level(logging.WARNING):
-            g.values_at(0.3, 0.2)
+            g.entries_at(0.3, 0.2)
         assert caplog.records == []         # nothing at the default level
         with caplog.at_level(logging.DEBUG, logger="projeq"):
-            g.values_at(0.1, 0.2)           # compiled above, not again
+            g.entries_at(0.1, 0.2)          # compiled above, not again
             metric_at(g, 0.2, 0.1)
-            g.inverse_jets_at(0.3, 0.2)
+            g.jets_at(0.3, 0.2)
             christoffel_at(g, 0.1, 0.2)
             g.jets_at(-0.5, 0.5)
         logs = kernel_logs(caplog)

@@ -122,7 +122,8 @@ def test_composed_fields_on_chart_match_pointwise(instances):
     change = pq.AdmissibleChange("0.1 + x + 0.05*x^2", "y + 0.02*y^3")
     nf2, F2 = pq.apply_admissible_change(nf, F, change)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for field in (nf2.f, F2.a, F2.b, F2.c, nf.f.compose_linear(swap, (0.1, -0.2))):
+    shear = np.array([[1.0, 0.2], [-0.1, 0.9]])
+    for field in (nf2.f, F2.a, F2.b, F2.c, nf.f.compose_linear(swap), nf.f.compose_linear(shear)):
         assert_grid_matches_points(field, nf2.chart, rtol=1e-14)
     # quadrature maps (Birkhoff-Kolokoltsov normalization) under the fields
     bk = pq.bk_normalize(nf2, F2)

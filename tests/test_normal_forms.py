@@ -168,6 +168,22 @@ class TestJordanKillingFree:
         traj = pq.integrate_geodesic(pair.g, s0, 0.4)
         assert pq.projective_residual(pair.gbar, traj) < 1e-8
 
+    @pytest.mark.parametrize("ytilde", ["2 + y^3/5", "2 + exp(y)/3", "2 + sin(3*y)/4"])
+    def test_without_a_killing_field(self, ytilde):
+        """Ytilde of these shapes leaves the pair no Killing field, unlike
+        2 + y/5 above: still a Jordan block at every grid point, and the
+        geodesics of either metric are unparametrized geodesics of the
+        other."""
+        chart = pq.Chart((-0.4, 0.4), (0.5, 1.5))
+        pair = pq.generate(pq.JordanKillingFreeSpec(ytilde, chart))
+        res = pq.classify_pair(pair.g, pair.gbar)
+        assert res.tag == "jordan_block" and res.fraction == 1.0
+        s0 = pq.PhaseState(0.1, 0.9, 0.5, 0.3)
+        for g, other in ((pair.g, pair.gbar), (pair.gbar, pair.g)):
+            traj = pq.integrate_geodesic(g, s0, 0.4)
+            assert len(traj) > 3
+            assert pq.projective_residual(other, traj) < 1e-6
+
     def test_y_zero_rejected(self):
         with pytest.raises(InvariantViolation):
             pq.generate(pq.JordanKillingFreeSpec("2", pq.Chart((0.3, 0.8), (-0.5, 0.5))))
