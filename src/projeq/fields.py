@@ -13,7 +13,8 @@ than evaluating them again; the fields in between keep nothing.
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
 is what the second-order jets of a composed field need) and a numerically
-inverted evaluation.  A map is immutable, so each keeps its last
+inverted evaluation, by bracketed Newton steps on the value and slope the
+map gives from one call.  A map is immutable, so each keeps its last
 _SOLVED_INPUTS inversions, and beside each the forward jets there once they
 are asked for: composed fields invert the same maps on the same inputs many
 times over, and each such input is solved, and its jets walked, once.
@@ -36,7 +37,7 @@ from .codegen import eval_jet  # noqa: F401  (bench/tracer.py counts calls of fi
 from .expr import BinOp, Expr, Jet2, Leaf, Neg, Num, Var, diff
 
 _SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
-_XTOL = 1e-13                       # converged bracket width: absolute part
+_XTOL = 1e-13                       # converged root finder step: absolute part
 _RTOL = 4.0 * np.finfo(float).eps   # and relative part, as in scipy's brentq
 _MAX_STEPS = 100
 _MONOTONE_SAMPLES = 65              # derivative samples of validate_monotone
@@ -58,32 +59,40 @@ def _where(cond, x, y):
 
 
 def brentq(g, a: float, b: float, ga, gb):
-    """A root in [a, b] of an increasing function g, given ga = g(a) and
-    gb = g(b) as floats or as arrays of one shape (then g acts elementwise
-    and the roots are an array): a where ga >= 0, b where gb <= 0.
+    """A root in [a, b] of an increasing function, given ga and gb, its
+    values at a and b, as floats or as arrays of one shape (then g acts
+    elementwise and the roots are an array): a where ga >= 0, b where
+    gb <= 0.  g(t) returns the value and the slope at t, from one call.
 
-    Anderson-Bjorck bracketed regula falsi.  Each entry keeps its own
-    bracket and is frozen once it converges, so its iterates do not depend
-    on the other entries: an array solve equals the solves of its entries
-    one by one, bit for bit, wherever g gives the same values for arrays as
-    for floats.  The name is that of scipy's root finder, which this
-    replaced, because bench/tracer.py counts root finds by wrapping
-    fields.brentq."""
+    Bracketed Newton, from the secant point of [a, b].  Each entry keeps
+    the bracket its evaluations narrow; a Newton step that leaves it (or a
+    slope that is not positive) gives way to the bracket's midpoint.  An
+    entry is frozen once a step moves it by at most _XTOL + _RTOL |t|, so
+    its iterates do not depend on the other entries: an array solve equals
+    the solves of its entries one by one, bit for bit, wherever g gives the
+    same values for arrays as for floats.  The name is that of scipy's root
+    finder, which an earlier version replaced, because bench/tracer.py
+    counts root finds by wrapping fields.brentq."""
     active = (ga < 0.0) & (gb > 0.0)
-    # b is the latest iterate (the answer once frozen), a the other end of
-    # its bracket
-    b, gb = _where(ga >= 0.0, a, b), _where(ga >= 0.0, ga, gb)
-    with np.errstate(divide="ignore", invalid="ignore"):   # frozen entries only
+    lo, hi, t = a, b, _where(ga >= 0.0, a, b)
+    if not np.count_nonzero(active):
+        return t
+    # a step far past the bracket, or the discarded arithmetic of entries
+    # that are not active, may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = _where(active, a - ga * (b - a) / (gb - ga), t)
         for _ in range(_MAX_STEPS):
             if not np.count_nonzero(active):
-                return b
-            c = _where(active, b - gb * (b - a) / (gb - ga), b)
-            gc = g(c)
-            kept = gc * gb > 0.0        # a stays the other end: scale ga down
-            m = 1.0 - gc / gb
-            a, ga = _where(kept, a, b), _where(kept, ga * _where(m > 0.0, m, 0.5), gb)
-            b, gb = c, gc
-            active = active & (gc != 0.0) & (abs(b - a) > _XTOL + _RTOL * abs(b))
+                return t
+            gt, dt = g(t)
+            lo = _where(gt < 0.0, t, lo)
+            hi = _where(gt > 0.0, t, hi)
+            step = t - gt / _where(dt > 0.0, dt, np.nan)
+            # closed: a converged step may round onto an end of the bracket
+            step = _where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            moving = active & (gt != 0.0)
+            active = moving & (abs(step - t) > _XTOL + _RTOL * abs(step))
+            t = _where(moving, step, t)
     raise NonMonotone("map inversion did not converge")
 
 
@@ -298,6 +307,10 @@ class Monotone1D:
     def __call__(self, t: float) -> float:
         return self.fjet(t)[0]
 
+    def _value_slope(self, t):
+        """(value, first derivative) at t: what the root finder reads."""
+        return self.fjet(t)[:2]
+
     @cached_property
     def range(self) -> tuple[float, float]:
         return (self(self.tmin), self(self.tmax))
@@ -321,7 +334,12 @@ class Monotone1D:
             if np.count_nonzero(ok) < np.size(ok):
                 value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
                 raise NonMonotone(f"value {value!r} outside the map range {self.range}")
-            t = brentq(lambda t: self(t) - u, self.tmin, self.tmax, glo, ghi)
+
+            def g(t):
+                v, d = self._value_slope(t)
+                return v - u, d
+
+            t = brentq(g, self.tmin, self.tmax, glo, ghi)
             if isinstance(t, np.ndarray):
                 t.flags.writeable = False
             entry = [t]
@@ -349,7 +367,7 @@ class Monotone1D:
 
     def validate_monotone(self):
         ts = np.linspace(self.tmin, self.tmax, _MONOTONE_SAMPLES)
-        d = np.broadcast_to(self.fjet(ts)[1], ts.shape)
+        d = np.broadcast_to(self._value_slope(ts)[1], ts.shape)
         bad = ~(d > 0.0)
         if bad.any():
             i = int(np.argmax(bad))
@@ -360,9 +378,12 @@ class Monotone1D:
 
 
 class ExprMap(Monotone1D):
-    """Map given by an expression in a single variable.  Its values (which
-    the root finder reads) and jets come from two compiled jet functions:
-    those of the expression and of its third derivative."""
+    """Map given by an expression in a single variable.  Its values, the
+    slopes the root finder reads with them, and its jets come from two
+    compiled jet functions: those of the expression and of its third
+    derivative.  Both run array code only: a float is evaluated as a
+    one-entry array, so that floats and arrays get the same bits from one
+    compiled function each."""
 
     def __init__(self, e: Expr, var: str, tmin: float, tmax: float):
         super().__init__(tmin, tmax)
@@ -370,17 +391,30 @@ class ExprMap(Monotone1D):
         self.var = var
         self._jet = jet_function(e)
         self._d3 = jet_function(diff(diff(diff(e, var), var), var))
+        self._slots = ("dx", "dxx") if var == "x" else ("dy", "dyy")
         self.validate_monotone()
 
+    def _along(self, f, t):
+        """The value and the first and second derivative along the map's
+        variable of f's jet at t; at a float, as floats from a one-entry
+        array."""
+        scalar = not isinstance(t, np.ndarray)
+        a = np.array([t], dtype=float) if scalar else t
+        j = f(a, 0.0) if self.var == "x" else f(0.0, a)
+        slots = (j.v, getattr(j, self._slots[0]), getattr(j, self._slots[1]))
+        if not scalar:
+            return slots
+        # a slot known to be constant may be a number
+        return tuple(s.item() if isinstance(s, np.ndarray) else float(s) for s in slots)
+
     def __call__(self, t):
-        return (self._jet(t, 0.0) if self.var == "x" else self._jet(0.0, t)).v
+        return self._along(self._jet, t)[0]
+
+    def _value_slope(self, t):
+        return self._along(self._jet, t)[:2]
 
     def fjet(self, t):
-        if self.var == "x":
-            j = self._jet(t, 0.0)
-            return (j.v, j.dx, j.dxx, self._d3(t, 0.0).v)
-        j = self._jet(0.0, t)
-        return (j.v, j.dy, j.dyy, self._d3(0.0, t).v)
+        return (*self._along(self._jet, t), self._along(self._d3, t)[0])
 
 
 class LinearMap(Monotone1D):
@@ -489,6 +523,10 @@ class QuadratureMap(Monotone1D):
     def __call__(self, t):
         return self._fit.antiderivative(t) - self._base
 
+    def _value_slope(self, t):
+        # the fit is the exact derivative of the values
+        return self(t), self._fit(t)
+
     def fjet(self, t):
         d0, d1, d2 = self._deriv_jet(t)
         return (self(t), d0, d1, d2)
@@ -506,8 +544,9 @@ class _InverseMap(Monotone1D):
     def fjet(self, u):
         t, d1, d2, d3 = self._fwd.inverse_jets(u)
         w1 = 1.0 / d1
-        w2 = -d2 * w1 ** 3
-        w3 = (3.0 * d2 * d2 - d1 * d3) * w1 ** 5
+        # products, not **, so that floats and arrays round alike
+        w2 = -d2 * (w1 * w1 * w1)
+        w3 = (3.0 * d2 * d2 - d1 * d3) * (w1 * w1 * w1 * w1 * w1)
         return (t, w1, w2, w3)
 
     def inverse(self, t):

@@ -24,14 +24,27 @@ from projeq.rectify import solve_case1
 from conftest import poly_expr
 
 
+def expr_map(text, lo, width):
+    """The ExprMap of an expression in x on [lo, lo + width]."""
+    return ExprMap(parse(text, variables=("x",)), "x", lo, lo + width)
+
+
 def cubic_map(c0, c2, c3, lo, width):
     """A monotone cubic change x -> c0 + x + c2 x^2 + c3 x^3 on [lo, lo +
     width], scaled like the benchmark's admissible changes so that its
     derivative stays >= 1 - 0.2 - 0.15."""
-    hi = lo + width
-    T = max(abs(lo), abs(hi), 0.5)
-    e = parse(poly_expr("x", c0, [1.0, c2 / T, c3 / (T * T)]), variables=("x",))
-    return ExprMap(e, "x", lo, hi)
+    T = max(abs(lo), abs(lo + width), 0.5)
+    return expr_map(poly_expr("x", c0, [1.0, c2 / T, c3 / (T * T)]), lo, width)
+
+
+def exp_map(k, lo, width):
+    """x -> exp(k x) + x/4, for k > 0."""
+    return expr_map(f"exp({k!r}*x) + x/4", lo, width)
+
+
+def sin_map(a, lo, width):
+    """x -> x + a sin(3x), increasing for |a| < 1/3."""
+    return expr_map(f"x {'+' if a >= 0 else '-'} {abs(a)!r}*sin(3*x)", lo, width)
 
 
 def quadrature_map(k1, k2, lo, width):
@@ -256,6 +269,66 @@ def test_inverse_range_ends(m):
             m.inverse(np.array([0.5 * (vlo + vhi), u]))
 
 
+def solve_counted(m, u):
+    """m.inverse(u), and how often its root finder evaluated the map."""
+    evals = [0]
+    solve = fields.brentq
+
+    def counted(g, *args):
+        def g_counted(t):
+            evals[0] += 1
+            return g(t)
+        return solve(g_counted, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "brentq", counted)
+        return m.inverse(u), evals[0]
+
+
+# the benchmark's cubic admissible changes, and exp and sin maps
+newton_maps = st.one_of(
+    st.builds(partial, st.just(cubic_map), st.floats(-0.2, 0.2), st.floats(-0.1, 0.1),
+              st.floats(-0.05, 0.05), **ranges),
+    st.builds(partial, st.just(exp_map), st.floats(0.1, 3.0), **ranges),
+    st.builds(partial, st.just(sin_map), st.floats(-0.3, 0.3), **ranges),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=newton_maps,
+       fractions=st.lists(st.floats(-1e-12, 1.0 + 1e-12), min_size=1, max_size=20))
+# inputs within the round-off slack just outside each end of the range
+@example(make=partial(cubic_map, 0.1, 0.05, -0.03, -0.5, 1.0), fractions=[-1e-12, 1.0 + 1e-12])
+# the Newton step from a converged iterate rounds onto the bracket's lower
+# end, and onto its upper end: a closed bracket takes it
+@example(make=partial(cubic_map, -0.0439701792240553, 0.09493856257645786,
+                      0.012526148441510676, 0.04043425205437279, 1.1387452198383516),
+         fractions=[0.3955564210524287])
+@example(make=partial(cubic_map, 0.06414215220820935, -0.05088954655136449,
+                      0.026851699889625436, -0.6824878860887342, 1.6962947023960302),
+         fractions=[0.37514699649664185])
+# a slope of 1e-6 at 0: the Newton step from near 0 leaves the bracket, and
+# its midpoint is taken instead
+@example(make=partial(expr_map, "x^3 + 1e-6*x", -0.5, 1.5), fractions=[0.5, 0.05])
+def test_newton_inverse(make, fractions):
+    """The inverse of an array is the float inverses of its entries, bit for
+    bit; each is within round-off of the input, or the range end for an
+    input just outside it; a cubic map's solve evaluates it at most 5 times."""
+    m = make()
+    vlo, vhi = m.range
+    us = np.concatenate([[vlo, vhi], vlo + (vhi - vlo) * np.array(fractions)])
+    ts, evals = solve_counted(m, us)
+    floats = [solve_counted(m, u) for u in us.tolist()]
+    assert ts.tobytes() == np.array([t for t, _ in floats]).tobytes()
+    assert all(type(t) is float for t, _ in floats)
+    assert np.all((m.tmin <= ts) & (ts <= m.tmax))
+    inside = (vlo <= us) & (us <= vhi)
+    assert np.all(np.abs(m(ts[inside]) - us[inside]) <= 1e-12 * (1.0 + np.abs(us[inside])))
+    assert np.all(ts[us < vlo] == m.tmin) and np.all(ts[us > vhi] == m.tmax)
+    if make.func is cubic_map:
+        assert max(evals, *(n for _, n in floats)) <= 5
+
+
 def test_inverse_of_float_is_float():
     m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
     assert type(m.inverse(0.2)) is float
@@ -289,25 +362,43 @@ def test_array_inverse_runs_no_third_derivative(monkeypatch):
 
 @pytest.mark.parametrize("text", ["x + 0.1*x^2 - 0.03*x^3", "exp(x/2) + x/4", "y + sin(y)/3"])
 def test_expr_map_reads_its_jet_code_alone(text, monkeypatch):
-    """An ExprMap compiles jet code only, and its values and forward jets are
-    the slots of eval_jet of its expression and the value of eval_jet of
-    its third derivative, bit for bit, on floats and on arrays."""
-    kinds = []
+    """An ExprMap compiles array jet code only.  On arrays its values and
+    forward jets are the slots of eval_jet of its expression and the value
+    of eval_jet of its third derivative; at a float they are those of the
+    one-entry array, bit for bit, as floats."""
+    runs = []
     function = codegen._Compiled.__call__
     monkeypatch.setattr(codegen._Compiled, "__call__",
-                        lambda self, grid: kinds.append(self.kind) or function(self, grid))
+                        lambda self, grid: runs.append((self.kind, grid)) or function(self, grid))
     var = "y" if "y" in text else "x"
     e = parse(text, variables=(var,))
     m = ExprMap(e, var, -0.5, 0.5)
     d3 = diff(diff(diff(e, var), var), var)
     d, dd = ("dx", "dxx") if var == "x" else ("dy", "dyy")
-    for t in (0.3, -0.5, np.linspace(-0.5, 0.5, 9)):
-        at = (t, 0.0) if var == "x" else (0.0, t)
-        j = codegen.eval_jet(e, *at)
-        expected = (j.v, getattr(j, d), getattr(j, dd), codegen.eval_jet(d3, *at).v)
-        assert same_bits(m(t), j.v)
-        assert all(same_bits(a, b) for a, b in zip(m.fjet(t), expected, strict=True))
+    ts = np.linspace(-0.5, 0.5, 9)
+    at = (ts, 0.0) if var == "x" else (0.0, ts)
+    j = codegen.eval_jet(e, *at)
+    expected = (j.v, getattr(j, d), getattr(j, dd), codegen.eval_jet(d3, *at).v)
+    assert same_bits(m(ts), j.v)
+    assert all(same_bits(a, b) for a, b in zip(m.fjet(ts), expected, strict=True))
+    for t in (0.3, -0.5, *ts.tolist()):
+        one = [np.broadcast_to(s, (1,)).item() for s in m.fjet(np.array([t]))]
+        assert same_bits(m(t), one[0])
+        assert all(same_bits(a, b) for a, b in zip(m.fjet(t), one, strict=True))
+    kinds = [kind for kind, _ in runs]
     assert kinds and set(kinds) == {"jet"}
+    assert all(grid for _, grid in runs)
+
+
+def test_inverted_map_jets_are_alike_on_floats_and_arrays():
+    """An inverted map's jets at a float are the bits of that entry of an
+    array's jets: its derivatives are products of 1/phi', not powers, which
+    NumPy and Python round differently."""
+    inv = expr_map("x + 0.1*x^2 - 0.03*x^3", -0.5, 1.0).inverted()
+    us = np.linspace(inv.tmin, inv.tmax, 41)[1:-1]
+    arrays = inv.fjet(us)
+    for k, u in enumerate(us.tolist()):
+        assert all(same_bits(a, b[k].item()) for a, b in zip(inv.fjet(u), arrays, strict=True))
 
 
 def test_inverse_map_value_needs_no_jets(monkeypatch):
