@@ -6,7 +6,8 @@ returns the value and the first two z-derivatives of a holomorphic
 expression.  Both compile the expression into straight-line Python code;
 jet_function and complex_function keep the compiled code for repeated
 evaluation, and kernel_function compiles several expressions, which may
-hold opaque Leaf fields, into one float function.
+hold opaque Leaf fields, into one float function.  Code is compiled once
+per expression shape and kept in a bounded store (see _store).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import cmath
 import math
 import sys
 import time
+import types
+from collections import OrderedDict
 from functools import reduce
 
 import numpy as np
@@ -25,6 +28,8 @@ from .expr import (COMPLEX_VARIABLES, FUNCTIONS, REAL_VARIABLES, BinOp, Call, Co
 
 # abs is treated as non-differentiable when its argument is this close to 0.
 _ABS_KINK_TOL = 1e-12
+_OPERATORS = ("+", "-", "*", "/", "^")
+_VARIABLES = REAL_VARIABLES + COMPLEX_VARIABLES
 
 # An expression is compiled into the source of one straight-line function per
 # kind (an order-2 real jet, its value alone, a complex jet) and backend:
@@ -37,8 +42,17 @@ _ABS_KINK_TOL = 1e-12
 # factor differs there too, or in the sign of a zero.  Such factors are
 # summed, and where the sum is not finite the function runs again unfolded
 # ("exact").  Non-finite array results go there too, and the exact function
-# names the innermost node with a non-finite slot.  Nothing is cached beyond
-# the returned function.
+# names the innermost node with a non-finite slot.  A ^0 drops its base as
+# such a product drops its other factor; where the base is not finite, the
+# exact function raises there (on floats as an overflow, on a grid naming
+# the innermost non-finite node).
+#
+# The code depends on an expression's shape alone (see _shape), not on the
+# values of its literals: each literal is a parameter of the function, and
+# so are the error table and the nodes its messages render, the leaves'
+# functions and the exact function.  A function is the shape's code with
+# these as parameter defaults, so one code object, kept in _store, serves
+# every expression of its shape.
 #
 # A sub-expression without variables is a constant: its value is computed
 # once, while compiling, by the float value code (complex jet code in the
@@ -93,8 +107,9 @@ def kernel_function(roots: tuple[Expr, ...], kind: str, where, check=None):
     function raises error(x, y, value of root n) where test(their values)
     holds, so that later roots may assume it false (a metric is not inverted
     where singular).  An arithmetic failure is a DomainError that names
-    where(), a string.  Compiling logs one DEBUG record to the 'projeq'
-    logger."""
+    where(), a string.  Building the kernel logs one DEBUG record to the
+    'projeq' logger, which says whether its code was compiled or came from
+    the store."""
     start = time.perf_counter()
     compiled = _Compiled(tuple(roots), kind, check=check)
     fn = compiled(False)
@@ -103,7 +118,8 @@ def kernel_function(roots: tuple[Expr, ...], kind: str, where, check=None):
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("projeq").debug(
-            "compiled %s kernel: %d nodes, %d leaves, %.2f ms", kind, *compiled.size,
+            "%s kernel, %s: %d nodes, %d leaves, %.2f ms", kind,
+            "compiled" if compiled.fresh else "from the store", *compiled.code.size,
             1e3 * (time.perf_counter() - start))
 
     def kernel(x, y):
@@ -121,7 +137,9 @@ def eval_jet(e: Expr, x, y) -> Jet2:
     With NumPy arrays for x and y (any shapes that broadcast) the slots are
     arrays over those points; domain errors and non-finite values then raise
     DomainError naming the sub-expression and the first offending point in
-    C order.  Each call compiles e: keep jet_function(e) to evaluate often."""
+    C order.  Each call walks e and binds its shape's code, which it
+    compiles only if the store lacks it: keep jet_function(e) to evaluate
+    often."""
     return jet_function(e)(x, y)
 
 
@@ -139,27 +157,156 @@ def _arithmetic(err, pole: str) -> str:
 
 class _Compiled:
     """The functions of one expression (or tuple of roots, see
-    kernel_function) and kind, one for floats and one for arrays, each
-    compiled on first use: call with grid = False or True."""
+    kernel_function) and kind, one for floats and one for arrays, each built
+    on first use from its shape's code: call with grid = False or True."""
 
-    def __init__(self, e, kind: str, exact: bool = False, check=None):
+    def __init__(self, e, kind: str, exact: bool = False, check=None, shape=None):
         self.expr, self.kind, self.exact, self.check, self.fns = e, kind, exact, check, {}
-        self.size = None            # (distinct nodes, leaves) once compiled
+        self.shape = shape          # _shape(e), taken on first use
+        self.code = None            # the _Code of the last function built
+        self.fresh = False          # whether that code was compiled, not stored
 
     def __call__(self, grid: bool):
         fn = self.fns.get(grid)
         if fn is None:
-            n, test, error = self.check or (0, None, None)
-            emitter = _Emitter(self.kind, grid, self.exact, check_at=n)
-            ns = dict(_NAMESPACES[self.kind == "complex", grid], E=emitter.errors,
-                      L=emitter.leaves, S=test, R=error)
-            if not self.exact:
-                exact = _Compiled(self.expr, self.kind, exact=True, check=self.check)
-                ns["X"] = lambda *args: exact(grid)(*args)
-            exec(compile(emitter.source(self.expr), "<projeq expression>", "exec"), ns)
-            fn = self.fns[grid] = ns["f"]
-            self.size = (len(emitter.ids), len(emitter.leaves))
+            if self.shape is None:
+                self.shape = _shape(self.expr)
+            key, nodes = self.shape
+            key = (key, self.kind, grid, self.exact, self.check)
+            code = _store.get(key)
+            self.fresh = code is None
+            if code is None:
+                code = _store[key] = self.compile(grid, nodes)
+                if len(_store) > _STORE_SIZE:
+                    _store.popitem(last=False)
+            else:
+                _store.move_to_end(key)
+            self.code = code
+            fn = self.fns[grid] = types.FunctionType(
+                code.code, _NAMESPACES[self.kind == "complex", grid], "f",
+                self.defaults(code, grid, nodes))
         return fn
+
+    def defaults(self, code: "_Code", grid: bool, nodes: list) -> tuple:
+        """The values of the parameters E, N, L, X, S, R, k0, k1, ... of
+        code, for this expression."""
+        rerun = None
+        if not self.exact:
+            exact = _Compiled(self.expr, self.kind, True, self.check, self.shape)
+
+            def rerun(*args):
+                return exact(grid)(*args)
+
+        _, test, error = self.check or (0, None, None)
+        cplx = self.kind == "complex"
+        return (code.errors, nodes, [nodes[p].jet for p in code.leaves], rerun, test, error,
+                *[_literal_slot(nodes[p], cplx, grid) for p in code.literals])
+
+    def compile(self, grid: bool, nodes: list) -> "_Code":
+        emitter = _Emitter(self.kind, grid, self.exact, nodes, check_at=(self.check or (0,))[0])
+        scratch = {}
+        exec(compile(emitter.source(self.expr), "<projeq expression>", "exec"), scratch)
+        positions = emitter.positions
+        return _Code(scratch["f"].__code__, tuple(emitter.errors),
+                     tuple(positions[id(leaf)] for leaf in emitter.leaves),
+                     tuple(positions[id(e)] for e in emitter.slots),
+                     (len(emitter.ids), len(emitter.leaves)))
+
+
+class _Code:
+    """A store entry: the code of one shape, kind and backend, with its
+    error table (message, position of the node it names or None) and the
+    positions of its leaves and literal slots in the shape's node list.  It
+    holds no node, so it keeps no expression alive."""
+
+    __slots__ = ("code", "errors", "leaves", "literals", "size")
+
+    def __init__(self, code, errors, leaves, literals, size):
+        self.code, self.errors, self.leaves, self.literals = code, errors, leaves, literals
+        self.size = size            # (distinct nodes, leaves)
+
+
+# The code store: (shape, kind, grid, exact, check) -> _Code, least recently
+# used first, at most _STORE_SIZE entries.  Results do not depend on it: an
+# expression gets the same function from stored code as from a new compile.
+_STORE_SIZE = 512
+_store: OrderedDict = OrderedDict()
+
+
+def _shape(e) -> tuple[tuple, list]:
+    """(key, nodes) of an expression or a tuple of roots: nodes lists each
+    distinct node object once, and key names the code the emitter writes
+    for it, so that expressions of equal keys share their code.
+
+    The key holds each node's kind and the positions of its children (so
+    leaves by identity), and each number literal's type, finiteness and
+    class of bit-equal literals.  The values of literals are left out,
+    except where they steer emission: in a constant exponent and in any
+    other variable-free sub-expression that is not a literal itself, which
+    are computed while compiling.  It first checks that the tree consists
+    of nodes the parser makes, or leaves."""
+    roots = e if isinstance(e, tuple) else (e,)
+    nodes, entries, children, index, classes = [], [], [], {}, {}
+    variable, literal = [], []
+
+    def walk(e) -> int:
+        p = index.get(id(e))
+        if p is not None:
+            return p
+        t, lit = type(e), False
+        if t is BinOp and e.op in _OPERATORS:
+            kids = (walk(e.left), walk(e.right))
+            entry, var = (e.op, *kids), variable[kids[0]] or variable[kids[1]]
+        elif t is Num and type(e.value) in (int, float):
+            v, kids, var, lit = e.value, (), False, True
+            entry = ("n", type(v) is int, math.isfinite(v),
+                     classes.setdefault((type(v), repr(v)), len(classes)))
+        elif t is Var and e.name in _VARIABLES:
+            entry, kids, var = ("v", e.name), (), True
+        elif t is Call and e.func in FUNCTIONS:
+            kids = (walk(e.arg),)
+            entry, var = (e.func, *kids), variable[kids[0]]
+        elif t is Neg:
+            kids = (walk(e.arg),)
+            entry, var, lit = ("-", *kids), variable[kids[0]], literal[kids[0]]
+        elif t is Leaf and callable(e.jet):
+            entry, kids, var = ("L",), (), True
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        p = index[id(e)] = len(nodes)
+        nodes.append(e)
+        entries.append(entry)
+        children.append(kids)
+        variable.append(var)
+        literal.append(lit)
+        return p
+
+    tops = tuple(walk(root) for root in roots)
+    # constants computed while compiling: their literals' values are code
+    constants = [c for p in range(len(nodes)) if variable[p]
+                 for i, c in enumerate(children[p])
+                 if not variable[c] and (not literal[c] or (entries[p][0] == "^" and i == 1))]
+    constants += [p for p in tops if not variable[p] and not literal[p]]
+    fixed, seen = {}, set()
+    while constants:
+        p = constants.pop()
+        if p not in seen:
+            seen.add(p)
+            constants.extend(children[p])
+            if entries[p][0] == "n":
+                fixed[entries[p][3]] = repr(nodes[p].value)
+    key = (tuple(entries), tops, isinstance(e, tuple), tuple(sorted(fixed.items())))
+    return key, nodes
+
+
+def _literal_slot(e, cplx: bool, grid: bool):
+    """The value of the literal e in its slot: what the emitter's source
+    text for it would evaluate to."""
+    F = _NAMESPACES[cplx, grid]["F"]
+    if type(e) is Num:
+        return F(e.value) if grid or cplx else e.value
+    k = _literal(e, complex if cplx else float)
+    return F(k.real, k.imag) if cplx else F(k) if grid else k
 
 
 def _first_point(mask, x, y) -> tuple[float, float]:
@@ -169,10 +316,10 @@ def _first_point(mask, x, y) -> tuple[float, float]:
     return float(np.broadcast_to(x, shape)[i]), float(np.broadcast_to(y, shape)[i])
 
 
-def _raise(errors, i: int, mask=None, x=None, y=None):
+def _raise(errors, nodes, i: int, mask=None, x=None, y=None):
     """Error i of a compiled function, at the first grid point of mask."""
-    message, node = errors[i]
-    raise DomainError(message, "" if node is None else render(node),
+    message, p = errors[i]
+    raise DomainError(message, "" if p is None else render(nodes[p]),
                       None if mask is None else _first_point(mask, x, y))
 
 
@@ -225,8 +372,9 @@ class _Dead(Exception):
     the error (message, node) when a constant is computed."""
 
 
-def _dead(errors, i: int, *_):
-    raise _Dead(*errors[i])
+def _dead(errors, nodes, i: int, *_):
+    message, p = errors[i]
+    raise _Dead(message, None if p is None else nodes[p])
 
 
 class _Emitter:
@@ -234,13 +382,19 @@ class _Emitter:
 
     A jet is a tuple of slots (value, first, second derivatives): source
     texts, or numbers for derivative slots known at generation time.  The
-    texts hold only literals (repr of an int or float), the variables, the
-    names of _NAMESPACES and generated temporaries t1, t2, ..."""
+    texts hold only the variables, the parameters (literal slots k0, k1,
+    ...), the names of _NAMESPACES, generated temporaries t1, t2, ... and
+    numbers (repr of an int or float) that the shape fixes.  nodes lists
+    the tree's nodes as _shape does, and positions maps the id of each to
+    its place there; errors name nodes by those places."""
 
-    def __init__(self, kind: str, grid: bool, exact: bool, top: Expr | None = None,
-                 check_at: int = 0, constants: bool = True):
+    def __init__(self, kind: str, grid: bool, exact: bool, nodes: list, positions=None,
+                 top: Expr | None = None, check_at: int = 0, constants: bool = True):
         self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
+        self.nodes = nodes
+        self.positions = positions or {id(node): p for p, node in enumerate(nodes)}
         # constants=False: a constant is code like any other sub-expression
+        # and its literals are numbers in the source (code run once, now)
         self.complex, self.top, self.constants = kind == "complex", top, constants
         self.check_at = check_at
         self.zero, self.one = (0j, 1 + 0j) if self.complex else (0.0, 1.0)
@@ -249,7 +403,7 @@ class _Emitter:
                       "complex": ((1, 1),)}[kind]
         self.first = {"jet": 2, "value": 0, "complex": 1}[kind]
         self.args, self.at = ("z", "z.real, z.imag") if self.complex else ("x, y", "x, y")
-        self.lines, self.errors, self.leaves, self.depth, self.n = [], [], [], 1, 0
+        self.lines, self.errors, self.leaves, self.slots, self.depth, self.n = [], [], [], [], 1, 0
         self.ids, self.keys, self.memo, self.inverses = {}, {}, {}, {}
         self.taints = {}                        # factors of folded products
         self.safe = {self.txt(self.one)}        # finite literals
@@ -277,13 +431,14 @@ class _Emitter:
             jets = None
         if jets is not None:
             self.finish(jets, isinstance(e, tuple))
-        return f"def f({self.args}):\n" + "\n".join(self.lines) + "\n"
+        params = "".join(f", k{i}" for i in range(len(self.slots)))
+        return f"def f({self.args}, E, N, L, X, S, R{params}):\n" + "\n".join(self.lines) + "\n"
 
     def finish(self, jets, many: bool):
         """Return the jets (a tuple of them if many)."""
         live = [s for jet in jets for s in jet if not _const(s)]
         if self.record:
-            self.line(f"if _mark(None, 0, {', '.join(live)}): _raise(E, *B, {self.at})")
+            self.line(f"if _mark(None, 0, {', '.join(live)}): _raise(E, N, *B, {self.at})")
         if self.grid:
             for s in live:
                 self.taint(s)
@@ -316,23 +471,23 @@ class _Emitter:
         return s if not _const(s) else f"({s!r})"
 
     def error(self, message: str, node) -> int:
-        self.errors.append((message, node))
+        self.errors.append((message, None if node is None else self.positions[id(node)]))
         return len(self.errors) - 1
 
     def check(self, cond: str, message: str, node):
         i = self.error(message, node)
         if self.grid:
             mask = self.tmp(cond)
-            self.line(f"if _any({mask}): _raise(E, {i}, {mask}, {self.at})")
+            self.line(f"if _any({mask}): _raise(E, N, {i}, {mask}, {self.at})")
         else:
-            self.line(f"if {cond}: _raise(E, {i})")
+            self.line(f"if {cond}: _raise(E, N, {i})")
 
     def fail(self, message: str, node=None, at_point=False):
         """Raise unconditionally; on a grid at its first point if at_point."""
         if at_point:
             self.check("True", message, node)
         else:
-            self.line(f"_raise(E, {self.error(message, node)})")
+            self.line(f"_raise(E, N, {self.error(message, node)})")
         raise _Dead
 
     # slots ---------------------------------------------------------------------------
@@ -367,6 +522,11 @@ class _Emitter:
     # jets ----------------------------------------------------------------------------
     def jet(self, v: str, first=()):
         return (v, *first, *(self.zero,) * (self.first - len(first) + len(self.pairs)))
+
+    def slot(self, e: Expr) -> str:
+        """The parameter that holds the literal e (see _literal_slot)."""
+        self.slots.append(e)
+        return f"k{len(self.slots) - 1}"
 
     def number(self, text: str, finite: bool):
         """The jet of a constant given as source; a finite one is safe."""
@@ -426,6 +586,20 @@ class _Emitter:
         return self.chain(u, f0, f1, f2)
 
     # powers --------------------------------------------------------------------------
+    def drop(self, u):
+        """Discard the base u of a ^0.  The folded code runs the exact code
+        where a slot of u is not finite, as for a product folded to 0, and
+        the exact code raises there: on a grid at the innermost non-finite
+        node, on floats as an overflow."""
+        live = [s for s in u if not _const(s) and s not in self.safe]
+        if self.fold:
+            for s in live:
+                self.taint(s)
+        elif self.record and live:
+            self.line(f"if _mark(None, 0, {', '.join(live)}): _raise(E, N, *B, {self.at})")
+        elif live:
+            self.line(f"if {' + '.join(f'({s} - {s})' for s in live)}: raise OverflowError")
+
     def pw(self, v: str, k: float):
         """v ** k as the power rule computes it: exponents 0 and 1 exactly."""
         if k == 0.0:
@@ -455,6 +629,7 @@ class _Emitter:
         elif not math.isfinite(k):
             self.fail("non-finite exponent", node, at_point=True)
         if k == 0.0:
+            self.drop(u)
             return self.jet(self.txt(self.one))
         if k != round(k):
             self.check(f"{u[0]} <= 0.0", "non-integer power of a non-positive base", node)
@@ -471,12 +646,13 @@ class _Emitter:
         k = _literal(e, complex if self.complex else float)
         if k is not None:
             return k
-        sub = _Emitter("complex" if self.complex else "value", False, exact=True, top=self.top,
-                       constants=False)
-        ns = dict(_NAMESPACES[self.complex, False], E=sub.errors, _raise=_dead)
+        sub = _Emitter("complex" if self.complex else "value", False, True, self.nodes,
+                       self.positions, top=self.top, constants=False)
+        ns = dict(_NAMESPACES[self.complex, False], _raise=_dead)
         exec(compile(sub.source(e), "<projeq expression>", "exec"), ns)
         try:
-            k = ns["f"](0j) if self.complex else ns["f"](0.0, 0.0)
+            k = ns["f"](*(0j,) if self.complex else (0.0, 0.0), sub.errors, self.nodes,
+                        None, None, None, None)
         except _Dead as dead:
             self.fail(*dead.args, at_point=True)
         except (ArithmeticError, ValueError) as err:     # ValueError: sin or cos of inf
@@ -509,22 +685,22 @@ class _Emitter:
     # nodes ---------------------------------------------------------------------------
     def key(self, e: Expr) -> int:
         """A number naming e's structure, exact in its literals (0.0 is not
-        -0.0).  Its first call checks that the whole tree consists of nodes
-        the parser makes, before any source is written."""
+        -0.0).  _shape checked the tree's nodes; its first call refuses a
+        leaf outside real float code, before any source is written."""
         key = self.keys.get(id(e))
         if key is None:
             match e:
-                case Num(v) if type(v) in (int, float):
+                case Num(v):
                     s = ("n", repr(v))
-                case Var(name) if name in REAL_VARIABLES + COMPLEX_VARIABLES:
+                case Var(name):
                     s = ("v", name)
                 case Neg(arg):
                     s = ("-", self.key(arg))
-                case BinOp(op, left, right) if op in ("+", "-", "*", "/", "^"):
+                case BinOp(op, left, right):
                     s = (op, self.key(left), self.key(right))
-                case Call(func, arg) if func in FUNCTIONS:
+                case Call(func, arg):
                     s = (func, self.key(arg))
-                case Leaf(jet) if callable(jet) and not self.complex and not self.grid:
+                case Leaf() if not self.complex and not self.grid:
                     s = ("L", id(e))
                 case _:
                     raise TypeError(f"not an Expr: {e!r}")
@@ -544,11 +720,13 @@ class _Emitter:
     def emit(self, e: Expr):
         match e:
             case Num(v):
-                return self.number(f"F({v!r})" if self.grid or self.complex else f"({v!r})",
-                                   math.isfinite(v))
+                text = (self.slot(e) if self.constants
+                        else f"F({v!r})" if self.grid or self.complex else f"({v!r})")
+                return self.number(text, math.isfinite(v))
             case _ if self.constants and not _has_variable(e):
                 k = self.constant(e)
-                text = (f"F({k.real!r}, {k.imag!r})" if self.complex
+                text = (self.slot(e) if _literal(e, float) is not None
+                        else f"F({k.real!r}, {k.imag!r})" if self.complex
                         else f"F({k!r})" if self.grid else f"({k!r})")
                 return self.number(text, cmath.isfinite(k))
             case Var(name):
@@ -557,8 +735,8 @@ class _Emitter:
                     self.fail(f"variable '{name}' has no {context}-context value")
                 z, o = self.zero, self.one
                 return self.jet(name, {"x": (o, z), "y": (z, o), "z": (o,)}[name][:self.first])
-            case Leaf(jet):
-                self.leaves.append(jet)
+            case Leaf():
+                self.leaves.append(e)
                 t = self.tmp(f"L[{len(self.leaves) - 1}]({self.at})")
                 return tuple(f"{t}.{s}" for s in Jet2.__slots__[:1 + self.first + len(self.pairs)])
             case Neg(arg):

@@ -5,9 +5,11 @@ walk of the AST per evaluation, for floats and for coordinate arrays, real
 and complex.  Their constants are the compiler's: a sub-expression without
 variables is a constant, whose value the floats compute once (value() for
 real ones, the complex walk for complex ones) and whose derivatives are 0;
-a constant exponent takes the power rule.  They share nothing with the
-compiler but the AST, Jet2's arithmetic and render(), so the tests compare
-compiled code against them.
+a constant exponent takes the power rule.  A ^0 is 1 where its base's jet
+is finite and an error elsewhere: an overflow on floats, and on arrays the
+strict walk's error at the innermost non-finite node.  They share nothing
+with the compiler but the AST, Jet2's arithmetic and render(), so the tests
+compare compiled code against them.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def value(e):
             for bad, message in power_checks(k):
                 if bad(v):
                     raise DomainError(message, render(e))
-            return 1.0 if k == 0.0 else v if k == 1.0 else v ** k
+            if k == 0.0:
+                return dropped(v)
+            return v if k == 1.0 else v ** k
         case BinOp(op, left, right):
             a, b = value(left), value(right)
             if op == "/" and b == 0.0:
@@ -153,6 +157,18 @@ def power_checks(k):
     if k != round(k):
         return ((lambda v: v <= 0.0, "non-integer power of a non-positive base"),)
     return ((lambda v: v == 0.0, "zero raised to a negative power"),) if k < 0.0 else ()
+
+
+def dropped(*slots):
+    """1, the value of a ^0 whose base has these slots; an overflow where
+    one is not finite."""
+    if not all(cmath.isfinite(s) for s in slots):
+        raise OverflowError
+    return 1.0
+
+
+def jet_slots(j):
+    return (j.v, j.dv, j.ddv) if isinstance(j, CJet) else (j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy)
 
 
 def const_power(u, k):
@@ -196,7 +212,7 @@ def jet_pow(u, w):
     for bad, message in power_checks(w):
         if bad(u.v):
             raise DomainError(message)
-    return Jet2(1.0) if w == 0.0 else const_power(u, w)
+    return Jet2(dropped(*jet_slots(u))) if w == 0.0 else const_power(u, w)
 
 
 def _eval_jet(e, x, y):
@@ -265,7 +281,7 @@ def cpow(u, w):
     if not isinstance(w, CJet):
         if integral(w):
             if w.real == 0.0:
-                return CJet(1.0 + 0j)
+                return CJet(dropped(*jet_slots(u)) + 0j)
             if u.v == 0 and w.real < 0.0:
                 raise DomainError("complex pole: zero to a negative power")
             return const_power(u, w.real)
@@ -328,9 +344,8 @@ def reject(mask, message, node, x, y):
 
 
 def nonfinite(j):
-    slots = (j.v, j.dv, j.ddv) if isinstance(j, CJet) else (j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy)
     bad = False
-    for s in slots:
+    for s in jet_slots(j):
         bad = bad | ~np.isfinite(s)
     return bad
 
@@ -361,7 +376,8 @@ def grid_cpow(u, w, node, x, y):
 
 class Grid:
     """One expression walked over coordinate arrays; a second, strict walk
-    names the innermost node with a non-finite slot."""
+    names the innermost node with a non-finite slot.  It runs where the
+    result is not finite, or where the base of a ^0 is not."""
 
     def __init__(self, x, y, variables, constant, rules, domain, exponent, power, pole,
                  context):
@@ -370,10 +386,10 @@ class Grid:
         self.exponent, self.context = exponent, context
 
     def evaluate(self, e):
-        self.top = e
+        self.top, self.dropped = e, False
         with np.errstate(all="ignore"):
             j = self.walk(e, False)
-            if np.any(nonfinite(j)):
+            if self.dropped or np.any(nonfinite(j)):
                 self.walk(e, True)
         return j
 
@@ -395,7 +411,9 @@ class Grid:
                 if has_variable(right):
                     out = self.power(u, self.walk(right, strict), e, x, y)
                 else:
-                    out = self.power(u, self.constant_value(right), e, x, y)
+                    k = self.constant_value(right)
+                    self.dropped |= k == 0 and bool(np.any(nonfinite(u)))
+                    out = self.power(u, k, e, x, y)
             case BinOp(op, left, right):
                 lu, ru = self.walk(left, strict), self.walk(right, strict)
                 if op == "+":

@@ -1,3 +1,4 @@
+import collections
 import logging
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projeq as pq
+from projeq import codegen
 from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
 from projeq.expr import Leaf
@@ -21,7 +23,8 @@ UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
 SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 # off-grid points as fractions of the chart's ranges
 OFF_GRID = [(fx, fy) for fx in (0.13, 0.38, 0.62, 0.87) for fy in (0.07, 0.41, 0.71, 0.93)]
-KERNEL_LOG = re.compile(r"compiled (jet|value) kernel: (\d+) nodes, (\d+) leaves, [0-9.]+ ms")
+KERNEL_LOG = re.compile(
+    r"(jet|value) kernel, (compiled|from the store): (\d+) nodes, (\d+) leaves, [0-9.]+ ms")
 
 
 def euclidean(chart=UNIT):
@@ -90,7 +93,7 @@ def kernel_logs(caplog):
     """(kind, nodes, leaves) of each kernel compile logged to 'projeq'."""
     found = [KERNEL_LOG.fullmatch(r.getMessage()) for r in caplog.records if r.name == "projeq"]
     assert all(found) and all(r.levelno == logging.DEBUG for r in caplog.records)
-    return [(m[1], int(m[2]), int(m[3])) for m in found]
+    return [(m[1], int(m[3]), int(m[4])) for m in found]
 
 
 class TestChart:
@@ -336,6 +339,25 @@ class TestKernels:
         assert run(cfg, output_dir=tmp_path) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.count("\n") == 1
+
+    def test_kernel_log_says_where_its_code_came_from(self, caplog, monkeypatch):
+        """A metric of the shape of one read before builds its kernels from
+        the code store, and its DEBUG records say so; the default level
+        still writes nothing."""
+        monkeypatch.setattr(codegen, "_store", collections.OrderedDict())
+        g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
+        h = pq.Metric2.from_exprs("5 + x", "x * y / 7", "4 - y", UNIT)
+        with caplog.at_level(logging.WARNING):
+            g.entries_at(0.3, 0.2)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="projeq"):
+            h.entries_at(0.3, 0.2)
+            h.jets_at(0.3, 0.2)
+            g.jets_at(0.3, 0.2)
+        found = [KERNEL_LOG.fullmatch(r.getMessage()) for r in caplog.records]
+        assert [m.groups()[:2] for m in found] == [
+            ("value", "from the store"), ("jet", "compiled"), ("jet", "from the store")]
+        assert found[1].groups()[2:] == found[2].groups()[2:]     # the same nodes and leaves
 
 
 class TestChristoffel:

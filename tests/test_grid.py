@@ -5,11 +5,14 @@ Every sweep over a chart evaluates its fields once as (nx, ny) arrays
 (ScalarField.on).  These tests rebuild each sweep's answer point by point
 from the public scalar functions and require the same result and the same
 worst grid point.  Both routes run compiled code, so that code is checked
-against the tree walkers of tests/jet_oracle.py, on floats and on arrays.
+against the tree walkers of tests/jet_oracle.py, on floats and on arrays,
+and code shared through the code store against a fresh compile.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import io
 import json
 import math
@@ -21,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import jet_oracle as oracle
@@ -200,11 +203,15 @@ expressions = st.recursive(_leaves, _extend, max_leaves=8)
 # a constant whose derivatives overflow, though ^0 discards them
 DISCARDED_OVERFLOW = Neg(BinOp("^", BinOp("^", Num(1.1367431632993034e-224), Num(-1.0)),
                                Num(0.0)))
+# a ^0 of a variable base whose derivatives overflow: an error on floats and
+# grids alike
+DROPPED_OVERFLOW = BinOp("^", BinOp("^", BinOp("*", Var("x"), Num(1e-200)), Num(-2.0)), Num(0.0))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(expressions)
 @example(DISCARDED_OVERFLOW)
+@example(DROPPED_OVERFLOW)
 def test_grid_jets_agree_with_scalar_jets(e):
     x, y = GRID_CHART.mesh
     jet = pq.jet_function(e)
@@ -360,16 +367,18 @@ def test_compiled_complex_jets_match_the_oracle(e):
 @given(st.one_of(wide_expressions, complex_expressions))
 def test_generated_source_names_nothing_else(e):
     """Compiled source holds numbers, and names from a fixed set: the
-    variables, the functions, generated temporaries and the helpers."""
+    variables, the functions, the parameters (literal slots k0, k1, ...),
+    generated temporaries and the helpers."""
     allowed = set(codegen._NAMESPACES[False, True]) | {
-        "x", "y", "z", "f", "E", "X", "P", "B", "abs", "real", "imag", "def", "return", "if",
-        "None", "True"}
+        "x", "y", "z", "f", "E", "N", "L", "X", "S", "R", "P", "B", "abs", "real", "imag",
+        "def", "return", "if", "raise", "OverflowError", "None", "True"}
+    _, nodes = codegen._shape(e)
     for kind in ("jet", "value", "complex"):
         for grid in (False, True):
-            source = codegen._Emitter(kind, grid, exact=not grid).source(e)
+            source = codegen._Emitter(kind, grid, not grid, nodes).source(e)
             for tok in tokenize.generate_tokens(io.StringIO(source).readline):
                 if tok.type == tokenize.NAME:
-                    assert tok.string in allowed or tok.string[0] == "t" and \
+                    assert tok.string in allowed or tok.string[0] in "tk" and \
                         tok.string[1:].isdigit(), tok.string
                 else:
                     assert tok.type in (tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
@@ -429,6 +438,137 @@ def test_complex_grid_jets_agree_with_scalar_jets():
             for s in ("v", "dv", "ddv"):
                 g = np.broadcast_to(getattr(grid, s), x.shape).flat[i]
                 assert g == pytest.approx(getattr(c, s), rel=1e-14, abs=1e-14)
+
+
+# --- the code store ---------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _fresh_store():
+    """codegen's code store, empty, for the duration."""
+    kept = codegen._store
+    codegen._store = collections.OrderedDict()
+    try:
+        yield codegen._store
+    finally:
+        codegen._store = kept
+
+
+def _literals(e) -> list:
+    """The values of e's number literals in pre-order."""
+    match e:
+        case Num(v):
+            return [v]
+        case Neg(arg) | Call(_, arg):
+            return _literals(arg)
+        case BinOp(_, left, right):
+            return _literals(left) + _literals(right)
+    return []
+
+
+def _relabel(e, values):
+    """e with its number literals, in pre-order, taken from the iterator values."""
+    match e:
+        case Num():
+            return Num(next(values))
+        case Neg(arg):
+            return Neg(_relabel(arg, values))
+        case Call(func, arg):
+            return Call(func, _relabel(arg, values))
+        case BinOp(op, left, right):
+            return BinOp(op, _relabel(left, values), _relabel(right, values))
+    return e
+
+
+def _built(root, kind: str) -> list:
+    """Each function of root (folded and exact, floats and GRID_CHART) as
+    the store gives it, applied: slot types and bytes, or the error's type,
+    message, rendered node and grid point."""
+    out = []
+    for grid in (False, True):
+        points = [GRID_CHART.mesh] if grid else POINTS
+        if kind == "complex":
+            points = [(x + 1j * np.asarray(y),) for x, y in points]
+        for exact in (False, True):
+            fn = codegen._Compiled(root, kind, exact)(grid)
+            for args in points:
+                try:
+                    with np.errstate(all="ignore"):
+                        j = fn(*args)
+                except (DomainError, ArithmeticError, ValueError) as err:
+                    out.append((type(err), str(err), getattr(err, "where", None),
+                                getattr(err, "point", None)))
+                    continue
+                slots = j if kind == "value" else [getattr(j, s) for s in type(j).__slots__]
+                out.append([(type(s), np.asarray(s).dtype, np.asarray(s).tobytes())
+                            for s in slots])
+    return out
+
+
+store_cases = st.one_of(wide_expressions.map(lambda e: (e, "jet")),
+                        wide_expressions.map(lambda e: ((e,), "value")),
+                        complex_expressions.map(lambda e: (e, "complex")))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(store_cases, st.data())
+def test_stored_code_equals_a_fresh_compile(case, data):
+    """An expression whose shape another one stored gets, from that code,
+    the bits and errors of its own fresh compile.  Its literals are redrawn
+    from the first's: kept, made equal to another, set to 0, 1 or -0.0, or
+    drawn anew, so equal literals turn unequal and the reverse, and an
+    exponent changes (a new shape)."""
+    root, kind = case
+    many = isinstance(root, tuple)
+    e = root[0] if many else root
+    values = _literals(e)
+    other = st.sampled_from([0.0, 1.0, -0.0, 2.0, -1.0, *values])
+    redrawn = [data.draw(st.one_of(st.just(v), other, st.floats(-3.0, 3.0, allow_nan=False)))
+               for v in values]
+    e2 = _relabel(e, iter(redrawn))
+    root2 = (e2,) if many else e2
+    with _fresh_store() as store:
+        _built(root, kind)
+        stored = len(store)
+        shared = _built(root2, kind)
+        same = codegen._shape(root2)[0] == codegen._shape(root)[0]
+        event("same shape" if same else "new shape")
+        if same:
+            assert len(store) == stored     # every function came from the store
+    with _fresh_store():
+        assert _built(root2, kind) == shared
+
+
+def test_messages_name_their_own_literals():
+    """log(x - 2) and log(x - 3) share their code, and each error renders
+    its own expression, on floats and on a grid."""
+    with _fresh_store() as store:
+        for k in (2, 3):
+            e = pq.parse(f"log(x - {k})")
+            for args in ((1.5, 0.5), GRID_CHART.mesh):
+                with pytest.raises(DomainError, match="log of a non-positive value") as err:
+                    pq.eval_jet(e, *args)
+                assert err.value.where == f"log(x-{k}.0)"
+            assert len(store) == 2          # one code for floats, one for arrays
+
+
+def test_the_store_keeps_its_bound(monkeypatch):
+    """Past its bound the store drops the least recently used shape, and
+    that shape compiles again to the same code and bits."""
+    monkeypatch.setattr(codegen, "_STORE_SIZE", 3)
+    shapes = [pq.parse(f"sin(x)^{k} + 2*y") for k in range(1, 8)]   # exponents are shape
+    with _fresh_store() as store:
+        want = _built(shapes[0], "jet")             # four functions: the store is full
+        first = codegen._Compiled(shapes[0], "jet")
+        first(True)
+        for e in shapes[1:]:
+            codegen._Compiled(e, "jet")(True)
+            assert len(store) == 3
+        again = codegen._Compiled(shapes[0], "jet")
+        again(True)
+        assert again.fresh and again.code is not first.code
+        assert again.code.code == first.code.code
+        assert _built(shapes[0], "jet") == want
 
 
 # --- failures ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from projeq import codegen
 from projeq.cli import run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -46,3 +47,9 @@ def test_command_line_examples(tmp_path):
         path = tmp_path / f"example{i}.json"
         path.write_text(text)
         assert run(path, tmp_path / f"out{i}", quiet=True) == 0, json.loads(text)["command"]
+
+
+def test_code_store_bound():
+    """The bound of the code store that the README states is codegen's."""
+    (bound,) = re.findall(r"code\s+store\s+keeps\s+at\s+most\s+(\d+)\s+code\s+objects", README)
+    assert int(bound) == codegen._STORE_SIZE
