@@ -17,13 +17,12 @@ from .expr import ComplexJet, Jet2, diff, parse, render
 from .codegen import complex_function, eval_complex, eval_jet, jet_function
 from .fields import ExprMap, IdentityMap, LinearMap, Monotone1D, QuadratureMap, ScalarField
 from .geometry import (Chart, Classification, Metric2, PairClassification, christoffel_at,
-                       classify_at, classify_pair, g_tensor_at, metric_at)
+                       classify_at, classify_pair, metric_at)
 from .dynamics import (PhaseState, QuadraticForm, Trajectory, export_trajectory,
                        hamiltonian, hamiltonian_form, integrate_geodesic, poisson_bracket,
                        projective_residual, quadratic_value)
-from .equivalence import (NullFormMetric, SysResiduals, VerificationReport,
-                          fit_integral_combination, null_form_of, projective_integral_I,
-                          projective_integral_momentum, sys_residuals, triviality_check,
+from .equivalence import (NullFormMetric, VerificationReport, fit_integral_combination,
+                          null_form_of, projective_integral_momentum, triviality_check,
                           verify_integral)
 from .normal_forms import (ComplexLiouvilleSpec, GeneratedPair, JordanBlockSpec,
                            JordanKillingFreeSpec, LiouvilleSpec, generate,

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartExit, InvalidArgument, SingularMetric, StepFailure, ZeroVelocity
+from .errors import (ChartExit, InvalidArgument, SingularMetric, StepFailure, ZeroVelocity,
+                     check_tol)
 from .expr import Jet2, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, christoffel_at, inverse
@@ -175,8 +176,7 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     """Integrate Hamilton's equations with an embedded RK 4/5 pair and PI
     step-size control, sampling at every accepted step.  A step runs on
     Python floats: the state and the stage slopes are 4-tuples."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
+    check_tol(tol)
     if not math.isfinite(t_end):
         raise InvalidArgument(f"t_end must be finite, got {t_end!r}")
     integrals = integrals or {}

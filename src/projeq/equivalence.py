@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument, InvariantViolation, SignatureMismatch
+from .errors import (DomainError, InvalidArgument, InvariantViolation, SignatureMismatch,
+                     check_tol)
 from .expr import parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2
@@ -61,30 +62,19 @@ def null_form_of(g: Metric2) -> NullFormMetric | None:
 # --- the projective integral I ------------------------------------------------
 
 
-def projective_integral_I(g: Metric2, gbar: Metric2, x: float, y: float,
-                          xi: tuple[float, float]) -> float:
-    """I(xi) = gbar(xi, xi) * (det g / det gbar)^(2/3), real cube root."""
-    return _integral_I(g.entries_at(x, y)[3], gbar, x, y, xi)
-
-
-def _integral_I(det_g: float, gbar: Metric2, x: float, y: float, xi) -> float:
-    """projective_integral_I from the determinant of g at (x, y)."""
-    a, b, c, det_gbar = gbar.entries_at(x, y)
-    ratio = det_g / det_gbar
-    if ratio <= 0.0:
-        raise SignatureMismatch(
-            f"det ratio {ratio:.3e} <= 0 at ({x:.4g}, {y:.4g}); signatures differ")
-    vx, vy = xi
-    quad = a * vx * vx + 2.0 * b * vx * vy + c * vy * vy
-    return quad * ratio ** (2.0 / 3.0)
-
-
 def projective_integral_momentum(g: Metric2, gbar: Metric2, s: PhaseState) -> float:
-    """I evaluated on the velocity xi = g^{-1} p of a phase-space state."""
+    """I(xi) = gbar(xi, xi) * (det g / det gbar)^(2/3), real cube root, on
+    the velocity xi = g^{-1} p of a phase-space state."""
     a, b, c, det = g.entries_at(s.x, s.y)
     vx = (c * s.px - b * s.py) / det
     vy = (-b * s.px + a * s.py) / det
-    return _integral_I(det, gbar, s.x, s.y, (vx, vy))
+    a, b, c, det_gbar = gbar.entries_at(s.x, s.y)
+    ratio = det / det_gbar
+    if ratio <= 0.0:
+        raise SignatureMismatch(
+            f"det ratio {ratio:.3e} <= 0 at ({s.x:.4g}, {s.y:.4g}); signatures differ")
+    quad = a * vx * vx + 2.0 * b * vx * vy + c * vy * vy
+    return quad * ratio ** (2.0 / 3.0)
 
 
 def fit_integral_combination(g: Metric2, gbar: Metric2, F: QuadraticForm,
@@ -104,67 +94,38 @@ def fit_integral_combination(g: Metric2, gbar: Metric2, F: QuadraticForm,
 # --- system (sys) residuals -----------------------------------------------------
 
 
-@dataclass
-class SysResiduals:
-    """The four PDE left-hand sides whose simultaneous vanishing makes F an
-    integral of the null-form flow:
-    r1 = a_y, r2 = f a_x + f b_y + 2 f_x a + f_y b,
-    r3 = f b_x + f c_y + f_x b + 2 f_y c, r4 = c_x."""
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    norm: float             # chart-scale normalizer, see normalized()
-
-    def normalized(self) -> tuple[float, float, float, float]:
-        return (self.r1 / self.norm, self.r2 / self.norm,
-                self.r3 / self.norm, self.r4 / self.norm)
-
-    def max_normalized(self) -> float:
-        """max |r_i| / norm; an array when the residuals are grid arrays.
-        Where the normalizer overflowed it is inf, not the 0 that dividing
-        by it gives, so that no check passes on it."""
-        r1, r2, r3, r4 = (abs(v) for v in self.normalized())
-        worst = np.maximum(np.maximum(r1, r2), np.maximum(r3, r4))
-        return np.where(self.norm == np.inf, np.inf, worst)[()]
+def _max_normalized(r1, r2, r3, r4, norm):
+    """max |r_i / norm| of the four sys residuals; an array when they are
+    grid arrays.  Where the normalizer overflowed it is inf, not the 0 that
+    dividing by it gives, so that no check passes on it."""
+    r1, r2, r3, r4 = (abs(r / norm) for r in (r1, r2, r3, r4))
+    worst = np.maximum(np.maximum(r1, r2), np.maximum(r3, r4))
+    return np.where(norm == np.inf, np.inf, worst)[()]
 
 
 def _sys_norm(fj, aj, bj, cj):
-    with np.errstate(over="ignore"):        # max_normalized() reports an overflow
+    with np.errstate(over="ignore"):        # _max_normalized reports an overflow
         return ((1.0 + abs(fj.v) + abs(fj.dx) + abs(fj.dy))
                 * (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v)))
 
 
-def _sys_from_jets(fj, aj, bj, cj) -> SysResiduals:
-    """The sys residuals from the jets of f and of (a, b, c); the jets may
-    hold grid arrays."""
+def _sys_from_jets(fj, aj, bj, cj):
+    """The worst normalized sys residual from the jets of f and of (a, b, c);
+    the jets may hold grid arrays.  The four PDE left-hand sides, whose
+    simultaneous vanishing makes F an integral of the null-form flow, are
+    r1 = a_y, r2 = f a_x + f b_y + 2 f_x a + f_y b,
+    r3 = f b_x + f c_y + f_x b + 2 f_y c, r4 = c_x."""
     r1 = aj.dy
     r2 = fj.v * aj.dx + fj.v * bj.dy + 2.0 * fj.dx * aj.v + fj.dy * bj.v
     r3 = fj.v * bj.dx + fj.v * cj.dy + fj.dx * bj.v + 2.0 * fj.dy * cj.v
     r4 = cj.dx
-    return SysResiduals(r1, r2, r3, r4, _sys_norm(fj, aj, bj, cj))
+    return _max_normalized(r1, r2, r3, r4, _sys_norm(fj, aj, bj, cj))
 
 
-def sys_residuals(f: ScalarField, F: QuadraticForm, x: float, y: float) -> SysResiduals:
-    return _sys_from_jets(f.jet(x, y), *F.jets_at(x, y))
-
-
-def bracket_cubic_from_sys(f: ScalarField, res: SysResiduals, x: float, y: float,
-                           px: float, py: float) -> float:
-    """{H, F} reassembled from the sys residuals for H = 1/2 g^{ij} p_i p_j
-    of the null form (the library's H normalization):
-    {H, F} = -(2/f^2) (f r1 px^3 + r2 px^2 py + r3 px py^2 + f r4 py^3)."""
-    fv = f(x, y)
-    cubic = (fv * res.r1 * px ** 3 + res.r2 * px * px * py
-             + res.r3 * px * py * py + fv * res.r4 * py ** 3)
-    return -2.0 / (fv * fv) * cubic
-
-
-def _sys_from_bracket(vals, fj, F_jets) -> SysResiduals:
-    """Recover the four sys values from the Poisson brackets {H, F} at the
-    momentum basis (an independent route through the inverse-metric jets),
-    with the normalizer of the sys route."""
+def _sys_from_bracket(vals, fj, F_jets):
+    """The worst normalized sys residual recovered from the Poisson brackets
+    {H, F} at the momentum basis (an independent route through the
+    inverse-metric jets), with the normalizer of the sys route."""
     # cubic coefficients (C0..C3) of {H,F} from the basis evaluations:
     # (1,0): C0; (0,1): C3; (1,1): C0+C1+C2+C3; (1,-1): C0-C1+C2-C3
     c0 = vals[0]
@@ -173,7 +134,7 @@ def _sys_from_bracket(vals, fj, F_jets) -> SysResiduals:
     c2 = 0.5 * (vals[2] + vals[3]) - c0
     fv = fj.v
     k = -fv * fv / 2.0
-    return SysResiduals(k * c0 / fv, k * c1, k * c2, k * c3 / fv, _sys_norm(fj, *F_jets))
+    return _max_normalized(k * c0 / fv, k * c1, k * c2, k * c3 / fv, _sys_norm(fj, *F_jets))
 
 
 # --- verification reports ---------------------------------------------------------
@@ -206,6 +167,7 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
     momentum basis; 'auto' picks 'sys' when the metric is in null form.
     Residuals are normalized by local field magnitudes.
     """
+    check_tol(tol)
     nf = metric if isinstance(metric, NullFormMetric) else None
     g = metric.to_metric2() if isinstance(metric, NullFormMetric) else metric
     if nf is None and method in ("auto", "sys"):
@@ -217,13 +179,13 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
     if method == "sys":
         if nf is None:
             raise InvalidArgument("sys residuals require a null-form metric")
-        r = _sys_from_jets(nf.f.on(chart), *F.on(chart)).max_normalized()
+        r = _sys_from_jets(nf.f.on(chart), *F.on(chart))
     elif method == "bracket":
         h_jets = hamiltonian_form(g).on(chart)
         F_jets = F.on(chart)
         vals = [bracket_from_jets(h_jets, F_jets, px, py) for px, py in _MOMENTUM_BASIS]
         if nf is not None:
-            r = _sys_from_bracket(vals, nf.f.on(chart), F_jets).max_normalized()
+            r = _sys_from_bracket(vals, nf.f.on(chart), F_jets)
         else:
             aj, bj, cj = h_jets
             fnorm = (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v) + abs(aj.dx)
@@ -260,6 +222,7 @@ def triviality_check(F: QuadraticForm, g: Metric2,
     g^12, g^22/2) come from the values and det g that g keeps, by the
     operations of a sweep of hamiltonian_form(g): a Jet2 quotient multiplies
     by the reciprocal."""
+    check_tol(tol)
     F_jets = F.on(g.chart)
     a, b, c = g.values
     # coefficients interleaved point by point: (a, b, c) at each grid point

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all projeq modules."""
 
+import math
+
 
 class ProjEqError(Exception):
     """Base class for all library errors."""
@@ -7,6 +9,13 @@ class ProjEqError(Exception):
 
 class InvalidArgument(ProjEqError, ValueError):
     """A library call got an argument outside what it accepts."""
+
+
+def check_tol(tol, name: str = "tol") -> None:
+    """The one tolerance check: raise InvalidArgument unless tol is a finite
+    positive number (NaN, inf, 0 and negatives are refused)."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidArgument(f"{name} must be finite and positive, got {tol!r}")
 
 
 # --- expression language ---------------------------------------------------

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgument, InvariantViolation, SingularMetric
+from .errors import DomainError, InvariantViolation, SingularMetric, check_tol
 from .codegen import kernel_function
 from .expr import parse, render
 from .fields import ScalarField
@@ -240,14 +240,6 @@ def _pair_tensor(a, b, c, abar, bbar, cbar, det):
             i12 * abar + i22 * bbar, i12 * bbar + i22 * cbar)
 
 
-def g_tensor_at(g: Metric2, gbar: Metric2, x: float, y: float) -> np.ndarray:
-    """G^i_j = sum_alpha gbar_{j alpha} g^{i alpha}."""
-    m, det, _ = metric_at(g, x, y)
-    mbar, _, _ = metric_at(gbar, x, y)
-    G = _pair_tensor(m[0, 0], m[0, 1], m[1, 1], mbar[0, 0], mbar[0, 1], mbar[1, 1], det)
-    return np.array(G).reshape(2, 2)
-
-
 @dataclass(frozen=True)
 class Classification:
     """Pointwise eigenstructure of the pair tensor G.
@@ -296,8 +288,7 @@ def _classification(code: int, e0: float, e1: float, tol: float) -> Classificati
 def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Classify a 2x2 matrix by its eigenstructure, with scale-relative
     tolerances.  Points too close to a case boundary come back 'ambiguous'."""
-    if tol <= 0.0:
-        raise InvalidArgument("tol must be positive")
+    check_tol(tol)
     G = np.asarray(G, dtype=float)
     code, e0, e1 = _classify(G[0, 0], G[0, 1], G[1, 0], G[1, 1], tol)
     return _classification(int(code), float(e0), float(e1), tol)
@@ -329,8 +320,7 @@ def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) 
     """Classify at every grid point of g's chart, from the values each metric
     keeps there (gbar is rebuilt on that chart if on another); report the
     modal case and the fraction of grid points agreeing with it."""
-    if tol <= 0.0:
-        raise InvalidArgument("tol must be positive")
+    check_tol(tol)
     chart = g.chart
     if gbar.chart != chart:
         gbar = Metric2(gbar.g11, gbar.g12, gbar.g22, chart)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (AmbiguousCase, CoefficientVanishes, DomainError, NotAnIntegral,
                      NotAxisAligned, NotCase1, NotCase3, NotHolomorphic, RectifyError,
-                     SignatureMismatch, TrivialIntegral, YhatVanishes)
+                     SignatureMismatch, TrivialIntegral, YhatVanishes, check_tol)
 from .expr import Expr, parse
 from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite,
                      ScalarField, _where)
@@ -118,6 +118,7 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
     coordinate (identity map).  Raises NotAxisAligned when a depends on y
     (or c on x) beyond tolerance, i.e. the input is not an integral.
     """
+    check_tol(axis_tol, "axis_tol")
     chart = nf.chart
     aj, bj, cj = F.on(chart)
     zero_a, zero_c = _vanishing(aj, bj, cj)
@@ -190,6 +191,7 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
                 tol: float = DEFAULT_CASE_TOL) -> Case1Result:
     """a = 1, c = 1 form: fb + 2f is a function of x - y alone and fb - 2f of
     x + y alone; read off Y and X, reconstruct f and b, report the residual."""
+    check_tol(tol)
     chart = nf.chart
 
     def p_and_q(fj, bj):
@@ -251,6 +253,7 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
                 tol: float = DEFAULT_CASE_TOL) -> Case2Result:
     """a = 1, c = -1 form: (fb, 2f) satisfy the Cauchy-Riemann equations;
     return the sampled holomorphic h = fb + 2if."""
+    check_tol(tol)
     chart = nf.chart
     fj = nf.f.on(chart)
     rj = fj * F.b.on(chart)
@@ -286,6 +289,7 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
                 tol: float = DEFAULT_CASE_TOL) -> Case3Result:
     """a = 1, c = 0 form: fb = -2 Y(y), f = x Y'(y) + Yhat(y); the quadrature
     reparametrization dy_new = Yhat dy_old rectifies Yhat to 1."""
+    check_tol(tol)
     chart = nf.chart
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
     x_ref, y0 = chart.center
@@ -512,6 +516,8 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     """Recover normal-form data from a metric plus quadratic integral:
     null form -> sign normalization of F -> quadrature rectification ->
     case dispatch on the signs of (a, c)."""
+    check_tol(tol)
+    check_tol(sys_tol, "sys_tol")
     g_metric = g.to_metric2() if isinstance(g, NullFormMetric) else g
     triv = triviality_check(F, g_metric)
     if triv.trivial:
@@ -521,7 +527,7 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     nf, F, _ = to_null_form(g, F)
     chart = nf.chart
     aj, bj, cj = F.on(chart)
-    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj).max_normalized()
+    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj)
     overflow = chart.first_point(~np.isfinite(r))
     if overflow is not None:
         raise DomainError("sys residual is not finite", point=overflow)

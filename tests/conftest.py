@@ -14,6 +14,7 @@ from hypothesis import settings
 
 import projeq as pq
 from projeq.geometry import TAGS
+from pointwise import g_tensor_at
 
 # HYPOTHESIS_PROFILE=ci: a failing property prints the blob that reproduces it
 settings.register_profile("ci", print_blob=True)
@@ -108,8 +109,9 @@ def perturbed(F):
 def assert_classified_pointwise(res, g, gbar):
     """Each grid point's tag and eigen data in a PairClassification (codes,
     e0 and e1, read-only arrays of g's grid in points() order) equal those of
-    classify_at of the pair tensor there.  Returns those classifications."""
-    want = [pq.classify_at(pq.g_tensor_at(g, gbar, x, y)) for x, y in g.chart.points()]
+    classify_at of the pair tensor there (tests/pointwise.py).  Returns those
+    classifications."""
+    want = [pq.classify_at(g_tensor_at(g, gbar, x, y)) for x, y in g.chart.points()]
     for a in (res.codes, res.e0, res.e1):
         assert a.shape == g.chart.grid and not a.flags.writeable
     got = zip(res.codes.ravel().tolist(), res.e0.ravel().tolist(), res.e1.ravel().tolist())

@@ -101,6 +101,19 @@ class TestGenerate:
         assert rep["classification"]["tag"] == "real_distinct"
         assert "projective_integral_fit" in rep
 
+    def test_opposite_signatures_skip_the_invariant_fit(self, tmp_path):
+        """X > 0 > Y gives det g and det gbar opposite signs: I has no real
+        cube root, and the report says where instead of fitting it."""
+        cfg = {
+            "command": "generate",
+            "chart": {"x_range": [0.2, 0.9], "y_range": [-0.9, -0.2]},
+            "normal_form": {"family": "liouville", "X": "x", "Y": "y", "sign": "+"},
+        }
+        assert run(write_config(tmp_path, cfg), quiet=True) == 0
+        rep = load_report(tmp_path, "generate_report.json")
+        assert rep["projective_integral_fit"] == {
+            "skipped": "det ratio -2.768e-02 <= 0 at (0.55, -0.55); signatures differ"}
+
     def test_killing_free_has_no_verification(self, tmp_path):
         cfg = {
             "command": "generate",

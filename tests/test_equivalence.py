@@ -1,12 +1,15 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 import projeq as pq
 from projeq.dynamics import hamiltonian_form
-from projeq.equivalence import bracket_cubic_from_sys, sys_residuals
-from projeq.errors import DomainError, SignatureMismatch
+from projeq.errors import DomainError, InvalidArgument, SignatureMismatch
 
 from conftest import perturbed
+from pointwise import bracket_from_sys, max_normalized, projective_integral_I, sys_residuals
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
 
@@ -48,29 +51,39 @@ class TestNullForm:
                 [getattr(want, s) for s in pq.Jet2.__slots__]
 
 
+def lowered(g, x, y, xi):
+    """The phase-space state at (x, y) whose velocity g^{-1} p is xi."""
+    m, _, _ = pq.metric_at(g, x, y)
+    return pq.PhaseState(x, y, *(m @ np.array(xi)).tolist())
+
+
 class TestProjectiveIntegralI:
     def test_equal_metrics(self):
-        g = pq.Metric2.from_exprs("2 + x", "0", "3 - y", UNIT)
+        # gbar = g -> I = g(xi, xi), also by the per-point reference
+        g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
         xi = (0.7, -0.4)
-        v = pq.projective_integral_I(g, g, 0.3, 0.2, xi)
+        v = pq.projective_integral_momentum(g, g, lowered(g, 0.3, 0.2, xi))
         m, _, _ = pq.metric_at(g, 0.3, 0.2)
-        quad = m[0, 0] * xi[0] ** 2 + m[1, 1] * xi[1] ** 2
-        assert v == pytest.approx(quad, rel=1e-12)
+        assert v == pytest.approx(float(np.array(xi) @ m @ np.array(xi)), rel=1e-12)
+        assert v == pytest.approx(projective_integral_I(g, g, 0.3, 0.2, xi), rel=1e-12)
 
     def test_scaled_metric(self):
         # gbar = c g -> I = c^{-1/3} g(xi, xi)
         g = pq.Metric2.from_exprs("2 + x", "0", "3 - y", UNIT)
         gbar = g.scaled(5.0)
-        xi = (0.7, -0.4)
-        got = pq.projective_integral_I(g, gbar, 0.3, 0.2, xi)
-        want = 5.0 ** (-1.0 / 3.0) * pq.projective_integral_I(g, g, 0.3, 0.2, xi)
+        s = lowered(g, 0.3, 0.2, (0.7, -0.4))
+        got = pq.projective_integral_momentum(g, gbar, s)
+        want = 5.0 ** (-1.0 / 3.0) * pq.projective_integral_momentum(g, g, s)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_signature_mismatch_raises(self):
+        """The message names the determinant ratio and the point: the CLI
+        generate report prints it under projective_integral_fit.skipped."""
         g = pq.Metric2.from_exprs("1", "0", "1", UNIT)       # det > 0
         gbar = pq.Metric2.from_exprs("1", "0", "-1", UNIT)   # det < 0
-        with pytest.raises(SignatureMismatch):
-            pq.projective_integral_I(g, gbar, 0.0, 0.0, (1.0, 0.0))
+        with pytest.raises(SignatureMismatch,
+                           match=r"^det ratio -1\.000e\+00 <= 0 at \(0, 0\); signatures differ$"):
+            pq.projective_integral_momentum(g, gbar, pq.PhaseState(0.0, 0.0, 1.0, 0.0))
 
     def test_liouville_closed_form(self):
         # I = -(X py^2 - Y px^2) / (X - Y) = -F for the sign '-' family
@@ -91,10 +104,10 @@ class TestSysResiduals:
         pair = pq.generate(pq.JordanBlockSpec("3/2 + y/10", chart))
         nf = pq.null_form_of(pair.g)
         for x, y in chart.points():
-            assert sys_residuals(nf.f, pair.F, x, y).max_normalized() < 1e-10
+            assert max_normalized(*sys_residuals(nf.f, pair.F, x, y)) < 1e-10
 
     def test_match_poisson_bracket(self):
-        # the four residuals reassemble {H, F} exactly
+        # the four residuals reassemble the library's {H, F}
         nf = pq.NullFormMetric.from_expr("2 + x/3 + y/5", UNIT)
         F = pq.QuadraticForm.from_exprs("1 + y^2", "x * y", "2 - x", UNIT)
         g = nf.to_metric2()
@@ -102,9 +115,9 @@ class TestSysResiduals:
         for _ in range(20):
             x, y = rng.uniform(-0.9, 0.9, 2)
             px, py = rng.uniform(-1, 1, 2)
-            res = sys_residuals(nf.f, F, x, y)
+            res, _ = sys_residuals(nf.f, F, x, y)
             want = pq.poisson_bracket(g, F, pq.PhaseState(x, y, px, py))
-            got = bracket_cubic_from_sys(nf.f, res, x, y, px, py)
+            got = bracket_from_sys(nf.f, res, x, y, px, py)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -226,3 +239,45 @@ class TestFitIntegralCombination:
         assert alpha == pytest.approx(-1.0, rel=1e-9)
         assert abs(beta) < 1e-9
         assert resid < 1e-9 * scale
+
+
+# --- tolerance arguments ----------------------------------------------------------------
+
+
+def _pair():
+    chart = pq.Chart((-0.5, 0.5), (0.2, 0.9), (5, 5))
+    pair = pq.generate(pq.LiouvilleSpec("3 + x^2/2", "y", "-", chart))
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    return pair, nf, F
+
+
+# each entry point with a tolerance, called with that tolerance set to `tol`
+TOLERANCE_CALLS = {
+    "integrate_geodesic": ("tol", lambda p, nf, F, tol: pq.integrate_geodesic(
+        p.g, pq.PhaseState(0.0, 0.5, 0.6, -0.3), 0.1, tol=tol)),
+    "classify_pair": ("tol", lambda p, nf, F, tol: pq.classify_pair(p.g, p.gbar, tol)),
+    "classify_at": ("tol", lambda p, nf, F, tol: pq.classify_at(np.diag([2.0, 5.0]), tol)),
+    "verify_integral": ("tol", lambda p, nf, F, tol: pq.verify_integral(p.g, p.F, tol=tol)),
+    "triviality_check": ("tol", lambda p, nf, F, tol: pq.triviality_check(p.F, p.g, tol)),
+    "bk_normalize": ("axis_tol", lambda p, nf, F, tol: pq.bk_normalize(nf, F, axis_tol=tol)),
+    "solve_case1": ("tol", lambda p, nf, F, tol: pq.solve_case1(nf, F, tol)),
+    "solve_case2": ("tol", lambda p, nf, F, tol: pq.solve_case2(nf, F, tol)),
+    "solve_case3": ("tol", lambda p, nf, F, tol: pq.solve_case3(nf, F, tol)),
+    "rectification_pipeline": ("tol", lambda p, nf, F, tol: pq.rectification_pipeline(
+        nf, F, tol=tol)),
+    "rectification_pipeline_sys": ("sys_tol", lambda p, nf, F, tol: pq.rectification_pipeline(
+        nf, F, sys_tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_CALLS))
+def test_bad_tolerance_rejected(entry, tol):
+    """A tolerance must be finite and positive.  Unchecked, NaN classified
+    every point 'ambiguous', inf every point 'proportional', verification
+    and the triviality test failed where they should refuse, and a negative
+    rectification tolerance read as a failed check (NotAxisAligned)."""
+    name, call = TOLERANCE_CALLS[entry]
+    with pytest.raises(InvalidArgument,
+                       match=f"^{name} must be finite and positive, got {re.escape(repr(tol))}$"):
+        call(*_pair(), tol)

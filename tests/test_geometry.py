@@ -14,8 +14,7 @@ from projeq import codegen
 from projeq.cli import run
 from projeq.errors import InvariantViolation, SingularMetric
 from projeq.expr import Leaf
-from projeq.geometry import (christoffel_at, classify_at, determinant, g_tensor_at, metric_at,
-                             singular)
+from projeq.geometry import christoffel_at, classify_at, determinant, metric_at, singular
 
 from conftest import assert_classified_pointwise
 
@@ -180,10 +179,7 @@ class TestMetric2:
         e = euclidean()
         for read in (g.jets_at, g.entries_at, lambda x, y: christoffel_at(g, x, y),
                      lambda x, y: metric_at(g, x, y),
-                     lambda x, y: g_tensor_at(g, e, x, y), lambda x, y: g_tensor_at(e, g, x, y),
                      lambda x, y: pq.hamiltonian(g, pq.PhaseState(x, y, 0.3, 0.4)),
-                     lambda x, y: pq.projective_integral_I(g, e, x, y, (1.0, 0.5)),
-                     lambda x, y: pq.projective_integral_I(e, g, x, y, (1.0, 0.5)),
                      lambda x, y: pq.projective_integral_momentum(
                          g, e, pq.PhaseState(x, y, 0.3, 0.4))):
             with pytest.raises(SingularMetric) as ei:
@@ -403,14 +399,21 @@ class TestChristoffel:
 
 
 class TestGTensor:
+    """G = g^{-1} gbar, read through classify_pair's eigen data."""
+
     def test_identity_for_equal_metrics(self):
         g = pq.Metric2.from_exprs("2 + x", "x * y / 4", "3 - y", UNIT)
-        assert np.allclose(g_tensor_at(g, g, 0.3, 0.2), np.eye(2))
+        res = pq.classify_pair(g, g)
+        assert res.counts == {"proportional": 25}
+        assert np.allclose(res.e0, 1.0)
+        assert_classified_pointwise(res, g, g)
 
     def test_scalar_for_proportional(self):
         g = euclidean()
         gbar = pq.Metric2.from_exprs("3", "0", "3", UNIT)
-        assert np.allclose(g_tensor_at(g, gbar, 0.0, 0.0), 3.0 * np.eye(2))
+        res = pq.classify_pair(g, gbar)
+        assert res.counts == {"proportional": 25}
+        assert np.all(res.e0 == 3.0)
 
 
 class TestClassifyAt:

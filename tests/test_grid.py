@@ -3,10 +3,11 @@ against the reference walkers.
 
 Every sweep over a chart evaluates its fields once as (nx, ny) arrays
 (ScalarField.on).  These tests rebuild each sweep's answer point by point
-from the public scalar functions and require the same result and the same
-worst grid point.  Both routes run compiled code, so that code is checked
-against the tree walkers of tests/jet_oracle.py, on floats and on arrays,
-and code shared through the code store against a fresh compile.
+from the public scalar functions and the references of tests/pointwise.py,
+and require the same result and the same worst grid point.  Both routes run
+compiled code, so that code is checked against the tree walkers of
+tests/jet_oracle.py, on floats and on arrays, and code shared through the
+code store against a fresh compile.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import jet_oracle as oracle
+import pointwise
 import projeq as pq
 from projeq import codegen
 from projeq.cli import run
@@ -74,7 +76,7 @@ def worst_of(values, chart):
 
 
 def reference_sys(nf, F, chart):
-    return worst_of([pq.sys_residuals(nf.f, F, x, y).max_normalized()
+    return worst_of([pointwise.max_normalized(*pointwise.sys_residuals(nf.f, F, x, y))
                      for x, y in chart.points()], chart)
 
 
@@ -92,9 +94,9 @@ def reference_bracket(g, nf, F, chart):
             c2 = 0.5 * (vals[2] + vals[3]) - c0
             fv = nf.f(x, y)
             k = -fv * fv / 2.0
-            norm = pq.sys_residuals(nf.f, F, x, y).norm
-            res = pq.SysResiduals(k * c0 / fv, k * c1, k * c2, k * c3 / fv, norm)
-            values.append(res.max_normalized())
+            _, norm = pointwise.sys_residuals(nf.f, F, x, y)
+            values.append(pointwise.max_normalized((k * c0 / fv, k * c1, k * c2, k * c3 / fv),
+                                                   norm))
         else:
             aj, bj, cj = hf.jets_at(x, y)
             fnorm = (1.0 + abs(aj.v) + abs(bj.v) + abs(cj.v) + abs(aj.dx) + abs(bj.dx)

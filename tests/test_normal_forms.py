@@ -3,10 +3,10 @@ import pytest
 
 import projeq as pq
 from conftest import H_CHOICES
+from pointwise import g_tensor_at
 from projeq.errors import InvariantViolation
 from projeq.codegen import complex_function
 from projeq.expr import Leaf, parse, render
-from projeq.geometry import g_tensor_at
 from projeq.normal_forms import real_parts
 
 SLOTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")

@@ -5,14 +5,17 @@ from __future__ import annotations
 import ast
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 
+import projeq
 from projeq import codegen
 from projeq.cli import run
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _blocks(section: str, language: str) -> list[str]:
@@ -53,3 +56,39 @@ def test_code_store_bound():
     """The bound of the code store that the README states is codegen's."""
     (bound,) = re.findall(r"code\s+store\s+keeps\s+at\s+most\s+(\d+)\s+code\s+objects", README)
     assert int(bound) == codegen._STORE_SIZE
+
+
+def _names_used_in_src() -> set[str]:
+    """Every name the library's modules read (a name or an attribute), apart
+    from the re-exports of projeq/__init__.py and the references inside the
+    function or class that defines the name."""
+    used = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    for path in (ROOT / "src" / "projeq").glob("*.py"):
+        if path.name != "__init__.py":
+            walk(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def test_every_public_name_has_a_user():
+    """Each name projeq exports is used by the library itself, by the
+    benchmark, or is documented in the README: an export that none of them
+    needs is a test oracle or dead code, and belongs in tests/ or nowhere."""
+    public = [name for name, value in vars(projeq).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    used = _names_used_in_src()
+    bench = "\n".join(p.read_text() for p in (ROOT / "bench").glob("*.py"))
+    orphans = [name for name in public if name not in used
+               and not re.search(rf"\b{name}\b", bench)
+               and not re.search(rf"\b{name}\b", README)]
+    assert orphans == []
