@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, ChartExit, ProjEqError, RectifyError, SignatureMismatch
 from .dynamics import DEFAULT_INTEGRATOR_TOL, PhaseState, QuadraticForm, export_trajectory, \
-    integrate_geodesic, quadratic_value
+    integrate_geodesic
 from .equivalence import DEFAULT_TRIVIALITY_TOL, DEFAULT_VERIFY_TOL, NullFormMetric, \
     fit_integral_combination, triviality_check, verify_integral
 from .geometry import DEFAULT_CLASSIFY_TOL, Chart, Metric2, classify_pair

@@ -58,6 +58,16 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
+def _read_only(a, shape):
+    """A jet slot as a read-only float array of the given shape: a view of it
+    where it is one already, else broadcast (a constant slot may be a number)."""
+    if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == float:
+        a = a.view()
+        a.flags.writeable = False
+        return a
+    return np.broadcast_to(np.asarray(a, dtype=float), shape)
+
+
 def brentq(g, a: float, b: float, ga, gb):
     """A root in [a, b] of an increasing function, given ga and gb, its
     values at a and b, as floats or as arrays of one shape (then g acts
@@ -134,14 +144,17 @@ class ScalarField:
         shape = chart.mesh[0].shape
         with np.errstate(all="ignore"):
             j = self._grid(chart)
-        slots = [np.broadcast_to(np.asarray(getattr(j, s), dtype=float), shape)
-                 for s in _SLOTS]
-        bad = ~np.isfinite(slots[0])
-        for s in slots[1:]:
-            bad |= ~np.isfinite(s)
-        if bad.any():
-            raise DomainError("field takes a non-finite value (overflow or division "
-                              "by zero)", point=chart.first_point(bad))
+            slots = [_read_only(getattr(j, s), shape) for s in _SLOTS]
+            # a sum of finite slots is finite unless it overflows: only then,
+            # or where a slot is not finite, is the exact mask needed
+            total = slots[0] + slots[1] + slots[2] + slots[3] + slots[4] + slots[5]
+        if not np.isfinite(total).all():
+            bad = ~np.isfinite(slots[0])
+            for s in slots[1:]:
+                bad |= ~np.isfinite(s)
+            if bad.any():
+                raise DomainError("field takes a non-finite value (overflow or division "
+                                  "by zero)", point=chart.first_point(bad))
         jets = Jet2(*slots)
         self._swept = (chart, jets, j)
         return jets

@@ -210,14 +210,17 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
     us = np.linspace(xlo + ylo, xhi + yhi, _CASE1_SAMPLES)
     vs = np.linspace(xlo - yhi, xhi - ylo, _CASE1_SAMPLES)
+    # both diagonals in one evaluation of f and b: X reads the first half, Y
+    # the second (every step acts entry by entry)
     xq, yq = _diag_point(chart, us, "sum")
     xp, yp = _diag_point(chart, vs, "diff")
-    q = p_and_q(nf.f.jet(xq, yq), F.b.jet(xq, yq))[1]
-    p = p_and_q(nf.f.jet(xp, yp), F.b.jet(xp, yp))[0]
+    xd, yd = np.concatenate((xq, xp)), np.concatenate((yq, yp))
+    p, q = p_and_q(nf.f.jet(xd, yd), F.b.jet(xd, yd))
+    n = _CASE1_SAMPLES
     # jets along the diagonals: d/du = (d/dx + d/dy) / 2, d/dv = (d/dx - d/dy) / 2
-    Xs = [np.broadcast_to(j, us.shape) for j in
+    Xs = [np.broadcast_to(j, xd.shape)[:n] for j in
           (q.v, (q.dx + q.dy) / 2.0, (q.dxx + 2.0 * q.dxy + q.dyy) / 4.0)]
-    Ys = [np.broadcast_to(j, vs.shape) for j in
+    Ys = [np.broadcast_to(j, xd.shape)[n:] for j in
           (p.v, (p.dx - p.dy) / 2.0, (p.dxx - 2.0 * p.dxy + p.dyy) / 4.0)]
     # normal-form-scale functions: ds^2 = (X_T - Y_T)(du^2 - dv^2)
     X = QuinticHermite(us, *(j / -16.0 for j in Xs))
@@ -295,63 +298,61 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     x_ref, y0 = chart.center
     ys = chart.ys
 
-    fb = nf.f * F.b
-
-    def Y_jets(y):
-        j = fb.jet(x_ref, y)
-        return (-0.5 * j.v, -0.5 * j.dy, -0.5 * j.dyy)
-
-    # Y must not depend on x; Yhat_x = f_x - Y' must vanish
-    fj = nf.f.on(chart)
-    fbj = fj * F.b.on(chart)
-    yp = Y_jets(ys)[1]
-    s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
-    worst = float(np.max(np.maximum(abs(fbj.dx) / s,
-                                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))))
-    if worst > tol:
-        raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
-
-    def yhat_d1(t):
-        return nf.f.jet(x_ref, t).dy + 0.5 * x_ref * fb.jet(x_ref, t).dyy
-
-    def yhat_jets(t):
-        fj = nf.f.jet(x_ref, t)
-        _, yp, ypp = Y_jets(t)
-        v = fj.v - x_ref * yp
-        d1 = fj.dy - x_ref * ypp
+    def jets(t):
+        """(Y, Y', Y'') and (Yhat, Yhat', Yhat'') at t, a float or an array
+        (then floats, or arrays of t's shape), from one evaluation of f and b
+        on t and the two difference points of each entry."""
         # Yhat'' needs Y''', which order-2 jets do not carry: a difference of
         # Yhat' (it enters only second-order map slots), central inside and
         # one-sided of second order where a chart end is within eps
         eps = 1e-5
         side = (t < ylo + eps) * 1.0 - (t > yhi - eps) * 1.0    # +1 at ylo, -1 at yhi
         inside = side == 0.0
-        da = yhat_d1(t + _where(inside, -1.0, side) * eps)
-        db = yhat_d1(t + _where(inside, 1.0, 2.0 * side) * eps)
+        ts = np.stack((t, t + _where(inside, -1.0, side) * eps,
+                       t + _where(inside, 1.0, 2.0 * side) * eps))
+        fj = nf.f.jet(x_ref, ts)
+        fbj = fj * F.b.jet(x_ref, ts)       # fb = -2 Y
+        fv, fd, fbv, fbd, fbdd = (np.broadcast_to(s, ts.shape)
+                                  for s in (fj.v, fj.dy, fbj.v, fbj.dy, fbj.dyy))
+        Y = (-0.5 * fbv[0], -0.5 * fbd[0], -0.5 * fbdd[0])
+        d1 = fd[0] - x_ref * Y[2]
+        da, db = fd[1:] + 0.5 * x_ref * fbdd[1:]        # Yhat' at the difference points
         d2 = _where(inside, (db - da) / (2.0 * eps),
                     side * (4.0 * da - 3.0 * d1 - db) / (2.0 * eps))
-        return (v, d1, d2)
+        both = (Y, (fv[0] - x_ref * Y[1], d1, d2))
+        if isinstance(t, np.ndarray):
+            return both
+        return tuple(tuple(float(s) for s in j) for j in both)
 
-    yhat_vals = np.broadcast_to(yhat_jets(ys)[0], ys.shape)
+    # Y must not depend on x; Yhat_x = f_x - Y' must vanish
+    fj = nf.f.on(chart)
+    fbj = fj * F.b.on(chart)
+    (_, yp, _), (yhat_vals, _, _) = jets(ys)
+    s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
+    worst = float(np.max(np.maximum(abs(fbj.dx) / s,
+                                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))))
+    if worst > tol:
+        raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
+
     if np.min(yhat_vals) <= 0.0:
         if np.max(yhat_vals) <= 0.0:
             raise NotCase3("Yhat is negative; flip the y orientation of the input")
         raise YhatVanishes(float(ys[int(np.argmin(np.abs(yhat_vals)))]))
 
-    beta = QuadratureMap(yhat_jets, y0, ylo, yhi)     # dy_new/dy_old = Yhat
+    beta = QuadratureMap(lambda t: jets(t)[1], y0, ylo, yhi)     # dy_new/dy_old = Yhat
     nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
 
     new_chart = nf_fin.chart
     yn_grid = new_chart.ys
     y_old = beta.inverse(yn_grid)
-    Yv, Yp, _ = Y_jets(y_old)
-    gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_jets(y_old)[0])   # 1 + x Y'_new
+    (Y_new, Yp, _), (yhat_old, _, _) = jets(y_old)
+    gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_old)     # 1 + x Y'_new
     fv = nf_fin.f.on(new_chart).v
     av, bv, cv = (j.v for j in F_fin.on(new_chart))
     resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
-                      np.max(np.abs(bv + 2.0 * Yv / gT) / (1.0 + np.abs(bv))),
+                      np.max(np.abs(bv + 2.0 * Y_new / gT) / (1.0 + np.abs(bv))),
                       np.max(np.abs(av - 1.0)), np.max(np.abs(cv))))
 
-    Y_new = np.broadcast_to(Yv, yn_grid.shape)
     return Case3Result(yn_grid, Y_new, ys, yhat_vals, beta, resid,
                        {"base_point": (x_ref, y0),
                         "x_independence_residual": worst})

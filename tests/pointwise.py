@@ -1,5 +1,6 @@
 """Per-point references for quantities that projeq computes only over a
-whole chart, or only from a phase-space state.
+whole chart, or only from a phase-space state, or only on several point
+sets at once.
 
 The library has one route for each: the sys residuals and the pair tensor
 G = g^{-1} gbar are grid sweeps, and the projective integral I is read on
@@ -8,6 +9,11 @@ write each quantity out at one point from the public pointwise reads
 (ScalarField.jet, QuadraticForm.jets_at, Metric2.entries_at), with the
 library's operations in the library's order, so that the tests can hold
 the sweeps to them bit for bit.
+
+The case-1 and case-3 solvers evaluate f and b once on all the points a
+step needs (both diagonals; a point set and its difference points).  The
+two case references below evaluate each point set on its own instead, as
+separate calls, with the solvers' operations in the solvers' order.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ import math
 import numpy as np
 
 from projeq.errors import SignatureMismatch
+from projeq.fields import IdentityMap, QuadratureMap, QuinticHermite, _where
+from projeq.rectify import (_CASE1_SAMPLES, Case1Result, Case3Result, _diag_point,
+                            transform_separable)
 
 
 def sys_residuals(f, F, x, y):
@@ -76,3 +85,97 @@ def projective_integral_I(g, gbar, x, y, xi):
         raise SignatureMismatch(f"det ratio {ratio:.3e} <= 0 at ({x:.4g}, {y:.4g})")
     vx, vy = xi
     return (a * vx * vx + 2.0 * b * vx * vy + c * vy * vy) * ratio ** (2.0 / 3.0)
+
+
+def case1_by_point_set(nf, F):
+    """solve_case1's result with f and b evaluated on each diagonal by its
+    own calls: q on x + y = u, then p on x - y = v."""
+    chart = nf.chart
+
+    def p_and_q(fj, bj):
+        fb = fj * bj
+        return fb + 2.0 * fj, fb - 2.0 * fj
+
+    fj, bj = nf.f.on(chart), F.b.on(chart)
+    pj, qj = p_and_q(fj, bj)
+    ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
+    qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
+    worst = float(np.max(np.maximum(abs(pj.dx + pj.dy) / ps, abs(qj.dx - qj.dy) / qs)))
+    (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
+    us = np.linspace(xlo + ylo, xhi + yhi, _CASE1_SAMPLES)
+    vs = np.linspace(xlo - yhi, xhi - ylo, _CASE1_SAMPLES)
+    xq, yq = _diag_point(chart, us, "sum")
+    xp, yp = _diag_point(chart, vs, "diff")
+    q = p_and_q(nf.f.jet(xq, yq), F.b.jet(xq, yq))[1]
+    p = p_and_q(nf.f.jet(xp, yp), F.b.jet(xp, yp))[0]
+    Xs = [np.broadcast_to(j, us.shape) for j in
+          (q.v, (q.dx + q.dy) / 2.0, (q.dxx + 2.0 * q.dxy + q.dyy) / 4.0)]
+    Ys = [np.broadcast_to(j, vs.shape) for j in
+          (p.v, (p.dx - p.dy) / 2.0, (p.dxx - 2.0 * p.dxy + p.dyy) / 4.0)]
+    X = QuinticHermite(us, *(j / -16.0 for j in Xs))
+    Y = QuinticHermite(vs, *(j / -16.0 for j in Ys))
+    x, y = chart.mesh
+    Xv, Yv = X(x + y), Y(x - y)
+    f_rec = 4.0 * (Xv - Yv)
+    b_rec = -2.0 * (Xv + Yv) / (Xv - Yv)
+    resid = float(max(np.max(np.abs(f_rec - fj.v)) / np.max(np.abs(fj.v)),
+                      np.max(np.abs(b_rec - bj.v) / (1.0 + np.abs(bj.v)))))
+    return Case1Result(us, -Xs[0] / 16.0, vs, -Ys[0] / 16.0, X, Y,
+                       resid, {"rotation": "u = x + y, v = x - y",
+                               "function_scale": -1.0 / 16.0,
+                               "one_variable_residual": worst})
+
+
+def case3_by_point_set(nf, F):
+    """solve_case3's result with f and b evaluated on each point set by its
+    own calls: Y's jets from one call of f b, Yhat' at each difference point
+    from one call of f and one of f b, and Yhat's value and slope from one
+    more call of f (six calls of f and three of b per set of points)."""
+    chart = nf.chart
+    (xlo, xhi), (ylo, yhi) = chart.x_range, chart.y_range
+    x_ref, y0 = chart.center
+    ys = chart.ys
+    fb = nf.f * F.b
+
+    def Y_jets(y):
+        j = fb.jet(x_ref, y)
+        return (-0.5 * j.v, -0.5 * j.dy, -0.5 * j.dyy)
+
+    def yhat_d1(t):
+        return nf.f.jet(x_ref, t).dy + 0.5 * x_ref * fb.jet(x_ref, t).dyy
+
+    def yhat_jets(t):
+        fj = nf.f.jet(x_ref, t)
+        _, yp, ypp = Y_jets(t)
+        v = fj.v - x_ref * yp
+        d1 = fj.dy - x_ref * ypp
+        eps = 1e-5
+        side = (t < ylo + eps) * 1.0 - (t > yhi - eps) * 1.0
+        inside = side == 0.0
+        da = yhat_d1(t + _where(inside, -1.0, side) * eps)
+        db = yhat_d1(t + _where(inside, 1.0, 2.0 * side) * eps)
+        d2 = _where(inside, (db - da) / (2.0 * eps),
+                    side * (4.0 * da - 3.0 * d1 - db) / (2.0 * eps))
+        return (v, d1, d2)
+
+    fj = nf.f.on(chart)
+    fbj = fj * F.b.on(chart)
+    yp = Y_jets(ys)[1]
+    s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
+    worst = float(np.max(np.maximum(abs(fbj.dx) / s,
+                                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))))
+    yhat_vals = np.broadcast_to(yhat_jets(ys)[0], ys.shape)
+    beta = QuadratureMap(yhat_jets, y0, ylo, yhi)
+    nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
+    new_chart = nf_fin.chart
+    yn_grid = new_chart.ys
+    y_old = beta.inverse(yn_grid)
+    Yv, Yp, _ = Y_jets(y_old)
+    gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_jets(y_old)[0])
+    fv = nf_fin.f.on(new_chart).v
+    av, bv, cv = (j.v for j in F_fin.on(new_chart))
+    resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
+                      np.max(np.abs(bv + 2.0 * Yv / gT) / (1.0 + np.abs(bv))),
+                      np.max(np.abs(av - 1.0)), np.max(np.abs(cv))))
+    return Case3Result(yn_grid, np.broadcast_to(Yv, yn_grid.shape), ys, yhat_vals, beta,
+                       resid, {"base_point": (x_ref, y0), "x_independence_residual": worst})

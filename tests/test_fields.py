@@ -97,6 +97,32 @@ def test_a_field_keeps_its_last_sweep():
     assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is again
 
 
+def test_finite_slots_whose_sum_overflows_pass_the_sweep():
+    """on() tests the sum of the six slots for finiteness and builds the
+    exact mask only where that sum is not finite: finite slots whose sum
+    overflows do not raise.  A slot that is a full float array of the
+    chart's shape is kept as a read-only view of it, a number is broadcast."""
+    chart = Chart((0.0, 1.0), (0.0, 1.0), (3, 4))
+    values = np.full(chart.grid, 1e308)
+    f = ScalarField(lambda x, y: Jet2(values, 1e308, 1e308, -1e308, 0.0, 1e308))
+    jets = f.on(chart)
+    assert np.shares_memory(jets.v, values) and not jets.v.flags.writeable
+    assert values.flags.writeable
+    assert [np.max(getattr(jets, s)) for s in Jet2.__slots__] == \
+        [1e308, 1e308, 1e308, -1e308, 0.0, 1e308]
+
+
+def test_one_nan_slot_names_the_first_bad_grid_point():
+    chart = Chart((0.0, 1.0), (0.0, 1.0), (3, 4))
+
+    def jet(x, y):
+        return Jet2(x + y, 1.0, 1.0, 0.0, np.where((x > 0.4) & (y > 0.5), np.nan, 0.0), 0.0)
+
+    with pytest.raises(DomainError) as e:
+        ScalarField(jet).on(chart)
+    assert e.value.point == (0.5, float(chart.ys[2]))
+
+
 def _operand_tree(field):
     """The fields under an arithmetic field, each once, operands first."""
     seen = []

@@ -92,3 +92,27 @@ def test_every_public_name_has_a_user():
                and not re.search(rf"\b{name}\b", bench)
                and not re.search(rf"\b{name}\b", README)]
     assert orphans == []
+
+
+def test_every_imported_name_is_read():
+    """Each name a library module imports is read in that module: a module
+    imports nothing it does not use.  projeq/__init__.py re-exports, and a
+    name on a line marked '# noqa: F401' is imported for its importers."""
+    unread = []
+    for path in sorted((ROOT / "src" / "projeq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.name}:{alias.lineno} {name}")
+    assert unread == []

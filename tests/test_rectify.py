@@ -1,3 +1,5 @@
+from dataclasses import fields as dataclass_fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,11 @@ from projeq.errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
                            NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
                            RectifyError, TrivialIntegral)
 from projeq.expr import Jet2
-from projeq.fields import Monotone1D, ScalarField
+from projeq.fields import Monotone1D, QuadratureMap, QuinticHermite, ScalarField
 from projeq.rectify import bk_normalize, solve_case1, solve_case2, solve_case3
 
 from conftest import random_admissible_change
+from pointwise import case1_by_point_set, case3_by_point_set
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (9, 9))
 # one null-form-capable spec per family, on a chart of the caller's choice
@@ -418,3 +421,97 @@ class TestPipeline:
         out = pq.rectification_pipeline(pq.null_form_of(pair.g), pair.F)
         blob = json.dumps(out.to_dict())
         assert "jordan_block" in blob
+
+
+def solver_inputs(spec):
+    """A pipeline report on a family's pair pulled through an admissible
+    change, with the metric and integral its case solver was given."""
+    chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+    pair = pq.generate(spec(chart))
+    nf, F, _ = pq.to_null_form(pair.g, pair.F)
+    nf2, F2 = pq.apply_admissible_change(
+        nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+    report = pq.rectification_pipeline(nf2, F2)
+    return report, report.bk.metric, report.bk.integral
+
+
+def _bits(value):
+    """A value's exact bits: an array's dtype, shape and bytes, a Hermite
+    fit's tables, a quadrature map's fit and base; else its repr."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, QuinticHermite):
+        return tuple(_bits(t) for t in (value._ts, value._value, value._slope, value._area))
+    if isinstance(value, QuadratureMap):
+        return (_bits(value._fit), value.t0, value._base)
+    return repr(value)
+
+
+class TestOneEvaluationPerPointSet:
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_results_equal_the_per_point_set_reference(self, spec):
+        """Evaluating f and b once on several point sets gives, bit for bit,
+        what evaluating each point set on its own gives (tests/pointwise.py):
+        every field of the case result, and the rectifying map's jets."""
+        report, nf, F = solver_inputs(spec)
+        reference = {1: case1_by_point_set, 3: case3_by_point_set}.get(report.case)
+        if reference is None:           # case 2 reads grid sweeps only
+            assert report.case == 2
+            return
+        got, want = report.result, reference(nf, F)
+        for f in dataclass_fields(got):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+        if report.case == 3:
+            ts = np.linspace(*nf.chart.y_range, 23)
+            assert [_bits(j) for j in got.beta.fjet(ts)] == \
+                [_bits(j) for j in want.beta.fjet(ts)]
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_each_point_set_is_evaluated_once(self, spec):
+        """Off the chart grid, and per solver call, case 1 evaluates f and b
+        once, on both diagonals together, and case 2 not at all.  Case 3
+        evaluates them once on each point set with its two difference points
+        at x_ref: the grid's ys, the quadrature knots, y_old and the new
+        mesh's preimage (through the map's jets); and once more each, composed,
+        on that preimage.  No call repeats the points of another."""
+        report, nf, F = solver_inputs(spec)
+        chart = nf.chart
+        calls = {"f": [], "b": []}
+
+        def counted(name, field):
+            def jet(x, y):
+                if y is not chart.mesh[1]:
+                    calls[name].append((x, y))
+                return field.jet(x, y)
+            return ScalarField(jet)
+
+        solver = {1: solve_case1, 2: solve_case2, 3: solve_case3}[report.case]
+        res = solver(pq.NullFormMetric(counted("f", nf.f), chart),
+                     QuadraticForm(F.a, counted("b", F.b), F.c, chart))
+        for seen in calls.values():
+            points = [tuple(a.tobytes() for a in np.broadcast_arrays(x, y)) for x, y in seen]
+            assert len(set(points)) == len(points)
+            if report.case == 1:
+                assert [np.shape(y) for _, y in seen] == [(2 * 129,)]
+            elif report.case == 2:
+                assert seen == []
+            else:
+                # each call at x_ref stacks a point set and its difference points
+                sets = [y[0] for x, y in seen if np.ndim(x) == 0]
+                knots = np.linspace(*chart.y_range, fields._QUADRATURE_SAMPLES)
+                y_old = res.beta.inverse(res.y_new_grid)
+                assert len(seen) == 5 and len(sets) == 4
+                for want in (chart.ys, knots, y_old):
+                    assert sum(np.array_equal(t, want) for t in sets) == 1
+
+    def test_map_jets_at_a_float_are_floats(self):
+        """The case-3 map's jets at a float are floats, with the bits of the
+        same point in an array, inside the chart and at both ends."""
+        report, nf, _ = solver_inputs(FAMILY_SPECS[2])
+        beta = report.result.beta
+        ylo, yhi = nf.chart.y_range
+        for t in (ylo, 0.3 * ylo + 0.7 * yhi, yhi):
+            jets = beta.fjet(t)
+            assert [type(j) for j in jets] == [float] * 4
+            assert [repr(j) for j in jets] == \
+                [repr(float(a[0])) for a in beta.fjet(np.array([t]))]
