@@ -64,13 +64,13 @@ def _is_number(v) -> bool:
 
 
 def _chart_from(cfg: dict, path: str = "chart") -> Chart:
-    sec = _get(cfg, path, dict)
-    xr = _get(sec, "x_range", list)
-    yr = _get(sec, "y_range", list)
+    _get(cfg, path, dict)
+    xr = _get(cfg, f"{path}.x_range", list)
+    yr = _get(cfg, f"{path}.y_range", list)
     for name, r in (("x_range", xr), ("y_range", yr)):
         if len(r) != 2 or not all(_is_number(v) for v in r):
             raise ConfigError(f"$.{path}.{name}", "expected [lo, hi] numbers")
-    grid = _get(sec, "grid", list, required=False, default=[21, 21])
+    grid = _get(cfg, f"{path}.grid", list, required=False, default=[21, 21])
     if len(grid) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in grid):
         raise ConfigError(f"$.{path}.grid", "expected [nx, ny] integers")
     try:
@@ -83,9 +83,9 @@ def _metric_from(cfg: dict, path: str, chart: Chart):
     sec = _get(cfg, path, dict)
     try:
         if "f" in sec:
-            return NullFormMetric.from_expr(_get(sec, "f", str), chart).to_metric2()
-        return Metric2.from_exprs(_get(sec, "g11", str), _get(sec, "g12", str),
-                                  _get(sec, "g22", str), chart)
+            return NullFormMetric.from_expr(_get(cfg, f"{path}.f", str), chart).to_metric2()
+        return Metric2.from_exprs(*(_get(cfg, f"{path}.{k}", str) for k in ("g11", "g12", "g22")),
+                                  chart)
     except ConfigError:
         raise
     except ProjEqError as e:
@@ -93,10 +93,10 @@ def _metric_from(cfg: dict, path: str, chart: Chart):
 
 
 def _integral_from(cfg: dict, chart: Chart) -> QuadraticForm:
-    sec = _get(cfg, "integral", dict)
+    _get(cfg, "integral", dict)
     try:
-        return QuadraticForm.from_exprs(_get(sec, "a", str), _get(sec, "b", str),
-                                        _get(sec, "c", str), chart)
+        return QuadraticForm.from_exprs(*(_get(cfg, f"integral.{k}", str) for k in "abc"),
+                                        chart)
     except ConfigError:
         raise
     except ProjEqError as e:
@@ -104,22 +104,20 @@ def _integral_from(cfg: dict, chart: Chart) -> QuadraticForm:
 
 
 def _spec_from(cfg: dict, chart: Chart):
-    sec = _get(cfg, "normal_form", dict)
-    family = _get(sec, "family", str)
-    try:
-        if family == "liouville":
-            return LiouvilleSpec(_get(sec, "X", str), _get(sec, "Y", str),
-                                 _get(sec, "sign", str), chart)
-        if family == "complex_liouville":
-            return ComplexLiouvilleSpec(_get(sec, "h", str), chart)
-        if family == "jordan_block":
-            return JordanBlockSpec(_get(sec, "Y", str), chart)
-        if family == "jordan_killing_free":
-            return JordanKillingFreeSpec(_get(sec, "Ytilde", str), chart)
-    except ConfigError:
-        raise
-    except ProjEqError as e:
-        raise ConfigError("$.normal_form", str(e))
+    _get(cfg, "normal_form", dict)
+    family = _get(cfg, "normal_form.family", str)
+
+    def text(key):
+        return _get(cfg, f"normal_form.{key}", str)
+
+    if family == "liouville":
+        return LiouvilleSpec(text("X"), text("Y"), text("sign"), chart)
+    if family == "complex_liouville":
+        return ComplexLiouvilleSpec(text("h"), chart)
+    if family == "jordan_block":
+        return JordanBlockSpec(text("Y"), chart)
+    if family == "jordan_killing_free":
+        return JordanKillingFreeSpec(text("Ytilde"), chart)
     raise ConfigError("$.normal_form.family", f"unknown family {family!r}")
 
 
@@ -147,9 +145,9 @@ def _tolerances(cfg: dict) -> dict:
 
 def _cmd_classify(cfg, tols, outdir):
     chart = _chart_from(cfg)
-    pair = _get(cfg, "metric_pair", dict)
-    g = _metric_from(pair, "g", chart)
-    gbar = _metric_from(pair, "gbar", chart)
+    _get(cfg, "metric_pair", dict)
+    g = _metric_from(cfg, "metric_pair.g", chart)
+    gbar = _metric_from(cfg, "metric_pair.gbar", chart)
     res = classify_pair(g, gbar, tols["classify"])
     return 0, {
         "classification": res.tag,

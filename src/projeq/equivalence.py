@@ -169,18 +169,18 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
     """
     check_tol(tol)
     nf = metric if isinstance(metric, NullFormMetric) else None
-    g = metric.to_metric2() if isinstance(metric, NullFormMetric) else metric
     if nf is None and method in ("auto", "sys"):
-        nf = null_form_of(g)
+        nf = null_form_of(metric)
     if method == "auto":
         method = "sys" if nf is not None else "bracket"
-    chart = g.chart
+    chart = metric.chart
 
     if method == "sys":
         if nf is None:
             raise InvalidArgument("sys residuals require a null-form metric")
         r = _sys_from_jets(nf.f.on(chart), *F.on(chart))
     elif method == "bracket":
+        g = metric.to_metric2() if nf is metric else metric
         h_jets = hamiltonian_form(g).on(chart)
         F_jets = F.on(chart)
         vals = [bracket_from_jets(h_jets, F_jets, px, py) for px, py in _MOMENTUM_BASIS]

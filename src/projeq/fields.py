@@ -1,14 +1,14 @@
 """Scalar fields evaluable to order-2 jets, and monotone coordinate maps.
 
-A ScalarField wraps a function (x, y) -> Jet2 and supports pointwise
-arithmetic, so that derived coefficients (inverse-metric entries, pulled-back
-integrals, ...) keep exact derivatives.  Next to the function it carries the
-field as an expression, which arithmetic extends node by node and in which
-a field known only by its function is an opaque Leaf; Metric2 compiles the
-expressions of its entries into one kernel for its pointwise reads.  A field
-keeps its last grid sweep, and a field made by + - * / records its operation
-and operands, so that its sweep reads the sweeps its operands keep rather
-than evaluating them again; the fields in between keep nothing.
+A ScalarField wraps a function (x, y) -> Jet2, or records an operation
++ - * / on other fields, so that derived coefficients (inverse-metric
+entries, pulled-back integrals, ...) keep exact derivatives.  It carries the
+field as an expression too, which arithmetic extends node by node and in
+which a field known only by its function is an opaque Leaf; Metric2 compiles
+the expressions of its entries into one kernel for its pointwise reads.  A
+field keeps its last grid sweep, and an arithmetic field's sweep applies its
+operation to the sweeps its operands keep rather than evaluating them again;
+the fields in between keep nothing.
 
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
@@ -113,22 +113,22 @@ class ScalarField:
     constructor below keeps that, so a field can be evaluated point by point
     (jet, __call__) or over a whole chart at once (on).  `expr` is the same
     field as an expression; without one given it is a Leaf calling the
-    function.  A field made by + - * / records its operation and operands,
-    so that a sweep reads the operands' kept sweeps (_grid)."""
+    function.  A field made by + - * / has no function: it records its
+    operation and operands, and every read applies that operation (_at)."""
 
     __slots__ = ("_jet", "expr", "_swept", "_op")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
         self.expr = Leaf(jet_fn) if expr is None else expr
-        self._swept = None          # (chart, checked Jet2, _grid's Jet2) of the last sweep
+        self._swept = None          # (chart, checked Jet2, _at's Jet2) of the last sweep
         self._op = None             # (Jet2 operation, operands) of an arithmetic field
 
     def jet(self, x: float, y: float) -> Jet2:
-        return self._jet(x, y)
+        return self._at(x, y, None)
 
     def __call__(self, x: float, y: float) -> float:
-        return self._jet(x, y).v
+        return self._at(x, y, None).v
 
     def on(self, chart) -> Jet2:
         """The jet over the chart grid: each slot a read-only (nx, ny) array,
@@ -143,7 +143,7 @@ class ScalarField:
             return kept[1]
         shape = chart.mesh[0].shape
         with np.errstate(all="ignore"):
-            j = self._grid(chart)
+            j = self._at(*chart.mesh, chart)
             slots = [_read_only(getattr(j, s), shape) for s in _SLOTS]
             # a sum of finite slots is finite unless it overflows: only then,
             # or where a slot is not finite, is the exact mask needed
@@ -159,20 +159,21 @@ class ScalarField:
         self._swept = (chart, jets, j)
         return jets
 
-    def _grid(self, chart) -> Jet2:
-        """self._jet(*chart.mesh), unchecked and kept nowhere: the kept sweep
-        on the chart as the function returned it, if there is one; else an
-        arithmetic field's operation on its operands' _grid; else the
-        function on the mesh.  A kept sweep is what the function returned,
-        so this runs the closures' operations on the same values and raises
-        or turns non-finite at the same points."""
+    def _at(self, x, y, chart) -> Jet2:
+        """The jet at (x, y), unchecked and kept nowhere.  `chart` is the
+        chart whose mesh (x, y) is, or None off the grid.  A sweep kept on
+        that chart answers with the jet its read returned; else an
+        arithmetic field applies its operation to its operands' _at, and
+        any other field calls its function.  So every route applies the same
+        operations to the same values, and raises or turns non-finite at the
+        same points."""
         kept = self._swept
-        if kept is not None and kept[0] == chart:
+        if chart is not None and kept is not None and kept[0] == chart:
             return kept[2]
         if self._op is None:
-            return self._jet(*chart.mesh)
+            return self._jet(x, y)
         op, operands = self._op
-        return op(*[o._grid(chart) for o in operands])
+        return op(*[o._at(x, y, chart) for o in operands])
 
     # constructors -----------------------------------------------------------
     @classmethod
@@ -192,7 +193,7 @@ class ScalarField:
             return cls(lambda x, y: Jet2(y, 0.0, 1.0), Var("y"))
         raise ValueError(name)
 
-    # arithmetic: one record for the closure, the grid route and the expression --
+    # arithmetic: one record for every read and the expression ------------------
     def __add__(self, o):
         return _arithmetic("+", self, _as_field(o))
 
@@ -225,7 +226,7 @@ class ScalarField:
         m21, m22 = float(m[1][0]), float(m[1][1])
 
         def jet(u, v):
-            f = self._jet(m11 * u + m12 * v, m21 * u + m22 * v)
+            f = self.jet(m11 * u + m12 * v, m21 * u + m22 * v)
             return Jet2(
                 f.v,
                 f.dx * m11 + f.dy * m21,
@@ -252,7 +253,7 @@ class ScalarField:
             wy = 1.0 / yd1
             wxx = -xd2 * wx * wx * wx
             wyy = -yd2 * wy * wy * wy
-            f = self._jet(t, s)
+            f = self.jet(t, s)
             composed = Jet2(
                 f.v,
                 f.dx * wx,
@@ -283,17 +284,13 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def _arithmetic(symbol: str, *operands: ScalarField) -> ScalarField:
-    """The field symbol(*operands), with '-' of one operand its negation.
-    The field records (Jet2 operation, operands): its closure applies the
-    operation to the operands' pointwise jets and _grid to their grids."""
+    """The field symbol(*operands), with '-' of one operand its negation: no
+    function, the record (Jet2 operation, operands) and the expression."""
     if len(operands) == 1:
-        (u,) = operands
-        op, expr = operator.neg, Neg(u.expr)
-        field = ScalarField(lambda x, y: -u._jet(x, y), expr)
+        op, expr = operator.neg, Neg(operands[0].expr)
     else:
-        u, w = operands
-        op, expr = _BINARY[symbol], BinOp(symbol, u.expr, w.expr)
-        field = ScalarField(lambda x, y: op(u._jet(x, y), w._jet(x, y)), expr)
+        op, expr = _BINARY[symbol], BinOp(symbol, operands[0].expr, operands[1].expr)
+    field = ScalarField(None, expr)
     field._op = (op, operands)
     return field
 

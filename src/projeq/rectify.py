@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AmbiguousCase, CoefficientVanishes, DomainError, NotAnIntegral,
+from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
                      NotAxisAligned, NotCase1, NotCase3, NotHolomorphic, RectifyError,
                      SignatureMismatch, TrivialIntegral, YhatVanishes, check_tol)
 from .expr import Expr, parse
@@ -16,7 +16,7 @@ from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHer
                      ScalarField, _where)
 from .geometry import Chart, Metric2, metric_at
 from .dynamics import QuadraticForm
-from .equivalence import NullFormMetric, _sys_from_jets, null_form_of, triviality_check
+from .equivalence import NullFormMetric, null_form_of, triviality_check, verify_integral
 
 DEFAULT_CASE_TOL = 1e-6
 DEFAULT_SYS_TOL = 1e-8
@@ -526,17 +526,11 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
             f"F = {triv.scale:.6g} * H is a trivial integral; nothing to rectify")
 
     nf, F, _ = to_null_form(g, F)
-    chart = nf.chart
-    aj, bj, cj = F.on(chart)
-    r = _sys_from_jets(nf.f.on(chart), aj, bj, cj)
-    overflow = chart.first_point(~np.isfinite(r))
-    if overflow is not None:
-        raise DomainError("sys residual is not finite", point=overflow)
-    i = int(np.argmax(r))
-    worst_sys = float(r.flat[i])
-    if worst_sys > sys_tol:
-        raise NotAnIntegral(worst_sys, chart.point(i))
+    sys_rep = verify_integral(nf, F, "sys", sys_tol)
+    if sys_rep.max_residual > sys_tol:
+        raise NotAnIntegral(sys_rep.max_residual, sys_rep.worst_point)
 
+    aj, bj, cj = F.on(nf.chart)
     zero_a, zero_c = _vanishing(aj, bj, cj)
 
     def sign_of(vals, zero, name):
@@ -578,4 +572,4 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
         case = 3
     gauge.update(result.gauge)
     return RectificationReport(result.family, case, result, flipped, swapped,
-                               bk, worst_sys, gauge)
+                               bk, sys_rep.max_residual, gauge)

@@ -154,6 +154,17 @@ class TestRectify:
         assert rep["status"] == "failed"
         assert rep["error"] == "NotAnIntegral"
 
+    def test_ambiguous_case_exit_1(self, tmp_path):
+        cfg = {
+            "command": "rectify",
+            "chart": {"x_range": [-0.3, 0.3], "y_range": [-0.3, 0.3], "grid": [9, 9]},
+            "metric": {"f": "1"},
+            "integral": {"a": "1", "b": "x", "c": "-y"},
+        }
+        assert run(write_config(tmp_path, cfg), quiet=True) == 1
+        rep = load_report(tmp_path, "rectify_report.json")
+        assert (rep["status"], rep["error"]) == ("failed", "AmbiguousCase")
+
 
 class TestGeodesic:
     def test_flat_flow(self, tmp_path):
@@ -249,6 +260,43 @@ class TestConfigErrors:
         }
         assert run(write_config(tmp_path, cfg)) == 2
         assert "$.initial_state" in capsys.readouterr().err
+
+
+_VERIFY = {"command": "verify", "chart": JORDAN_CHART, "metric": {"f": JORDAN_F},
+           "integral": JORDAN_INTEGRAL}
+_PAIR = {"g": {"g11": "2 + x", "g12": "0", "g22": "3 - y"},
+         "gbar": {"g11": "4 + 2*x", "g12": "0", "g22": "6 - 2*y"}}
+
+
+class TestConfigErrorPaths:
+    """A config error names the JSON path of the offending field from the
+    root, inside a section as well."""
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({**_VERIFY, "chart": {"y_range": [0, 1]}}, "$.chart.x_range: missing required field"),
+        ({**_VERIFY, "metric": {"g11": "1", "g22": "-1"}},
+         "$.metric.g12: missing required field"),
+        ({"command": "classify", "chart": CHART, "metric_pair": {"g": _PAIR["g"]}},
+         "$.metric_pair.gbar: missing required field"),
+        ({**_VERIFY, "metric": {"f": 2}}, "$.metric.f: expected str, got int"),
+        ({"command": "generate", "chart": JORDAN_CHART,
+          "normal_form": {"family": "jordan_block"}}, "$.normal_form.Y: missing required field"),
+        ({**_VERIFY, "integral": {"a": "1", "b": "2 + * x", "c": "0"}}, "$.integral: "),
+        ({"command": "geodesic", "chart": JORDAN_CHART, "metric": {"f": JORDAN_F},
+          "initial_state": [3, 0, 1, 1], "t_end": 1.0},
+         "$.initial_state: initial point lies outside the chart"),
+    ], ids=["chart", "metric", "metric_pair", "metric_f", "normal_form", "integral",
+            "initial_state"])
+    def test_names_the_full_path(self, tmp_path, capsys, cfg, message):
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_a_tolerance_lands_in_the_report(self, tmp_path):
+        cfg = {**_VERIFY, "tolerances": {"verify": 1e-12}}
+        assert run(write_config(tmp_path, cfg), quiet=True) == 0
+        rep = load_report(tmp_path, "verify_report.json")
+        assert rep["tolerances"]["verify"] == 1e-12
+        assert rep["verification"]["tolerance"] == 1e-12
 
 
 class TestOutputHandling:

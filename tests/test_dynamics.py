@@ -6,7 +6,7 @@ import pytest
 
 import projeq as pq
 from projeq.dynamics import _DP_A, _DP_B4, _DP_B5, _advance, hamiltonian_form, quadratic_value
-from projeq.errors import ChartExit, InvalidArgument, StepFailure
+from projeq.errors import ChartExit, InvalidArgument, StepFailure, ZeroVelocity
 
 UNIT = pq.Chart((-2.0, 2.0), (-2.0, 2.0), (5, 5))
 
@@ -202,6 +202,13 @@ class TestProjectiveResidual:
         curved = pq.Metric2.from_exprs("exp(2*x)", "0", "exp(2*x)", UNIT)
         traj = pq.integrate_geodesic(curved, pq.PhaseState(0.0, 0.0, 0.5, 0.4), 1.0)
         assert pq.projective_residual(flat, traj) > 1e-3
+
+    def test_a_resting_trajectory_has_no_direction(self):
+        g = euclidean()
+        traj = pq.integrate_geodesic(g, pq.PhaseState(0.0, 0.0, 0.0, 0.0), 1.0,
+                                     allow_null=True)
+        with pytest.raises(ZeroVelocity, match="^zero velocity at sample 0"):
+            pq.projective_residual(g, traj)
 
 
 class TestExport:

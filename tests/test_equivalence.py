@@ -145,6 +145,32 @@ class TestVerifyIntegral:
         assert rep.method == "bracket"
         assert rep.passed
 
+    def test_only_the_bracket_route_builds_a_metric(self, monkeypatch):
+        """The sys route reads f and F alone; only the bracket route builds
+        the Metric2 of a null form, for its Hamiltonian."""
+        built = []
+        to_metric2 = pq.NullFormMetric.to_metric2
+        monkeypatch.setattr(pq.NullFormMetric, "to_metric2",
+                            lambda nf: built.append(nf) or to_metric2(nf))
+        chart = pq.Chart((-0.4, 0.4), (-0.5, 0.5), (11, 11))
+        pair = pq.generate(pq.JordanBlockSpec("3/2 + y/10", chart))
+        nf, F = pq.null_form_of(pair.g), pair.F
+        for method in ("sys", "auto"):
+            assert pq.verify_integral(nf, F, method).method == "sys"
+        assert built == []
+        assert pq.verify_integral(nf, F, "bracket").passed
+        assert built == [nf]
+
+    def test_sys_route_reads_a_null_form_whose_det_overflows(self):
+        """f = 1e155 makes det g = -f^2/4 overflow: the bracket route, which
+        needs g, raises; the sys route never forms det g and reports."""
+        chart = pq.Chart((0.0, 1.0), (0.0, 1.0), (3, 3))
+        nf = pq.NullFormMetric.from_expr("1e155", chart)
+        F = pq.QuadraticForm.from_exprs("1", "0", "1", chart)
+        rep = pq.verify_integral(nf, F, "sys")
+        assert (rep.max_residual, rep.passed) == (0.0, True)
+        with pytest.raises(DomainError, match="^det g is not finite"):
+            pq.verify_integral(nf, F, "bracket")
 
     def test_overflowing_normalizer_is_not_finite(self):
         """Where the sys normalizer (1 + |f| + ...)(1 + |a| + |b| + |c|)

@@ -133,6 +133,16 @@ def _operand_tree(field):
     return seen
 
 
+def test_an_arithmetic_field_holds_no_function():
+    """+ - * / and negation record (operation, operands) and no function;
+    point reads and sweeps both apply the record
+    (test_a_sweep_equals_the_closure_route)."""
+    x, y = ScalarField.coordinate("x"), ScalarField.coordinate("y")
+    for f in (x + y, x - 1.0, 2.0 * x, x / y, -x, 1.0 / (x * y)):
+        assert f._jet is None and f._op is not None
+    assert not hasattr(ScalarField, "_grid")
+
+
 def test_derived_fields_sweep_from_the_entries_kept_sweeps():
     """Once a Metric2 has swept its entries, sweeps of H = 1/2 g^-1, of the
     null form f = 2 g12 and of the metric f/2 of to_metric2() read those
@@ -220,9 +230,10 @@ def _swept_leaves(tree):
 @example(tree=("*", ("1e200*x", True), ("1e200*x", False)))
 def test_a_sweep_equals_the_closure_route(tree):
     """Whichever leaves were swept first, on(chart) of an arithmetic field is
-    its closure on the mesh bit for bit in all six slots; where the closure
-    raises or is not finite, on raises DomainError with the same message or
-    at the same point.  A leaf whose own sweep raised keeps nothing."""
+    its pointwise read jet(*mesh), which no kept sweep answers, bit for bit
+    in all six slots; where that read raises or is not finite, on raises
+    DomainError with the same message or at the same point.  A leaf whose
+    own sweep raised keeps nothing."""
     leaves = {}
     field = _as_field(_build(tree, leaves))
     for text in _swept_leaves(tree):
@@ -233,13 +244,13 @@ def test_a_sweep_equals_the_closure_route(tree):
 
     try:
         with np.errstate(all="ignore"):
-            closure = field._jet(*_CHART.mesh)
+            pointwise = field.jet(*_CHART.mesh)
     except DomainError as e:
         with pytest.raises(DomainError) as got:
             field.on(_CHART)
         assert (str(got.value), got.value.point) == (str(e), e.point)
         return
-    want = [np.broadcast_to(np.asarray(getattr(closure, s), dtype=float), _CHART.grid)
+    want = [np.broadcast_to(np.asarray(getattr(pointwise, s), dtype=float), _CHART.grid)
             for s in Jet2.__slots__]
     bad = ~np.all([np.isfinite(w) for w in want], axis=0)
     if bad.any():

@@ -10,7 +10,7 @@ from projeq import fields
 from projeq.dynamics import QuadraticForm
 from projeq.errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
                            NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
-                           RectifyError, TrivialIntegral)
+                           RectifyError, TrivialIntegral, YhatVanishes)
 from projeq.expr import Jet2
 from projeq.fields import Monotone1D, QuadratureMap, QuinticHermite, ScalarField
 from projeq.rectify import bk_normalize, solve_case1, solve_case2, solve_case3
@@ -230,6 +230,23 @@ class TestCaseSolvers:
         with pytest.raises(NotCase3):
             solve_case3(nf, F)
 
+    # f = x Y' + Yhat and f b = -2 Y with Y = y on x in (1, 2): the case-3
+    # solver reads Yhat = f - x_ref Y' at the chart's centre
+    CASE3_CHART = pq.Chart((1.0, 2.0), (-0.5, 0.5), (7, 7))
+
+    @pytest.mark.parametrize("f, error", [
+        ("x - 0.5", NotCase3),        # Yhat = -1/2 < 0 on the whole chart
+        ("x + y", YhatVanishes),      # Yhat = y changes sign at y = 0
+    ])
+    def test_case3_rejects_a_yhat_that_is_not_positive(self, f, error):
+        nf = null_metric(f, self.CASE3_CHART)
+        F = QuadraticForm.from_exprs("1", f"-2*y/({f})", "0", self.CASE3_CHART)
+        with pytest.raises(error):
+            solve_case3(nf, F)
+        # the pipeline accepts both: bk_normalize recentres x, and there
+        # f > 0 forces Yhat > 0
+        assert pq.rectification_pipeline(nf, F).case == 3
+
 
 class TestToNullForm:
     def test_already_null(self):
@@ -290,6 +307,12 @@ class TestPipeline:
         F = QuadraticForm.from_exprs("x", "0", "1", UNIT)
         with pytest.raises((AmbiguousCase, NotAnIntegral)):
             pq.rectification_pipeline(nf, F)
+
+    def test_coefficient_changing_sign_is_ambiguous(self):
+        chart = pq.Chart((-0.3, 0.3), (-0.3, 0.3), (9, 9))
+        F = QuadraticForm.from_exprs("1", "x", "-y", chart)
+        with pytest.raises(AmbiguousCase, match="coefficient c changes sign"):
+            pq.rectification_pipeline(null_metric("1", chart), F)
 
     def test_negative_a_flips_integral(self):
         chart = pq.Chart((-0.4, 0.4), (-0.5, 0.5))
