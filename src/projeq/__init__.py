@@ -15,7 +15,7 @@ from .errors import (AmbiguousCase, ChartExit, CoefficientVanishes, ConfigError,
                      YhatVanishes, ZeroVelocity)
 from .expr import ComplexJet, Jet2, diff, parse, render
 from .codegen import complex_function, eval_complex, eval_jet, jet_function
-from .fields import ExprMap, IdentityMap, LinearMap, Monotone1D, QuadratureMap, ScalarField
+from .fields import ExprMap, IdentityMap, Monotone1D, QuadratureMap, ScalarField
 from .geometry import (Chart, Classification, Metric2, PairClassification, christoffel_at,
                        classify_at, classify_pair, metric_at)
 from .dynamics import (PhaseState, QuadraticForm, Trajectory, export_trajectory,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import (COMPLEX_VARIABLES, FUNCTIONS, REAL_VARIABLES, BinOp, Call, ComplexJet, Expr,
-                   Jet2, Leaf, Neg, Num, Var, _has_variable, _literal, render)
+                   Jet2, Leaf, Neg, Num, Var, _literal, render)
 
 # abs is treated as non-differentiable when its argument is this close to 0.
 _ABS_KINK_TOL = 1e-12
@@ -171,12 +171,12 @@ class _Compiled:
         if fn is None:
             if self.shape is None:
                 self.shape = _shape(self.expr)
-            key, nodes = self.shape
+            key, nodes = self.shape[:2]
             key = (key, self.kind, grid, self.exact, self.check)
             code = _store.get(key)
             self.fresh = code is None
             if code is None:
-                code = _store[key] = self.compile(grid, nodes)
+                code = _store[key] = self.compile(grid)
                 if len(_store) > _STORE_SIZE:
                     _store.popitem(last=False)
             else:
@@ -202,15 +202,15 @@ class _Compiled:
         return (code.errors, nodes, [nodes[p].jet for p in code.leaves], rerun, test, error,
                 *[_literal_slot(nodes[p], cplx, grid) for p in code.literals])
 
-    def compile(self, grid: bool, nodes: list) -> "_Code":
-        emitter = _Emitter(self.kind, grid, self.exact, nodes, check_at=(self.check or (0,))[0])
+    def compile(self, grid: bool) -> "_Code":
+        emitter = _Emitter(self.kind, grid, self.exact, self.shape,
+                           check_at=(self.check or (0,))[0])
         scratch = {}
         exec(compile(emitter.source(self.expr), "<projeq expression>", "exec"), scratch)
-        positions = emitter.positions
         return _Code(scratch["f"].__code__, tuple(emitter.errors),
-                     tuple(positions[id(leaf)] for leaf in emitter.leaves),
-                     tuple(positions[id(e)] for e in emitter.slots),
-                     (len(emitter.ids), len(emitter.leaves)))
+                     tuple(map(emitter.pos, emitter.leaves)),
+                     tuple(map(emitter.pos, emitter.slots)),
+                     (len(self.shape[1]), len(emitter.leaves)))
 
 
 class _Code:
@@ -233,24 +233,29 @@ _STORE_SIZE = 512
 _store: OrderedDict = OrderedDict()
 
 
-def _shape(e) -> tuple[tuple, list]:
-    """(key, nodes) of an expression or a tuple of roots: nodes lists each
-    distinct node object once, and key names the code the emitter writes
-    for it, so that expressions of equal keys share their code.
+def _shape(e) -> tuple[tuple, list, dict, list]:
+    """(key, nodes, positions, variable), the compiler's one numbering of an
+    expression or a tuple of roots.  nodes lists each distinct sub-expression
+    once: structurally equal sub-trees (the same kind and children, literals
+    of the same type and bits, the same leaf object) are one node, as the
+    emitted code computes them once.  positions maps the id of each node
+    object to its node's place in nodes, and variable[p] says whether node p
+    holds a variable or a leaf.
 
-    The key holds each node's kind and the positions of its children (so
-    leaves by identity), and each number literal's type, finiteness and
-    class of bit-equal literals.  The values of literals are left out,
+    key names the code the emitter writes for the tree, so that expressions
+    of equal keys share their code.  It holds each node's kind and the
+    positions of its children, and each number literal's type, finiteness
+    and class of bit-equal literals.  The values of literals are left out,
     except where they steer emission: in a constant exponent and in any
     other variable-free sub-expression that is not a literal itself, which
     are computed while compiling.  It first checks that the tree consists
     of nodes the parser makes, or leaves."""
     roots = e if isinstance(e, tuple) else (e,)
-    nodes, entries, children, index, classes = [], [], [], {}, {}
-    variable, literal = [], []
+    nodes, entries, children, variable, literal = [], [], [], [], []
+    positions, index, classes = {}, {}, {}
 
     def walk(e) -> int:
-        p = index.get(id(e))
+        p = positions.get(id(e))
         if p is not None:
             return p
         t, lit = type(e), False
@@ -270,15 +275,16 @@ def _shape(e) -> tuple[tuple, list]:
             kids = (walk(e.arg),)
             entry, var, lit = ("-", *kids), variable[kids[0]], literal[kids[0]]
         elif t is Leaf and callable(e.jet):
-            entry, kids, var = ("L",), (), True
+            entry, kids, var = ("L", len(nodes)), (), True     # a new leaf, a new node
         else:
             raise TypeError(f"not an Expr: {e!r}")
-        p = index[id(e)] = len(nodes)
-        nodes.append(e)
-        entries.append(entry)
-        children.append(kids)
-        variable.append(var)
-        literal.append(lit)
+        p = positions[id(e)] = index.setdefault(entry, len(nodes))
+        if p == len(nodes):
+            nodes.append(e)
+            entries.append(entry)
+            children.append(kids)
+            variable.append(var)
+            literal.append(lit)
         return p
 
     tops = tuple(walk(root) for root in roots)
@@ -296,7 +302,7 @@ def _shape(e) -> tuple[tuple, list]:
             if entries[p][0] == "n":
                 fixed[entries[p][3]] = repr(nodes[p].value)
     key = (tuple(entries), tops, isinstance(e, tuple), tuple(sorted(fixed.items())))
-    return key, nodes
+    return key, nodes, positions, variable
 
 
 def _literal_slot(e, cplx: bool, grid: bool):
@@ -384,15 +390,17 @@ class _Emitter:
     texts, or numbers for derivative slots known at generation time.  The
     texts hold only the variables, the parameters (literal slots k0, k1,
     ...), the names of _NAMESPACES, generated temporaries t1, t2, ... and
-    numbers (repr of an int or float) that the shape fixes.  nodes lists
-    the tree's nodes as _shape does, and positions maps the id of each to
-    its place there; errors name nodes by those places."""
+    numbers (repr of an int or float) that the shape fixes.
 
-    def __init__(self, kind: str, grid: bool, exact: bool, nodes: list, positions=None,
+    shape is the tree's _shape, the one numbering of its nodes: a node is
+    emitted and a divisor checked once per position, so structurally equal
+    sub-trees are computed once, and errors name nodes by their positions."""
+
+    def __init__(self, kind: str, grid: bool, exact: bool, shape: tuple,
                  top: Expr | None = None, check_at: int = 0, constants: bool = True):
         self.kind, self.grid, self.fold, self.record = kind, grid, not exact, exact and grid
-        self.nodes = nodes
-        self.positions = positions or {id(node): p for p, node in enumerate(nodes)}
+        self.shape = shape
+        _, self.nodes, self.positions, self.variable = shape
         # constants=False: a constant is code like any other sub-expression
         # and its literals are numbers in the source (code run once, now)
         self.complex, self.top, self.constants = kind == "complex", top, constants
@@ -404,7 +412,7 @@ class _Emitter:
         self.first = {"jet": 2, "value": 0, "complex": 1}[kind]
         self.args, self.at = ("z", "z.real, z.imag") if self.complex else ("x, y", "x, y")
         self.lines, self.errors, self.leaves, self.slots, self.depth, self.n = [], [], [], [], 1, 0
-        self.ids, self.keys, self.memo, self.inverses = {}, {}, {}, {}
+        self.memo, self.inverses = {}, {}       # position -> jet, reciprocal
         self.taints = {}                        # factors of folded products
         self.safe = {self.txt(self.one)}        # finite literals
 
@@ -470,8 +478,12 @@ class _Emitter:
     def txt(self, s) -> str:
         return s if not _const(s) else f"({s!r})"
 
+    def pos(self, e: Expr) -> int:
+        """The position of the node e."""
+        return self.positions[id(e)]
+
     def error(self, message: str, node) -> int:
-        self.errors.append((message, None if node is None else self.positions[id(node)]))
+        self.errors.append((message, None if node is None else self.pos(node)))
         return len(self.errors) - 1
 
     def check(self, cond: str, message: str, node):
@@ -553,15 +565,15 @@ class _Emitter:
     def divisor(self, e: Expr, w):
         """The reciprocal of w, the jet of e, after the check that its value
         is not 0: both once per distinct divisor."""
-        key = self.key(e)
-        if key not in self.inverses:
+        p = self.pos(e)
+        if p not in self.inverses:
             if self.complex:
                 self.check(f"{w[0]} == 0", "complex division by zero (pole)",
                            e if self.grid else None)
             else:
                 self.check(f"{w[0]} == 0.0", "division by zero", e)
-            self.inverses[key] = tuple(map(self.tmp, self.reciprocal(w)))
-        return self.inverses[key]
+            self.inverses[p] = tuple(map(self.tmp, self.reciprocal(w)))
+        return self.inverses[p]
 
     def reciprocal(self, u):
         mul, tmp, iv = self.mul, self.tmp, self.tmp(f"(1.0 / {u[0]})")
@@ -618,7 +630,7 @@ class _Emitter:
         exp(w log u)."""
         # the power's errors name it, except on complex floats
         node = None if self.complex and not self.grid else e
-        if _has_variable(e.right):
+        if self.variable[self.pos(e.right)]:
             return self.variable_power(node, u, self.node(e.right))
         k = self.constant(e.right)
         if self.complex:
@@ -646,8 +658,8 @@ class _Emitter:
         k = _literal(e, complex if self.complex else float)
         if k is not None:
             return k
-        sub = _Emitter("complex" if self.complex else "value", False, True, self.nodes,
-                       self.positions, top=self.top, constants=False)
+        sub = _Emitter("complex" if self.complex else "value", False, True, self.shape,
+                       top=self.top, constants=False)
         ns = dict(_NAMESPACES[self.complex, False], _raise=_dead)
         exec(compile(sub.source(e), "<projeq expression>", "exec"), ns)
         try:
@@ -683,47 +695,23 @@ class _Emitter:
         return self.call("exp", tuple(map(self.tmp, self.mul_jet(w, lg))))
 
     # nodes ---------------------------------------------------------------------------
-    def key(self, e: Expr) -> int:
-        """A number naming e's structure, exact in its literals (0.0 is not
-        -0.0).  _shape checked the tree's nodes; its first call refuses a
-        leaf outside real float code, before any source is written."""
-        key = self.keys.get(id(e))
-        if key is None:
-            match e:
-                case Num(v):
-                    s = ("n", repr(v))
-                case Var(name):
-                    s = ("v", name)
-                case Neg(arg):
-                    s = ("-", self.key(arg))
-                case BinOp(op, left, right):
-                    s = (op, self.key(left), self.key(right))
-                case Call(func, arg):
-                    s = (func, self.key(arg))
-                case Leaf() if not self.complex and not self.grid:
-                    s = ("L", id(e))
-                case _:
-                    raise TypeError(f"not an Expr: {e!r}")
-            key = self.keys[id(e)] = self.ids.setdefault(s, len(self.ids))
-        return key
-
     def node(self, e: Expr):
-        key = self.key(e)
-        if key not in self.memo:
-            jet = tuple(map(self.tmp, self.emit(e)))
+        p = self.pos(e)
+        if p not in self.memo:
+            jet = tuple(map(self.tmp, self.emit(e, self.variable[p])))
             if self.record:
                 live = ", ".join(s for s in jet if not _const(s))
                 self.line(f"B = _mark(B, {self.error('non-finite value', e)}, {live})")
-            self.memo[key] = jet
-        return self.memo[key]
+            self.memo[p] = jet
+        return self.memo[p]
 
-    def emit(self, e: Expr):
+    def emit(self, e: Expr, variable: bool):
         match e:
             case Num(v):
                 text = (self.slot(e) if self.constants
                         else f"F({v!r})" if self.grid or self.complex else f"({v!r})")
                 return self.number(text, math.isfinite(v))
-            case _ if self.constants and not _has_variable(e):
+            case _ if self.constants and not variable:
                 k = self.constant(e)
                 text = (self.slot(e) if _literal(e, float) is not None
                         else f"F({k.real!r}, {k.imag!r})" if self.complex
@@ -736,6 +724,8 @@ class _Emitter:
                 z, o = self.zero, self.one
                 return self.jet(name, {"x": (o, z), "y": (z, o), "z": (o,)}[name][:self.first])
             case Leaf():
+                if self.complex or self.grid:
+                    raise TypeError(f"not an Expr: {e!r}")
                 self.leaves.append(e)
                 t = self.tmp(f"L[{len(self.leaves) - 1}]({self.at})")
                 return tuple(f"{t}.{s}" for s in Jet2.__slots__[:1 + self.first + len(self.pairs)])

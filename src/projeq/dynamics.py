@@ -179,6 +179,8 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     check_tol(tol)
     if not math.isfinite(t_end):
         raise InvalidArgument(f"t_end must be finite, got {t_end!r}")
+    if not all(math.isfinite(v) for v in (s0.x, s0.y, s0.px, s0.py)):
+        raise InvalidArgument(f"initial state must be finite, got {s0!r}")
     integrals = integrals or {}
     if not g.chart.contains(s0.x, s0.y):
         raise ChartExit(0.0, s0)

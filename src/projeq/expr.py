@@ -141,10 +141,8 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _end_position(self):
-        if self.tokens:
-            kind, val, p = self.tokens[-1]
-            return p + len(val)
-        return 0
+        _, val, p = self.tokens[-1]
+        return p + len(val)
 
     def _expect_op(self, op):
         tok = self._peek()

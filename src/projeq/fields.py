@@ -427,24 +427,15 @@ class ExprMap(Monotone1D):
         return (*self._along(self._jet, t), self._along(self._d3, t)[0])
 
 
-class LinearMap(Monotone1D):
-    def __init__(self, scale: float, offset: float, tmin: float, tmax: float):
-        super().__init__(tmin, tmax)
-        if not scale > 0.0:
-            raise NonMonotone(f"linear map scale {scale} <= 0")
-        self.scale = float(scale)
-        self.offset = float(offset)
+class IdentityMap(Monotone1D):
+    """t -> t on [tmin, tmax].  Its value is t + 0.0, so -0.0 maps to 0.0,
+    and its inverse u - 0.0 keeps -0.0."""
 
     def fjet(self, t):
-        return (self.scale * t + self.offset, self.scale, 0.0, 0.0)
+        return (t + 0.0, 1.0, 0.0, 0.0)
 
     def inverse(self, u):
-        return (u - self.offset) / self.scale
-
-
-class IdentityMap(LinearMap):
-    def __init__(self, tmin: float, tmax: float):
-        super().__init__(1.0, 0.0, tmin, tmax)
+        return u - 0.0
 
 
 class QuinticHermite:

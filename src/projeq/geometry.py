@@ -27,7 +27,9 @@ MAX_GRID_POINTS = 65_536
 @dataclass(frozen=True)
 class Chart:
     """Rectangular coordinate domain with its sampling grid: the axes xs, ys
-    and their (nx, ny) mesh in points() order, computed once and read-only."""
+    and their (nx, ny) mesh in points() order, computed once and read-only.
+    The ranges and the grid are pairs (tuples or lists, kept as tuples), and
+    the grid's entries integers."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -37,6 +39,14 @@ class Chart:
     mesh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("x_range", "y_range", "grid"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise InvariantViolation(f"chart {name} must be a pair, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in self.grid):
+            raise InvariantViolation(f"chart grid entries must be integers, got {self.grid!r}")
         if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
             raise InvariantViolation("chart ranges must be finite")
         if not (self.x_range[1] > self.x_range[0] and self.y_range[1] > self.y_range[0]):

@@ -285,8 +285,11 @@ class TestConfigErrorPaths:
         ({"command": "geodesic", "chart": JORDAN_CHART, "metric": {"f": JORDAN_F},
           "initial_state": [3, 0, 1, 1], "t_end": 1.0},
          "$.initial_state: initial point lies outside the chart"),
+        ({"command": "generate", "chart": JORDAN_CHART, "normal_form": {"family": "foo"}},
+         "$.normal_form.family: unknown family 'foo'"),
+        ([1, 2], "$: config must be a JSON object"),
     ], ids=["chart", "metric", "metric_pair", "metric_f", "normal_form", "integral",
-            "initial_state"])
+            "initial_state", "family", "not_an_object"])
     def test_names_the_full_path(self, tmp_path, capsys, cfg, message):
         assert run(write_config(tmp_path, cfg)) == 2
         assert f"config error: {message}" in capsys.readouterr().err
@@ -323,6 +326,14 @@ class TestOutputHandling:
         outdir = tmp_path / "reports" / "nested"
         assert run(write_config(tmp_path, cfg), output_dir=outdir, quiet=True) == 0
         assert (outdir / "verify_report.json").exists()
+
+    def test_command_line(self, tmp_path, capsys):
+        """main parses the arguments and runs the config."""
+        outdir = tmp_path / "out"
+        assert cli.main([str(write_config(tmp_path, _VERIFY)), "--output-dir", str(outdir),
+                         "--quiet"]) == 0
+        assert load_report(outdir, "verify_report.json")["verification"]["passed"]
+        assert capsys.readouterr().out == ""
 
     def test_deterministic_reports(self, tmp_path):
         cfg = {

@@ -172,6 +172,17 @@ class TestIntegrator:
                                                   "t_end must be finite), got"):
             pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), t_end, tol=tol)
 
+    @pytest.mark.parametrize("state", [
+        (math.nan, 0.0, 1.0, 0.0), (0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 1.0, math.inf)],
+        ids=["nan_position", "nan_momentum", "infinite_momentum"])
+    def test_non_finite_initial_state_rejected(self, state):
+        """Unchecked, a NaN position reads as a chart exit at t = 0 and a
+        non-finite momentum ends in a step size underflow."""
+        s0 = pq.PhaseState(*state)
+        with pytest.raises(InvalidArgument) as ei:
+            pq.integrate_geodesic(euclidean(), s0, 1.0)
+        assert str(ei.value) == f"initial state must be finite, got {s0!r}"
+
     def test_null_covector_rejected(self):
         nf = pq.NullFormMetric.from_expr("2", UNIT)
         with pytest.raises(ValueError):

@@ -45,6 +45,19 @@ class TestParser:
             parse("x+*y")
         assert ei.value.position == 2
 
+    @pytest.mark.parametrize("text,position,message", [
+        ("x $ y", 2, "unexpected character '$'"),
+        (".", 0, "malformed number '.'"),
+        ("sin(x", 5, "expected ')', found end of input"),
+        ("x +", 3, "expected a value, found end of input"),
+        ("  ", 0, "empty expression"),
+        ("sin x", 4, "expected '(', found 'x'"),
+    ])
+    def test_error_positions(self, text, position, message):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse(text)
+        assert (ei.value.position, ei.value.message) == (position, message)
+
     def test_overflowing_literal(self):
         with pytest.raises(ExprSyntaxError) as ei:
             parse("x + 2*1e400")
@@ -174,6 +187,8 @@ class TestDiff:
         ("exp(y/5) / (1 + y^2)", "y", 0.3, 0.6),
         ("sqrt(2 + x)", "x", 1.2, 0.0),
         ("log(x) * x", "x", 2.5, 0.0),
+        ("x^y", "x", 1.5, 0.7),
+        ("x^y", "y", 1.5, 0.7),
     ])
     def test_matches_jet_derivative(self, text, var, x, y):
         e = parse(text)

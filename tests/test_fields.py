@@ -606,6 +606,11 @@ def test_quadrature_map_needs_distinct_knots():
         QuadratureMap(lambda t: (1.0 + 0.0 * t, 0.0, 0.0), 0.5, 0.5, 0.5000000000000001)
 
 
+def test_quadrature_map_needs_a_positive_derivative():
+    with pytest.raises(NonMonotone, match="^quadrature map derivative is not positive$"):
+        QuadratureMap(lambda t: (-1.0 + 0.0 * t, 0.0, 0.0), 0.0, 0.0, 1.0)
+
+
 def test_case1_interpolant_reproduces_samples_and_slopes():
     """solve_case1's X and Y pass through their samples with the slopes of
     X_T(u) = 2 + 0.3 u - 0.1 u^3 and Y_T(v) = -1 - 0.2 v^2 at the knots."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import projeq as pq
 from projeq import codegen
 from projeq.cli import run
-from projeq.errors import InvariantViolation, SingularMetric
+from projeq.errors import DomainError, InvariantViolation, SingularMetric
 from projeq.expr import Leaf
 from projeq.geometry import christoffel_at, classify_at, determinant, metric_at, singular
 
@@ -109,6 +109,27 @@ class TestChart:
         with pytest.raises(InvariantViolation):
             pq.Chart((1.0, 1.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("args, message", [
+        (((0, 1), (0, 1), (5,)), "chart grid must be a pair, got (5,)"),
+        (((0, 1), (0, 1), (3, 3, 3)), "chart grid must be a pair, got (3, 3, 3)"),
+        (((0, 1, 2), (0, 1)), "chart x_range must be a pair, got (0, 1, 2)"),
+        (((0, 1), 1.0), "chart y_range must be a pair, got 1.0"),
+        (((0, 1), (0, 1), (2.5, 3)), "chart grid entries must be integers, got (2.5, 3)"),
+        (((0, 1), (0, 1), (True, 3)), "chart grid entries must be integers, got (True, 3)"),
+    ], ids=["short_grid", "long_grid", "long_range", "scalar_range", "float_grid",
+            "bool_grid"])
+    def test_malformed_ranges_and_grids_rejected(self, args, message):
+        with pytest.raises(InvariantViolation) as ei:
+            pq.Chart(*args)
+        assert str(ei.value) == message
+
+    def test_list_grid_is_kept_as_a_tuple(self):
+        """A chart given lists equals and hashes as the one given tuples."""
+        c = pq.Chart([0.0, 1.0], [2.0, 4.0], [3, np.int64(5)])
+        d = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
+        assert (c.x_range, c.y_range, c.grid) == ((0.0, 1.0), (2.0, 4.0), (3, 5))
+        assert type(c.grid) is tuple and c == d and hash(c) == hash(d)
+
     def test_axes_are_kept_read_only_and_outside_equality(self):
         c = pq.Chart((0.0, 1.0), (2.0, 4.0), (3, 5))
         xs, ys = np.linspace(0.0, 1.0, 3), np.linspace(2.0, 4.0, 5)
@@ -170,6 +191,21 @@ class TestMetric2:
         chart = pq.Chart((0.5, 2.0), (0.0, 1.0), (7, 3))
         with pytest.raises((InvariantViolation, SingularMetric)):
             pq.Metric2.from_exprs("x - 1", "0", "1", chart)
+
+    def test_signature_change_between_grid_points_names_the_first(self):
+        """g11 = x changes sign between two grid points, so no point is
+        singular; the first point of the other signature is named."""
+        with pytest.raises(InvariantViolation) as ei:
+            pq.Metric2.from_exprs("x", "0", "1", pq.Chart((-1, 1), (0, 1), (20, 5)))
+        assert "metric signature changes across the chart" in str(ei.value)
+        assert str(ei.value).endswith("(first offending grid point 0.0526316, 0)")
+
+    def test_overflow_off_the_grid_is_a_domain_error(self):
+        g = pq.Metric2.from_exprs("exp(x)", "0", "1", pq.Chart((0, 1), (0, 1)))
+        for read in (g.entries_at, g.jets_at):
+            with pytest.raises(DomainError) as ei:
+                read(800.0, 0.0)
+            assert str(ei.value) == "numerical overflow in 'exp(x), 0.0, 1.0'"
 
     def test_near_singular_off_grid_point_rejected(self):
         # det = 1e-20 at x = 0.05, between grid points: nonzero, but below

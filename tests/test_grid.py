@@ -374,10 +374,10 @@ def test_generated_source_names_nothing_else(e):
     allowed = set(codegen._NAMESPACES[False, True]) | {
         "x", "y", "z", "f", "E", "N", "L", "X", "S", "R", "P", "B", "abs", "real", "imag",
         "def", "return", "if", "raise", "OverflowError", "None", "True"}
-    _, nodes = codegen._shape(e)
+    shape = codegen._shape(e)
     for kind in ("jet", "value", "complex"):
         for grid in (False, True):
-            source = codegen._Emitter(kind, grid, not grid, nodes).source(e)
+            source = codegen._Emitter(kind, grid, not grid, shape).source(e)
             for tok in tokenize.generate_tokens(io.StringIO(source).readline):
                 if tok.type == tokenize.NAME:
                     assert tok.string in allowed or tok.string[0] in "tk" and \

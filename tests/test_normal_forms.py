@@ -88,7 +88,7 @@ class TestComplexLiouville:
 
 
 class TestRealParts:
-    @pytest.mark.parametrize("text", H_CHOICES + ("z^2 - z", "1/z"))
+    @pytest.mark.parametrize("text", H_CHOICES + ("z^2 - z", "1/z", "z^-2"))
     def test_expansions_agree_with_the_complex_route(self, text):
         """The jets of the fields' expressions (what metric kernels compute)
         against the fields' own jets: each slot within 1e-14 (about 45 ulps)

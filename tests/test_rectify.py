@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import projeq as pq
 from projeq import fields
 from projeq.dynamics import QuadraticForm
-from projeq.errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
+from projeq.errors import (AmbiguousCase, CoefficientVanishes, NonMonotone, NotAnIntegral,
                            NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
                            RectifyError, TrivialIntegral, YhatVanishes)
 from projeq.expr import Jet2
@@ -42,6 +42,11 @@ class TestAdmissibleChange:
         assert F2.a(3.0, 0.5) == pytest.approx(4.0)
         assert F2.c(3.0, 0.5) == pytest.approx(1.0)
         assert nf2.f(3.0, 0.5) == pytest.approx(1.5)
+
+    def test_decreasing_map_rejected(self):
+        with pytest.raises(NonMonotone) as ei:
+            pq.AdmissibleChange("x^2", "y").maps(pq.Chart((-1, 1), (0, 1)))
+        assert str(ei.value) == "derivative -2.000e+00 <= 0 at t = -1"
 
     def test_integral_survives_change(self):
         chart = pq.Chart((-0.4, 0.4), (-0.5, 0.5))
@@ -277,6 +282,13 @@ class TestToNullForm:
         pair = pq.generate(pq.LiouvilleSpec("3 + x/4", "y", "+", chart))
         with pytest.raises(pq.SignatureMismatch):
             pq.to_null_form(pair.g, pair.F)
+
+    def test_null_direction_along_dy_rejected(self):
+        g = pq.Metric2.from_exprs("1", "1", "0", UNIT)
+        F = QuadraticForm.from_exprs("1", "0", "1", UNIT)
+        with pytest.raises(RectifyError) as ei:
+            pq.to_null_form(g, F)
+        assert str(ei.value) == "null direction along dy; swap coordinates first"
 
     def test_varying_slopes_rejected(self):
         g = pq.Metric2.from_exprs("1 + x/2", "0", "-1", UNIT)
