@@ -4,12 +4,13 @@ conservation logging, and the unparametrized-geodesic residual."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ChartExit, InvalidArgument, SingularMetric, StepFailure, ZeroVelocity,
-                     check_tol)
+from .errors import (ChartExit, DomainError, InvalidArgument, SingularMetric, StepFailure,
+                     ZeroVelocity, check_tol)
 from .expr import Jet2, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2, christoffel_at, inverse
@@ -54,7 +55,11 @@ class QuadraticForm:
 
 def hamiltonian_form(g: Metric2) -> QuadraticForm:
     """H = 1/2 g^{ij} p_i p_j written as a QuadraticForm (a, b, c) =
-    (g^11/2, g^12, g^22/2)."""
+    (g^11/2, g^12, g^22/2); built once per metric (Metric2.derived)."""
+    return g.derived(_hamiltonian_form)
+
+
+def _hamiltonian_form(g: Metric2) -> QuadraticForm:
     i11, i12, i22 = g.inverse_fields()
     return QuadraticForm(i11 * 0.5, i12, i22 * 0.5, g.chart)
 
@@ -168,6 +173,12 @@ def _error_norm(y5, y4, tol):
     return math.sqrt(total / 4.0)
 
 
+def _finite(v) -> bool:
+    """v is a real number and finite (math.isfinite raises TypeError on
+    anything else)."""
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
                        tol: float = DEFAULT_INTEGRATOR_TOL,
                        integrals: dict[str, QuadraticForm] | None = None,
@@ -177,9 +188,9 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     step-size control, sampling at every accepted step.  A step runs on
     Python floats: the state and the stage slopes are 4-tuples."""
     check_tol(tol)
-    if not math.isfinite(t_end):
+    if not _finite(t_end):
         raise InvalidArgument(f"t_end must be finite, got {t_end!r}")
-    if not all(math.isfinite(v) for v in (s0.x, s0.y, s0.px, s0.py)):
+    if not all(_finite(v) for v in (s0.x, s0.y, s0.px, s0.py)):
         raise InvalidArgument(f"initial state must be finite, got {s0!r}")
     integrals = integrals or {}
     if not g.chart.contains(s0.x, s0.y):
@@ -256,7 +267,8 @@ def _build_trajectory(g, ts, ys, integrals):
 def projective_residual(g: Metric2, traj: Trajectory) -> float:
     """Max over samples of |r ^ v| / |v|^3 where r = gamma'' + Gamma_g(v, v),
     gamma'' taken analytically from the generating metric's Hamiltonian flow.
-    Zero iff the curve is an unparametrized geodesic of g."""
+    Zero iff the curve is an unparametrized geodesic of g.  A sample whose
+    residual is NaN or infinite raises DomainError naming it."""
     gen = traj.metric
     worst = 0.0
     for i, (x, y, px, py) in enumerate(traj.states.tolist()):
@@ -274,7 +286,10 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
         rx = ax + gamma[0, 0, 0] * vx * vx + 2.0 * gamma[0, 0, 1] * vx * vy + gamma[0, 1, 1] * vy * vy
         ry = ay + gamma[1, 0, 0] * vx * vx + 2.0 * gamma[1, 0, 1] * vx * vy + gamma[1, 1, 1] * vy * vy
         cross = abs(rx * vy - ry * vx)
-        worst = max(worst, cross / speed2 ** 1.5)
+        r = cross / speed2 ** 1.5
+        if not math.isfinite(r):
+            raise DomainError(f"projective residual {r} is not finite at sample {i}")
+        worst = max(worst, r)
     return worst
 
 

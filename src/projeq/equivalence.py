@@ -4,6 +4,7 @@ integral I, the null-coordinate PDE residuals, and the triviality test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,24 @@ class NullFormMetric:
         return cls(ScalarField.from_expr(parse(f)), chart)
 
     def to_metric2(self) -> Metric2:
-        """The metric g11 = g22 = 0, g12 = f/2."""
+        """The metric g11 = g22 = 0, g12 = f/2: built on the first call, the
+        same object on every later one."""
+        return self._metric2
+
+    @cached_property
+    def _metric2(self) -> Metric2:
         zero = ScalarField.constant(0.0)
         return Metric2(zero, self.f * 0.5, zero, self.chart)
 
 
 def null_form_of(g: Metric2) -> NullFormMetric | None:
     """Recognize ds^2 = f dx dy; None if g11 or g22 exceeds NULL_FORM_TOL
-    times |g12| at some grid point."""
+    times |g12| at some grid point.  Decided once per metric
+    (Metric2.derived): every call returns the same object."""
+    return g.derived(_null_form)
+
+
+def _null_form(g: Metric2) -> NullFormMetric | None:
     a, b, c = g.values
     bound = NULL_FORM_TOL * np.maximum(np.abs(b), 1e-300)
     if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):

@@ -7,8 +7,10 @@ field as an expression too, which arithmetic extends node by node and in
 which a field known only by its function is an opaque Leaf; Metric2 compiles
 the expressions of its entries into one kernel for its pointwise reads.  A
 field keeps its last grid sweep, and an arithmetic field's sweep applies its
-operation to the sweeps its operands keep rather than evaluating them again;
-the fields in between keep nothing.
+operation to the sweeps its operands keep rather than evaluating them again.
+Of the fields in between, one read by two or more arithmetic fields keeps
+its sweep too, so that it is evaluated once per chart; one with a single
+reader keeps nothing.
 
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
@@ -26,6 +28,7 @@ reads the Liouville functions through it.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 
@@ -58,13 +61,18 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
-def _read_only(a, shape):
-    """A jet slot as a read-only float array of the given shape: a view of it
-    where it is one already, else broadcast (a constant slot may be a number)."""
-    if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == float:
-        a = a.view()
-        a.flags.writeable = False
-        return a
+def _read_only(a, chart):
+    """A jet slot as a read-only float array of the chart's grid shape: a
+    view of it where it is one already, chart.zeros for the number +0.0, else
+    broadcast (a constant slot may be a number; -0.0 keeps its sign)."""
+    shape = chart.zeros.shape
+    if isinstance(a, np.ndarray):
+        if a.shape == shape and a.dtype == float:
+            a = a.view()
+            a.flags.writeable = False
+            return a
+    elif a == 0.0 and math.copysign(1.0, a) > 0.0:
+        return chart.zeros
     return np.broadcast_to(np.asarray(a, dtype=float), shape)
 
 
@@ -116,13 +124,16 @@ class ScalarField:
     function.  A field made by + - * / has no function: it records its
     operation and operands, and every read applies that operation (_at)."""
 
-    __slots__ = ("_jet", "expr", "_swept", "_op")
+    __slots__ = ("_jet", "expr", "_swept", "_op", "_readers")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
         self.expr = Leaf(jet_fn) if expr is None else expr
-        self._swept = None          # (chart, checked Jet2, _at's Jet2) of the last sweep
+        # (chart, checked Jet2 or None, _at's Jet2) of the last sweep; the
+        # checked jet is None until on() is called on that chart
+        self._swept = None
         self._op = None             # (Jet2 operation, operands) of an arithmetic field
+        self._readers = 0           # arithmetic fields made with this one as an operand
 
     def jet(self, x: float, y: float) -> Jet2:
         return self._at(x, y, None)
@@ -139,12 +150,11 @@ class ScalarField:
         on an equal chart with it: each field is evaluated once per chart,
         however many steps read it.  A sweep that raises keeps nothing."""
         kept = self._swept
-        if kept is not None and kept[0] == chart:
+        if kept is not None and kept[1] is not None and (kept[0] is chart or kept[0] == chart):
             return kept[1]
-        shape = chart.mesh[0].shape
         with np.errstate(all="ignore"):
             j = self._at(*chart.mesh, chart)
-            slots = [_read_only(getattr(j, s), shape) for s in _SLOTS]
+            slots = [_read_only(getattr(j, s), chart) for s in _SLOTS]
             # a sum of finite slots is finite unless it overflows: only then,
             # or where a slot is not finite, is the exact mask needed
             total = slots[0] + slots[1] + slots[2] + slots[3] + slots[4] + slots[5]
@@ -153,6 +163,7 @@ class ScalarField:
             for s in slots[1:]:
                 bad |= ~np.isfinite(s)
             if bad.any():
+                self._swept = kept
                 raise DomainError("field takes a non-finite value (overflow or division "
                                   "by zero)", point=chart.first_point(bad))
         jets = Jet2(*slots)
@@ -160,20 +171,25 @@ class ScalarField:
         return jets
 
     def _at(self, x, y, chart) -> Jet2:
-        """The jet at (x, y), unchecked and kept nowhere.  `chart` is the
-        chart whose mesh (x, y) is, or None off the grid.  A sweep kept on
-        that chart answers with the jet its read returned; else an
-        arithmetic field applies its operation to its operands' _at, and
-        any other field calls its function.  So every route applies the same
-        operations to the same values, and raises or turns non-finite at the
-        same points."""
+        """The jet at (x, y), unchecked.  `chart` is the chart whose mesh
+        (x, y) is, or None off the grid.  A sweep kept on that chart answers
+        with the jet its read returned; else an arithmetic field applies its
+        operation to its operands' _at, and any other field calls its
+        function.  So every route applies the same operations to the same
+        values, and raises or turns non-finite at the same points.  On a
+        chart, a field with two or more arithmetic readers keeps what it
+        returns, so that each of them reads one evaluation."""
         kept = self._swept
-        if chart is not None and kept is not None and kept[0] == chart:
+        if chart is not None and kept is not None and (kept[0] is chart or kept[0] == chart):
             return kept[2]
         if self._op is None:
-            return self._jet(x, y)
-        op, operands = self._op
-        return op(*[o._at(x, y, chart) for o in operands])
+            j = self._jet(x, y)
+        else:
+            op, operands = self._op
+            j = op(*[o._at(x, y, chart) for o in operands])
+        if chart is not None and self._readers >= 2:
+            self._swept = (chart, None, j)
+        return j
 
     # constructors -----------------------------------------------------------
     @classmethod
@@ -285,13 +301,16 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 def _arithmetic(symbol: str, *operands: ScalarField) -> ScalarField:
     """The field symbol(*operands), with '-' of one operand its negation: no
-    function, the record (Jet2 operation, operands) and the expression."""
+    function, the record (Jet2 operation, operands) and the expression.  Each
+    operand counts the new field among its readers."""
     if len(operands) == 1:
         op, expr = operator.neg, Neg(operands[0].expr)
     else:
         op, expr = _BINARY[symbol], BinOp(symbol, operands[0].expr, operands[1].expr)
     field = ScalarField(None, expr)
     field._op = (op, operands)
+    for o in operands:
+        o._readers += 1
     return field
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,16 +21,17 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 # Grid sweeps hold a few dozen (nx, ny) arrays at once, and each field keeps
 # its last sweep (six arrays, 3 MB at 256 x 256) while it lives, so memory
 # grows with the number of grid points: at 256 x 256 a generate, verify,
-# classify, triviality and rectify run peaks at about 76 MB of RSS.
+# classify, triviality and rectify run peaks at about 79 MB of RSS.
 MAX_GRID_POINTS = 65_536
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Rectangular coordinate domain with its sampling grid: the axes xs, ys
-    and their (nx, ny) mesh in points() order, computed once and read-only.
-    The ranges and the grid are pairs (tuples or lists, kept as tuples), and
-    the grid's entries integers."""
+    """Rectangular coordinate domain with its sampling grid: the axes xs, ys,
+    their (nx, ny) mesh in points() order and an (nx, ny) array of zeros,
+    computed once and read-only.  The ranges and the grid are pairs (tuples
+    or lists, kept as tuples), the ranges' entries real numbers and the
+    grid's integers."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -37,6 +39,7 @@ class Chart:
     xs: np.ndarray = field(init=False, repr=False, compare=False)
     ys: np.ndarray = field(init=False, repr=False, compare=False)
     mesh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    zeros: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_range", "y_range", "grid"):
@@ -47,8 +50,10 @@ class Chart:
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
                    for n in self.grid):
             raise InvariantViolation(f"chart grid entries must be integers, got {self.grid!r}")
-        if not all(math.isfinite(v) for v in (*self.x_range, *self.y_range)):
-            raise InvariantViolation("chart ranges must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (*self.x_range, *self.y_range)):
+            raise InvariantViolation("chart ranges must be finite real numbers, got "
+                                     f"{self.x_range!r} and {self.y_range!r}")
         if not (self.x_range[1] > self.x_range[0] and self.y_range[1] > self.y_range[0]):
             raise InvariantViolation("chart ranges must be non-degenerate")
         if self.grid[0] < 2 or self.grid[1] < 2:
@@ -60,9 +65,10 @@ class Chart:
         xs = np.linspace(self.x_range[0], self.x_range[1], self.grid[0])
         ys = np.linspace(self.y_range[0], self.y_range[1], self.grid[1])
         mesh = tuple(np.meshgrid(xs, ys, indexing="ij"))
-        for a in (xs, ys, *mesh):
+        zeros = np.zeros_like(mesh[0])
+        for a in (xs, ys, *mesh, zeros):
             a.flags.writeable = False
-        for name, value in (("xs", xs), ("ys", ys), ("mesh", mesh)):
+        for name, value in (("xs", xs), ("ys", ys), ("mesh", mesh), ("zeros", zeros)):
             object.__setattr__(self, name, value)
 
     def points(self):
@@ -149,7 +155,8 @@ class Metric2:
     Off the grid there are two reads, entries_at (floats) and jets_at, each
     a kernel compiled from the entries' expressions on first use (see
     codegen.kernel_function); both raise SingularMetric where the metric is
-    singular().
+    singular().  A metric is immutable, so each form derived from it
+    (derived) is built once and kept with it.
     """
 
     def __init__(self, g11: ScalarField, g12: ScalarField, g22: ScalarField, chart: Chart):
@@ -162,6 +169,7 @@ class Metric2:
             self.det = determinant(*self.values)
             self.signature = self._validate()
         self.det.flags.writeable = False
+        self._derived = {}
 
     @classmethod
     def from_exprs(cls, g11: str, g12: str, g22: str, chart: Chart) -> "Metric2":
@@ -213,11 +221,27 @@ class Metric2:
         return kernel_function(tuple(f.expr for f in fields), kind, where,
                                check=(4, singular, SingularMetric))
 
+    def derived(self, make):
+        """make(self), built on the first call with `make` and the same object
+        on every later one (None included).  So every reader of a form derived
+        from the metric (its inverse fields, its Hamiltonian, its null form)
+        gets one object, and the sweeps its fields keep serve them all."""
+        forms = self._derived
+        if make not in forms:
+            forms[make] = make(self)
+        return forms[make]
+
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        return inverse(self.g11, self.g12, self.g22, determinant(self.g11, self.g12, self.g22))
+        """(g^11, g^12, g^22) as fields, built once (see derived)."""
+        return self.derived(_inverse_fields)
 
     def scaled(self, c: float) -> "Metric2":
         return Metric2(self.g11 * c, self.g12 * c, self.g22 * c, self.chart)
+
+
+def _inverse_fields(g: Metric2):
+    a, b, c = g.g11, g.g12, g.g22
+    return inverse(a, b, c, determinant(a, b, c))
 
 
 def metric_at(g: Metric2, x: float, y: float):

@@ -6,7 +6,7 @@ import pytest
 
 import projeq as pq
 from projeq.dynamics import _DP_A, _DP_B4, _DP_B5, _advance, hamiltonian_form, quadratic_value
-from projeq.errors import ChartExit, InvalidArgument, StepFailure, ZeroVelocity
+from projeq.errors import ChartExit, DomainError, InvalidArgument, StepFailure, ZeroVelocity
 
 UNIT = pq.Chart((-2.0, 2.0), (-2.0, 2.0), (5, 5))
 
@@ -183,6 +183,17 @@ class TestIntegrator:
             pq.integrate_geodesic(euclidean(), s0, 1.0)
         assert str(ei.value) == f"initial state must be finite, got {s0!r}"
 
+    @pytest.mark.parametrize("state", [(0.0, 0.0, "1", 0.0), (0.0, None, 1.0, 0.0),
+                                       (0.0, 0.0, 1.0, 1j)],
+                             ids=["string", "none", "complex"])
+    def test_non_real_initial_state_rejected(self, state):
+        """math.isfinite raises TypeError on these; the library raises its own
+        InvalidArgument."""
+        s0 = pq.PhaseState(*state)
+        with pytest.raises(InvalidArgument) as ei:
+            pq.integrate_geodesic(euclidean(), s0, 1.0)
+        assert str(ei.value) == f"initial state must be finite, got {s0!r}"
+
     def test_null_covector_rejected(self):
         nf = pq.NullFormMetric.from_expr("2", UNIT)
         with pytest.raises(ValueError):
@@ -219,6 +230,20 @@ class TestProjectiveResidual:
         traj = pq.integrate_geodesic(g, pq.PhaseState(0.0, 0.0, 0.0, 0.0), 1.0,
                                      allow_null=True)
         with pytest.raises(ZeroVelocity, match="^zero velocity at sample 0"):
+            pq.projective_residual(g, traj)
+
+
+    @pytest.mark.parametrize("sample, slot", [(3, 2), (0, 2), (2, 0)])
+    def test_a_nan_sample_is_not_a_geodesic(self, sample, slot):
+        """A NaN residual once fell out of max() and a NaN speed passed the
+        zero-velocity test, so NaN data read as a perfect geodesic."""
+        g = pq.Metric2.from_exprs("2 + x^2 / 4", "x * y / 8", "3 - y / 2",
+                                  pq.Chart((-3, 3), (-3, 3), (5, 5)))
+        traj = pq.integrate_geodesic(g, pq.PhaseState(0.1, 0.2, 0.8, 0.4), 1.0)
+        assert len(traj) > 3 and pq.projective_residual(g, traj) < 1e-12
+        traj.states[sample, slot] = np.nan
+        with pytest.raises(DomainError, match=f"^projective residual nan is not finite "
+                                              f"at sample {sample}$"):
             pq.projective_residual(g, traj)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projeq import codegen, fields
+from projeq import codegen, equivalence, fields
 from projeq.dynamics import QuadraticForm, hamiltonian_form
 from projeq.errors import DomainError, InvalidArgument, NonMonotone
 from projeq.expr import Jet2, diff, parse
@@ -97,6 +97,32 @@ def test_a_field_keeps_its_last_sweep():
     assert f.on(Chart((0.5, 1.5), (0.0, 1.0), (5, 4))) is again
 
 
+def test_a_shared_field_whose_sweep_raises_keeps_its_last_sweep():
+    """A field that two arithmetic fields read keeps what it evaluates on a
+    chart.  Where on() then finds a non-finite value, it raises and keeps
+    the sweep it had, as a field with no readers does.  The readers' sweeps
+    evaluate the field once between them, and raise at the same point."""
+    calls = []
+
+    def counted(x, y):      # 1/x, infinite at x = 0
+        calls.append(np.shape(x))
+        return Jet2(1.0 / x, -1.0 / (x * x), 0.0, 2.0 / (x * x * x), 0.0, 0.0)
+
+    f = ScalarField(counted)
+    readers = (f + 1.0, f * 2.0)
+    good = Chart((0.5, 1.5), (0.0, 1.0), (5, 4))
+    bad = Chart((-1.0, 1.0), (0.0, 1.0), (5, 5))        # x = 0 on the grid
+    kept = f.on(good)
+    with pytest.raises(DomainError):
+        f.on(bad)
+    assert f.on(good) is kept and calls == [(5, 4), (5, 5)]
+    for reader in readers:
+        with pytest.raises(DomainError) as e:
+            reader.on(bad)
+        assert e.value.point == (0.0, 0.0) and reader._swept is None
+    assert calls == [(5, 4), (5, 5), (5, 5)]
+
+
 def test_finite_slots_whose_sum_overflows_pass_the_sweep():
     """on() tests the sum of the six slots for finiteness and builds the
     exact mask only where that sum is not finite: finite slots whose sum
@@ -146,8 +172,10 @@ def test_an_arithmetic_field_holds_no_function():
 def test_derived_fields_sweep_from_the_entries_kept_sweeps():
     """Once a Metric2 has swept its entries, sweeps of H = 1/2 g^-1, of the
     null form f = 2 g12 and of the metric f/2 of to_metric2() read those
-    kept sweeps and run no entry's code on the grid; of the fields in
-    between (det g, g^11, ...) none keeps a sweep."""
+    kept sweeps and run no entry's code on the grid.  Of the fields in
+    between, det g, read by g^11, g^12 and g^22, keeps its sweep (unchecked),
+    and every field read by one arithmetic field (g22 / det, ...) keeps
+    none."""
     chart = Chart((-0.5, 0.5), (-0.5, 0.5), (7, 6))
     grid_calls = []
 
@@ -171,16 +199,105 @@ def test_derived_fields_sweep_from_the_entries_kept_sweeps():
     H.on(chart)
     nf = null_form_of(g)
     metrics = [nf.to_metric2(), nf.to_metric2()]
-    assert grid_calls == ["g11", "g12", "g22"]
+    assert grid_calls == ["g11", "g12", "g22"] and metrics[0] is metrics[1]
 
-    for top in (H.a, H.b, H.c, nf.f, *(m.g12 for m in metrics)):
-        assert top._swept is not None
+    det = H.a._op[1][0]._op[1][1]            # (g22 / det) * 0.5
+    assert det.expr == determinant(*entries).expr and det._readers == 3
+    kept_between = []
+    for top in (H.a, H.b, H.c, nf.f, metrics[0].g12):
+        assert top._swept is not None and top._swept[1] is not None
         below = _operand_tree(top)
         assert below
         for node in below:
-            assert (node._swept is not None) == any(node is e for e in (*entries, nf.f))
+            if any(node is e for e in (*entries, nf.f)):
+                assert node._swept is not None
+            elif node._swept is not None:
+                kept_between.append(node)
+            else:
+                assert node._readers == 1
+    assert all(node is det for node in kept_between) and kept_between
+    assert det._swept[0] is chart and det._swept[1] is None
+    assert H.a._op[1][0]._swept is None      # g22 / det, one reader
+
+
+def test_each_derived_form_is_one_object(monkeypatch):
+    """A metric's inverse fields, Hamiltonian and null form, and a null
+    form's metric, are built on the first call and returned again on every
+    later one; a metric that has no null form is judged once too.  Another
+    metric builds its own."""
+    decided = []
+    decide = equivalence._null_form
+
+    def counted(g):
+        decided.append(g)
+        return decide(g)
+
+    monkeypatch.setattr(equivalence, "_null_form", counted)
+    chart = Chart((-0.5, 0.5), (-0.5, 0.5), (5, 4))
+    g = Metric2.from_exprs("0", "1 + x/4", "0", chart)
+    h = Metric2.from_exprs("2 + y", "x/8", "3", chart)
+    for metric in (g, h):
+        assert metric.inverse_fields() is metric.inverse_fields()
+        assert hamiltonian_form(metric) is hamiltonian_form(metric)
+    assert g.inverse_fields()[0] is not h.inverse_fields()[0]
+    assert hamiltonian_form(g) is not hamiltonian_form(h)
+    nf = null_form_of(g)
+    assert nf is not None and nf.to_metric2() is nf.to_metric2()
+    for _ in range(3):
+        assert null_form_of(g) is nf and null_form_of(h) is None
+    assert decided == [g, h]
+
+
+def test_a_sweep_of_h_applies_det_g_once():
+    """det g is read by g^11, g^12 and g^22: a sweep of H's three
+    coefficients applies its operation once, and so does a sweep of a
+    multiple of H after it; an operand of det g with one reader is
+    evaluated once too."""
+    chart = Chart((-0.5, 0.5), (-0.5, 0.5), (6, 5))
+    g = Metric2.from_exprs("2 + x*y", "x/8", "3 - y/2", chart)
+    H = hamiltonian_form(g)
     det = H.a._op[1][0]._op[1][1]            # (g22 / det) * 0.5
-    assert det.expr == determinant(*entries).expr and det._swept is None
+    product = det._op[1][0]                  # g11 * g22
+    applied = []
+
+    def counting(field, name):
+        op, operands = field._op
+
+        def counted(*jets):
+            applied.append(name)
+            return op(*jets)
+
+        field._op = (counted, operands)
+
+    counting(det, "det")
+    counting(product, "g11 g22")
+    H.on(chart)
+    assert sorted(applied) == ["det", "g11 g22"]
+    H.scaled(3.0).on(chart)
+    # det g keeps its result unchecked; on() checks that, evaluating nothing
+    kept = det._swept[2]
+    assert det._swept[1] is None and np.shares_memory(det.on(chart).v, kept.v)
+    assert sorted(applied) == ["det", "g11 g22"]
+    want = (3.0 - chart.mesh[1] / 2.0) / ((2.0 + chart.mesh[0] * chart.mesh[1])
+                                         * (3.0 - chart.mesh[1] / 2.0)
+                                         - chart.mesh[0] / 8.0 * (chart.mesh[0] / 8.0))
+    assert np.allclose(H.a.on(chart).v, 0.5 * want, rtol=1e-14, atol=0.0)
+
+
+def test_zero_slots_read_the_charts_zeros():
+    """on() gives a +0.0 number slot as chart.zeros, read-only, and
+    broadcasts any other number, -0.0 with its sign."""
+    chart = Chart((0.0, 1.0), (0.0, 1.0), (3, 4))
+    jets = ScalarField(lambda x, y: Jet2(x + y, 1.0, 0.0, -0.0, 0.0, 2.0)).on(chart)
+    assert jets.dy is chart.zeros and jets.dxy is chart.zeros
+    assert not chart.zeros.flags.writeable and not chart.zeros.any()
+    with pytest.raises(ValueError):
+        jets.dy[0, 0] = 1.0
+    assert jets.dxx is not chart.zeros and jets.dxx.shape == (3, 4)
+    assert np.all(jets.dxx == 0.0) and np.all(np.signbit(jets.dxx))
+    assert np.all(jets.dx == 1.0) and np.all(jets.dyy == 2.0)
+    assert ScalarField.constant(0.0).on(chart).v is chart.zeros
+    assert np.all(np.signbit(ScalarField.constant(-0.0).on(chart).v))
 
 
 # compiled leaves; the chart below puts x = 0 on its grid, where 1/x is not
@@ -228,12 +345,16 @@ def _swept_leaves(tree):
 @example(tree=("-", ("exp(3*x) + y", True), ("1/x", True)))
 @example(tree=("/", ("x", False), ("0", True)))          # a kept constant divisor
 @example(tree=("*", ("1e200*x", True), ("1e200*x", False)))
+@example(tree=("+", ("*", ("x*y - 1/3", False), ("y", False)),
+               ("-", ("x*y - 1/3", False), ("y", False))))   # leaves with two readers
+@example(tree=("-", ("1/x", True), ("*", ("1/x", False), 2.0)))
 def test_a_sweep_equals_the_closure_route(tree):
     """Whichever leaves were swept first, on(chart) of an arithmetic field is
     its pointwise read jet(*mesh), which no kept sweep answers, bit for bit
     in all six slots; where that read raises or is not finite, on raises
     DomainError with the same message or at the same point.  A leaf whose
-    own sweep raised keeps nothing."""
+    own sweep raised keeps nothing, and every sweep a field below keeps is
+    its own pointwise read, bit for bit."""
     leaves = {}
     field = _as_field(_build(tree, leaves))
     for text in _swept_leaves(tree):
@@ -241,7 +362,16 @@ def test_a_sweep_equals_the_closure_route(tree):
             leaves[text].on(_CHART)
         except DomainError:
             assert leaves[text]._swept is None
+    _sweep_equals_the_closure_route(field)
+    for node in _operand_tree(field):
+        if node._swept is not None:
+            with np.errstate(all="ignore"):
+                fresh = node.jet(*_CHART.mesh)
+            assert [np.asarray(getattr(node._swept[2], s)).tobytes() for s in Jet2.__slots__] \
+                == [np.asarray(getattr(fresh, s)).tobytes() for s in Jet2.__slots__]
 
+
+def _sweep_equals_the_closure_route(field):
     try:
         with np.errstate(all="ignore"):
             pointwise = field.jet(*_CHART.mesh)

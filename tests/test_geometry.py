@@ -116,8 +116,16 @@ class TestChart:
         (((0, 1), 1.0), "chart y_range must be a pair, got 1.0"),
         (((0, 1), (0, 1), (2.5, 3)), "chart grid entries must be integers, got (2.5, 3)"),
         (((0, 1), (0, 1), (True, 3)), "chart grid entries must be integers, got (True, 3)"),
+        # math.isfinite raised TypeError on these
+        ((("a", "b"), (0, 1)),
+         "chart ranges must be finite real numbers, got ('a', 'b') and (0, 1)"),
+        (((None, 1), (0, 1)),
+         "chart ranges must be finite real numbers, got (None, 1) and (0, 1)"),
+        (((0, 1), (0, 1j)), "chart ranges must be finite real numbers, got (0, 1) and (0, 1j)"),
+        (((0, 1), (0, np.inf)),
+         "chart ranges must be finite real numbers, got (0, 1) and (0, inf)"),
     ], ids=["short_grid", "long_grid", "long_range", "scalar_range", "float_grid",
-            "bool_grid"])
+            "bool_grid", "string_range", "none_range", "complex_range", "infinite_range"])
     def test_malformed_ranges_and_grids_rejected(self, args, message):
         with pytest.raises(InvariantViolation) as ei:
             pq.Chart(*args)
@@ -136,7 +144,8 @@ class TestChart:
         assert c.xs.tobytes() == xs.tobytes() and c.ys.tobytes() == ys.tobytes()
         for got, want in zip(c.mesh, np.meshgrid(xs, ys, indexing="ij")):
             assert got.tobytes() == want.tobytes() and got.shape == (3, 5)
-        for a in (c.xs, c.ys, *c.mesh):
+        assert c.zeros.shape == (3, 5) and not c.zeros.any()
+        for a in (c.xs, c.ys, *c.mesh, c.zeros):
             with pytest.raises(ValueError):
                 a[0] = 9.0
         assert list(c.points()) == [c.point(i) for i in range(15)]
