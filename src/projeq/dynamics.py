@@ -13,7 +13,8 @@ from .errors import (ChartExit, DomainError, InvalidArgument, SingularMetric, St
                      ZeroVelocity, check_tol)
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, christoffel_at, inverse
+from .geometry import Chart, Metric2, _christoffel, inverse
+from .geometry import christoffel_at  # noqa: F401  (bench/tracer.py counts its calls here)
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
 MAX_STEPS = 1_000_000
@@ -65,13 +66,21 @@ def _hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
-    gxx, gxy, gyy = inverse(*g.entries_at(s.x, s.y))
-    return 0.5 * (gxx * s.px * s.px + 2.0 * gxy * s.px * s.py + gyy * s.py * s.py)
+    return _hamiltonian(g, s.x, s.y, s.px, s.py)
+
+
+def _hamiltonian(g, x, y, px, py):
+    gxx, gxy, gyy = inverse(*g.entries_at(x, y))
+    return 0.5 * (gxx * px * px + 2.0 * gxy * px * py + gyy * py * py)
 
 
 def quadratic_value(F: QuadraticForm, s: PhaseState) -> float:
-    a, b, c = F.a(s.x, s.y), F.b(s.x, s.y), F.c(s.x, s.y)
-    return a * s.px * s.px + b * s.px * s.py + c * s.py * s.py
+    return _quadratic_value(F, s.x, s.y, s.px, s.py)
+
+
+def _quadratic_value(F, x, y, px, py):
+    a, b, c = F.a(x, y), F.b(x, y), F.c(x, y)
+    return a * px * px + b * px * py + c * py * py
 
 
 def _as_form(A) -> QuadraticForm:
@@ -257,9 +266,11 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
 
 
 def _build_trajectory(g, ts, ys, integrals):
-    samples = [PhaseState(*s) for s in ys]
-    hs = np.array([hamiltonian(g, s) for s in samples])
-    logs = {name: np.array([quadratic_value(F, s) for s in samples])
+    """The Trajectory of the sampled times and state tuples, with H and each
+    integral logged per sample by the formulas of hamiltonian and
+    quadratic_value."""
+    hs = np.array([_hamiltonian(g, *s) for s in ys])
+    logs = {name: np.array([_quadratic_value(F, *s) for s in ys])
             for name, F in integrals.items()}
     return Trajectory(g, np.array(ts), np.array(ys), hs, logs)
 
@@ -268,7 +279,8 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
     """Max over samples of |r ^ v| / |v|^3 where r = gamma'' + Gamma_g(v, v),
     gamma'' taken analytically from the generating metric's Hamiltonian flow.
     Zero iff the curve is an unparametrized geodesic of g.  A sample whose
-    residual is NaN or infinite raises DomainError naming it."""
+    residual is NaN or infinite raises DomainError naming it.  Each sample
+    runs on floats: the symbols of g come from _christoffel, not an array."""
     gen = traj.metric
     worst = 0.0
     for i, (x, y, px, py) in enumerate(traj.states.tolist()):
@@ -282,15 +294,18 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
             + i11.v * dpx + i12.v * dpy
         ay = (i12.dx * vx + i12.dy * vy) * px + (i22.dx * vx + i22.dy * vy) * py \
             + i12.v * dpx + i22.v * dpy
-        gamma = christoffel_at(g, x, y)
-        rx = ax + gamma[0, 0, 0] * vx * vx + 2.0 * gamma[0, 0, 1] * vx * vy + gamma[0, 1, 1] * vy * vy
-        ry = ay + gamma[1, 0, 0] * vx * vx + 2.0 * gamma[1, 0, 1] * vx * vy + gamma[1, 1, 1] * vy * vy
+        (g000, g001, g011), (g100, g101, g111) = _christoffel(g, x, y)
+        rx = ax + g000 * vx * vx + 2.0 * g001 * vx * vy + g011 * vy * vy
+        ry = ay + g100 * vx * vx + 2.0 * g101 * vx * vy + g111 * vy * vy
         cross = abs(rx * vy - ry * vx)
-        r = cross / speed2 ** 1.5
+        try:
+            r = cross / speed2 ** 1.5
+        except ZeroDivisionError:       # |v|^3 underflowed to 0: IEEE's inf, or NaN for 0/0
+            r = math.inf if cross > 0.0 else math.nan
         if not math.isfinite(r):
             raise DomainError(f"projective residual {r} is not finite at sample {i}")
         worst = max(worst, r)
-    return worst
+    return float(worst)    # a Leaf's function may return NumPy scalars
 
 
 def export_trajectory(traj: Trajectory, path) -> None:

@@ -252,18 +252,27 @@ def metric_at(g: Metric2, x: float, y: float):
 
 
 def christoffel_at(g: Metric2, x: float, y: float) -> np.ndarray:
-    """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij}),
-    written out for 2-D with the sums in index order (l = 0 first, from
-    0.0), so that it is bit for bit the sum over k, i, j, l."""
+    """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij})
+    as a (2, 2, 2) array, from the floats of _christoffel."""
+    (g000, g001, g011), (g100, g101, g111) = _christoffel(g, x, y)
+    return np.array([[[g000, g001], [g001, g011]], [[g100, g101], [g101, g111]]])
+
+
+def _christoffel(g: Metric2, x: float, y: float):
+    """The six distinct symbols ((Gamma^0_00, Gamma^0_01, Gamma^0_11),
+    (Gamma^1_00, Gamma^1_01, Gamma^1_11)) at (x, y) as floats, written out
+    for 2-D with the sums in index order (l = 0 first, from 0.0), so that
+    each is bit for bit the sum over l."""
     a, b, c, det = g.jets_at(x, y)[:4]
     i11, i12, i22 = inverse(a.v, b.v, c.v, det.v)
-    rows = ((i11, i12), (i12, i22))
     # (d_i g_{lj} + d_j g_{li} - d_l g_{ij}) for l = 0, 1, by (i, j)
-    xx = (a.dx + a.dx - a.dx, b.dx + b.dx - a.dy)
-    xy = (b.dx + a.dy - b.dx, c.dx + b.dy - b.dy)
-    yy = (b.dy + b.dy - c.dx, c.dy + c.dy - c.dy)
-    return np.array([[[0.5 * (0.0 + gk * t0 + gl * t1) for t0, t1 in row]
-                      for row in ((xx, xy), (xy, yy))] for gk, gl in rows])
+    xx0, xx1 = a.dx + a.dx - a.dx, b.dx + b.dx - a.dy
+    xy0, xy1 = b.dx + a.dy - b.dx, c.dx + b.dy - b.dy
+    yy0, yy1 = b.dy + b.dy - c.dx, c.dy + c.dy - c.dy
+    return ((0.5 * (0.0 + i11 * xx0 + i12 * xx1), 0.5 * (0.0 + i11 * xy0 + i12 * xy1),
+             0.5 * (0.0 + i11 * yy0 + i12 * yy1)),
+            (0.5 * (0.0 + i12 * xx0 + i22 * xx1), 0.5 * (0.0 + i12 * xy0 + i22 * xy1),
+             0.5 * (0.0 + i12 * yy0 + i22 * yy1)))
 
 
 def _pair_tensor(a, b, c, abar, bbar, cbar, det):

@@ -141,6 +141,7 @@ def gen_complex_liouville(spec: ComplexLiouvilleSpec) -> GeneratedPair:
     g = Metric2(zero, im, zero, chart)  # ds^2 = 2 Im(h) dx dy
     rho = im * im + re * re
     s2 = (im / rho) * (im / rho)
+    s2.on(chart)      # kept, so that -s2 and gbar's g22 both read this one sweep
     gbar = Metric2(-s2, re * im / (rho * rho), s2, chart)
     F = QuadraticForm(ScalarField.constant(1.0), (re / im) * 2.0,
                       ScalarField.constant(-1.0), chart)

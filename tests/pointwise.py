@@ -10,6 +10,11 @@ write each quantity out at one point from the public pointwise reads
 library's operations in the library's order, so that the tests can hold
 the sweeps to them bit for bit.
 
+projective_residual reads the Christoffel symbols of g as six floats.
+projective_residual_loop below reads them from christoffel_at's (2, 2, 2)
+array instead, so that its arithmetic runs on NumPy float64 scalars, with
+the library's operations in the library's order.
+
 The case-1 and case-3 solvers evaluate f and b once on all the points a
 step needs (both diagonals; a point set and its difference points).  The
 two case references below evaluate each point set on its own instead, as
@@ -22,8 +27,10 @@ import math
 
 import numpy as np
 
-from projeq.errors import SignatureMismatch
+from projeq.dynamics import _flow
+from projeq.errors import DomainError, SignatureMismatch, ZeroVelocity
 from projeq.fields import IdentityMap, QuadratureMap, QuinticHermite, _where
+from projeq.geometry import christoffel_at
 from projeq.rectify import (_CASE1_SAMPLES, Case1Result, Case3Result, _diag_point,
                             transform_separable)
 
@@ -85,6 +92,34 @@ def projective_integral_I(g, gbar, x, y, xi):
         raise SignatureMismatch(f"det ratio {ratio:.3e} <= 0 at ({x:.4g}, {y:.4g})")
     vx, vy = xi
     return (a * vx * vx + 2.0 * b * vx * vy + c * vy * vy) * ratio ** (2.0 / 3.0)
+
+
+def projective_residual_loop(g, traj):
+    """projective_residual(g, traj) with the symbols of g indexed out of
+    christoffel_at's array: max over samples of |r ^ v| / |v|^3, r = gamma''
+    + Gamma_g(v, v), raising as the library does."""
+    gen = traj.metric
+    worst = 0.0
+    for i, (x, y, px, py) in enumerate(traj.states.tolist()):
+        i11, i12, i22 = gen.jets_at(x, y)[4:]
+        vx, vy, dpx, dpy = _flow(i11, i12, i22, px, py)
+        speed2 = vx * vx + vy * vy
+        if speed2 < 1e-300:
+            raise ZeroVelocity(f"zero velocity at sample {i}")
+        ax = (i11.dx * vx + i11.dy * vy) * px + (i12.dx * vx + i12.dy * vy) * py \
+            + i11.v * dpx + i12.v * dpy
+        ay = (i12.dx * vx + i12.dy * vy) * px + (i22.dx * vx + i22.dy * vy) * py \
+            + i12.v * dpx + i22.v * dpy
+        gamma = christoffel_at(g, x, y)
+        rx = ax + gamma[0, 0, 0] * vx * vx + 2.0 * gamma[0, 0, 1] * vx * vy + gamma[0, 1, 1] * vy * vy
+        ry = ay + gamma[1, 0, 0] * vx * vx + 2.0 * gamma[1, 0, 1] * vx * vy + gamma[1, 1, 1] * vy * vy
+        cross = abs(rx * vy - ry * vx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = cross / speed2 ** 1.5
+        if not math.isfinite(r):
+            raise DomainError(f"projective residual {r} is not finite at sample {i}")
+        worst = max(worst, r)
+    return worst
 
 
 def case1_by_point_set(nf, F):

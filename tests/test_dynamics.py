@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import projeq as pq
+from conftest import random_states
+from pointwise import projective_residual_loop
 from projeq.dynamics import _DP_A, _DP_B4, _DP_B5, _advance, hamiltonian_form, quadratic_value
 from projeq.errors import ChartExit, DomainError, InvalidArgument, StepFailure, ZeroVelocity
 
@@ -13,6 +15,31 @@ UNIT = pq.Chart((-2.0, 2.0), (-2.0, 2.0), (5, 5))
 
 def euclidean(chart=UNIT):
     return pq.Metric2.from_exprs("1", "0", "1", chart)
+
+
+def pair_geodesics(instances, integrals=False):
+    """(pair, geodesic's metric, the pair's other metric, trajectory) for the
+    first two instances of each family: two geodesics of g and two of gbar
+    each, logging the pair's F if integrals; a geodesic that leaves the
+    chart keeps its samples."""
+    rng = np.random.default_rng(27)
+    taken = {}
+    out = []
+    for inst in instances:
+        if taken.setdefault(inst["family"], 0) == 2:
+            continue
+        taken[inst["family"]] += 1
+        pair = inst["pair"]
+        for a, b in ((pair.g, pair.gbar), (pair.gbar, pair.g)):
+            for s in random_states(rng, a.chart, 2, pscale=0.3, g=a):
+                try:
+                    traj = pq.integrate_geodesic(a, s, 1.0,
+                                                 integrals={"F": pair.F} if integrals else None)
+                except ChartExit as e:
+                    traj = e.trajectory
+                out.append((pair, a, b, traj))
+    assert sorted(taken) == ["complex_liouville", "jordan_block", "liouville"]
+    return out
 
 
 class TestHamiltonian:
@@ -113,6 +140,17 @@ class TestIntegrator:
         traj = pq.integrate_geodesic(g, pq.PhaseState(0.1, 0.2, 0.8, 0.4), 1.0)
         drift = np.max(np.abs(traj.hamiltonian_values - traj.hamiltonian_values[0]))
         assert drift < 1e-9 * abs(traj.hamiltonian_values[0])
+
+    def test_logs_are_hamiltonian_and_quadratic_value_bit_for_bit(self, instances):
+        """_build_trajectory logs H and each integral from the state tuples,
+        with the formulas of hamiltonian and quadratic_value."""
+        for pair, a, _, traj in pair_geodesics(instances, integrals=True):
+            states = [pq.PhaseState(*s) for s in traj.states.tolist()]
+            assert len(states) >= 2 and list(traj.integral_values) == ["F"]
+            want_h = np.array([pq.hamiltonian(a, s) for s in states])
+            want_f = np.array([quadratic_value(pair.F, s) for s in states])
+            assert traj.hamiltonian_values.tobytes() == want_h.tobytes()
+            assert traj.integral_values["F"].tobytes() == want_f.tobytes()
 
     def test_integral_logging(self):
         g = euclidean()
@@ -232,6 +270,29 @@ class TestProjectiveResidual:
         with pytest.raises(ZeroVelocity, match="^zero velocity at sample 0"):
             pq.projective_residual(g, traj)
 
+
+    def test_the_float_route_is_the_array_loop_bit_for_bit(self, instances):
+        """projective_residual reads the symbols of g as six floats and
+        returns a float with the bits of the loop over christoffel_at's array
+        on NumPy scalars (tests/pointwise.py): against both metrics of a pair,
+        and against a metric whose geodesics the curve is not."""
+        cases = [(g, traj) for _, a, b, traj in pair_geodesics(instances) for g in (a, b)]
+        curved = pq.Metric2.from_exprs("exp(2*x)", "0", "exp(2*x)", UNIT)
+        bent = pq.integrate_geodesic(curved, pq.PhaseState(0.0, 0.0, 0.5, 0.4), 1.0)
+        assert pq.projective_residual(euclidean(), bent) > 1e-3
+        for g, traj in cases + [(euclidean(), bent)]:
+            got, want = pq.projective_residual(g, traj), projective_residual_loop(g, traj)
+            assert type(got) is float and got.hex() == float(want).hex()
+
+    def test_a_speed_whose_cube_underflows(self):
+        """|v|^2 = 1e-220 passes the zero-velocity test but |v|^3 is 0.0 in
+        floats: 0/0 reads as NaN, as it does on NumPy scalars."""
+        g = euclidean()
+        traj = pq.Trajectory(g, np.zeros(1), np.array([[0.0, 0.0, 1e-110, 0.0]]), np.zeros(1))
+        for residual in (pq.projective_residual, projective_residual_loop):
+            with pytest.raises(DomainError, match="^projective residual nan is not finite "
+                                                  "at sample 0$"):
+                residual(g, traj)
 
     @pytest.mark.parametrize("sample, slot", [(3, 2), (0, 2), (2, 0)])
     def test_a_nan_sample_is_not_a_geodesic(self, sample, slot):

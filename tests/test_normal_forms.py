@@ -72,6 +72,27 @@ class TestComplexLiouville:
             pair = pq.generate(pq.ComplexLiouvilleSpec(h, chart))
             assert pq.verify_integral(pair.g, pair.F).passed
 
+    @pytest.mark.parametrize("h", H_CHOICES)
+    def test_each_field_is_evaluated_once_per_chart(self, h, monkeypatch):
+        """s2 = (Im h / rho)^2 is swept before gbar = Metric2(-s2, ., s2), so
+        -s2 and gbar's g22 read its kept sweep: generate evaluates s2, and
+        every other field, once on the chart."""
+        evaluated = []
+        at = pq.ScalarField._at
+
+        def counted(field, x, y, chart):
+            kept = field._swept
+            if chart is not None and not (kept is not None and kept[0] == chart):
+                evaluated.append(field)
+            return at(field, x, y, chart)
+
+        monkeypatch.setattr(pq.ScalarField, "_at", counted)
+        pair = pq.generate(pq.ComplexLiouvilleSpec(h, pq.Chart((0.5, 1.5), (0.5, 1.2))))
+        s2 = pair.gbar.g22
+        assert pair.gbar.g11._op[1] == (s2,)
+        assert sum(f is s2 for f in evaluated) == 1
+        assert len({id(f) for f in evaluated}) == len(evaluated)
+
     def test_im_h_vanishing_rejected(self):
         chart = pq.Chart((0.5, 1.5), (-0.5, 0.5))  # Im(z) = y crosses 0
         with pytest.raises((InvariantViolation, Exception)):

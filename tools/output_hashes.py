@@ -11,7 +11,8 @@ lines are equal computed the same bits:
   perturbed control), the classification arrays and the triviality scales;
 * rectify_roundtrip: the sweeps of the transformed f, a, b, c, the
   rectification report's to_dict() JSON and the perturbed control's error;
-* geodesic_flow: each item's trajectory (times and states).
+* geodesic_flow: each item's trajectory (times, states and the log of H)
+  and its projective residual against the other metric of the pair.
 """
 
 from __future__ import annotations
@@ -107,12 +108,15 @@ def geodesic_flow(seed: int, items: int, d: _Digest):
     for _ in range(items):
         _, k, forward, s = w.draw()
         pair = w.pairs[k]
-        traj = w._geodesic(pair.g if forward else pair.gbar, s)
+        a, b = (pair.g, pair.gbar) if forward else (pair.gbar, pair.g)
+        traj = w._geodesic(a, s)
         if traj is None:
             d.text("chart exit")
             continue
         d.array(traj.times)
         d.array(traj.states)
+        d.array(traj.hamiltonian_values)
+        d.array(np.array([float(pq.projective_residual(b, traj))]))
 
 
 WORKLOADS = {"grid_sweep": grid_sweep, "rectify_roundtrip": rectify_roundtrip,
