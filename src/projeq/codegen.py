@@ -287,7 +287,13 @@ def _shape(e) -> tuple[tuple, list, dict, list]:
             literal.append(lit)
         return p
 
-    tops = tuple(walk(root) for root in roots)
+    try:
+        tops = tuple(walk(root) for root in roots)
+    finally:
+        # walk refers to itself through its cell: deleting it breaks that
+        # cycle, which would keep the numbering and the tree alive until the
+        # cyclic collector runs
+        del walk
     # constants computed while compiling: their literals' values are code
     constants = [c for p in range(len(nodes)) if variable[p]
                  for i, c in enumerate(children[p])

@@ -13,7 +13,7 @@ from .errors import (ChartExit, DomainError, InvalidArgument, SingularMetric, St
                      ZeroVelocity, check_tol)
 from .expr import Jet2, parse
 from .fields import ScalarField
-from .geometry import Chart, Metric2, _christoffel, inverse
+from .geometry import Chart, Metric2, _christoffel, diagonal_scaled, inverse
 from .geometry import christoffel_at  # noqa: F401  (bench/tracer.py counts its calls here)
 
 DEFAULT_INTEGRATOR_TOL = 1e-10
@@ -51,7 +51,8 @@ class QuadraticForm:
         return self.a.on(chart), self.b.on(chart), self.c.on(chart)
 
     def scaled(self, k: float) -> "QuadraticForm":
-        return QuadraticForm(self.a * k, self.b * k, self.c * k, self.chart)
+        a, c = diagonal_scaled(self.a, self.c, k)
+        return QuadraticForm(a, self.b * k, c, self.chart)
 
 
 def hamiltonian_form(g: Metric2) -> QuadraticForm:
@@ -62,7 +63,8 @@ def hamiltonian_form(g: Metric2) -> QuadraticForm:
 
 def _hamiltonian_form(g: Metric2) -> QuadraticForm:
     i11, i12, i22 = g.inverse_fields()
-    return QuadraticForm(i11 * 0.5, i12, i22 * 0.5, g.chart)
+    a, c = diagonal_scaled(i11, i22, 0.5)
+    return QuadraticForm(a, i12, c, g.chart)
 
 
 def hamiltonian(g: Metric2, s: PhaseState) -> float:
@@ -197,6 +199,9 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     step-size control, sampling at every accepted step.  A step runs on
     Python floats: the state and the stage slopes are 4-tuples."""
     check_tol(tol)
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) \
+            or max_steps < 1:
+        raise InvalidArgument(f"max_steps must be a positive integer, got {max_steps!r}")
     if not _finite(t_end):
         raise InvalidArgument(f"t_end must be finite, got {t_end!r}")
     if not all(_finite(v) for v in (s0.x, s0.y, s0.px, s0.py)):
@@ -280,7 +285,10 @@ def projective_residual(g: Metric2, traj: Trajectory) -> float:
     gamma'' taken analytically from the generating metric's Hamiltonian flow.
     Zero iff the curve is an unparametrized geodesic of g.  A sample whose
     residual is NaN or infinite raises DomainError naming it.  Each sample
-    runs on floats: the symbols of g come from _christoffel, not an array."""
+    runs on floats: the symbols of g come from _christoffel, not an array.
+    A trajectory with no samples is refused: it shows nothing."""
+    if len(traj.states) == 0:
+        raise InvalidArgument("projective residual of a trajectory with no samples")
     gen = traj.metric
     worst = 0.0
     for i, (x, y, px, py) in enumerate(traj.states.tolist()):

@@ -3,14 +3,16 @@ integral I, the null-coordinate PDE residuals, and the triviality test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (DomainError, InvalidArgument, InvariantViolation, SignatureMismatch,
                      check_tol)
-from .expr import parse
+from .expr import Num, parse
 from .fields import ScalarField
 from .geometry import Chart, Metric2
 from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
@@ -30,10 +32,13 @@ class NullFormMetric:
     """ds^2 = f dx dy with f > 0 on the chart.
 
     Construction sweeps f over the chart's grid (ScalarField.on) to check
-    its sign; f keeps that sweep for every later read of f.on(chart)."""
+    its sign; f keeps that sweep for every later read of f.on(chart).  The
+    null form of an exact null-form metric (null_form_of) holds a weak
+    reference to that metric, which to_metric2 returns while it lives."""
 
     f: ScalarField
     chart: Chart
+    _source: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         point = self.chart.first_point(~(self.f.on(self.chart).v > 0.0))
@@ -45,9 +50,13 @@ class NullFormMetric:
         return cls(ScalarField.from_expr(parse(f)), chart)
 
     def to_metric2(self) -> Metric2:
-        """The metric g11 = g22 = 0, g12 = f/2: built on the first call, the
-        same object on every later one."""
-        return self._metric2
+        """The metric g11 = g22 = 0, g12 = f/2.  For the null form of such a
+        metric g, that is g itself while g lives; otherwise it is built on
+        the first call and the same object on every later one.  The link to
+        g is weak because g keeps its null form (Metric2.derived): a strong
+        one would make a cycle that only the cyclic collector frees."""
+        g = self._source() if self._source is not None else None
+        return g if g is not None else self._metric2
 
     @cached_property
     def _metric2(self) -> Metric2:
@@ -67,7 +76,18 @@ def _null_form(g: Metric2) -> NullFormMetric | None:
     bound = NULL_FORM_TOL * np.maximum(np.abs(b), 1e-300)
     if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):
         return None
-    return NullFormMetric(g.g12 * 2.0, g.chart)
+    nf = NullFormMetric(g.g12 * 2.0, g.chart)
+    if _is_zero(g.g11) and _is_zero(g.g22):
+        # g is the metric to_metric2 would build: (g12 * 2) * 0.5 has the
+        # bits of g12 wherever f is finite, as the construction checked
+        nf._source = weakref.ref(g)
+    return nf
+
+
+def _is_zero(f: ScalarField) -> bool:
+    """f is the constant +0.0, as the zero entries to_metric2 builds are."""
+    e = f.expr
+    return type(e) is Num and e.value == 0.0 and math.copysign(1.0, e.value) > 0.0
 
 
 # --- the projective integral I ------------------------------------------------
@@ -91,11 +111,22 @@ def projective_integral_momentum(g: Metric2, gbar: Metric2, s: PhaseState) -> fl
 def fit_integral_combination(g: Metric2, gbar: Metric2, F: QuadraticForm,
                              states: list[PhaseState]):
     """Least-squares constants (alpha, beta) with I = alpha F + beta H over
-    the given states; returns (alpha, beta, max abs residual, scale)."""
+    the given states; returns (alpha, beta, max abs residual, scale).  Two
+    constants need at least two states (InvalidArgument), and every value of
+    I, F and H must be finite (DomainError names the first state where one
+    is not), so that no NaN reaches the least-squares solver."""
+    states = list(states)
+    if len(states) < 2:
+        raise InvalidArgument(f"fitting (alpha, beta) needs at least two states, "
+                              f"got {len(states)}")
     ivals = np.array([projective_integral_momentum(g, gbar, s) for s in states])
     fvals = np.array([quadratic_value(F, s) for s in states])
     hvals = np.array([hamiltonian(g, s) for s in states])
     design = np.column_stack([fvals, hvals])
+    finite = np.isfinite(design).all(axis=1) & np.isfinite(ivals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"I, F or H is not finite at state {i}: {states[i]!r}")
     (alpha, beta), *_ = np.linalg.lstsq(design, ivals, rcond=None)
     resid = float(np.max(np.abs(design @ np.array([alpha, beta]) - ivals)))
     scale = float(np.max(np.abs(ivals)) + 1e-300)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all projeq modules."""
 
 import math
+import numbers
 
 
 class ProjEqError(Exception):
@@ -13,8 +14,10 @@ class InvalidArgument(ProjEqError, ValueError):
 
 def check_tol(tol, name: str = "tol") -> None:
     """The one tolerance check: raise InvalidArgument unless tol is a finite
-    positive number (NaN, inf, 0 and negatives are refused)."""
-    if not (math.isfinite(tol) and tol > 0.0):
+    positive real number (NaN, inf, 0, negatives, bools and anything that is
+    not a real number are refused)."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0.0)):
         raise InvalidArgument(f"{name} must be finite and positive, got {tol!r}")
 
 

@@ -410,7 +410,8 @@ class ExprMap(Monotone1D):
     """Map given by an expression in a single variable.  Its values, the
     slopes the root finder reads with them, and its jets come from two
     compiled jet functions: those of the expression and of its third
-    derivative.  Both run array code only: a float is evaluated as a
+    derivative, or one where the third derivative is a constant, which is
+    kept as its float.  Both run array code only: a float is evaluated as a
     one-entry array, so that floats and arrays get the same bits from one
     compiled function each."""
 
@@ -419,7 +420,8 @@ class ExprMap(Monotone1D):
         self.expr = e
         self.var = var
         self._jet = jet_function(e)
-        self._d3 = jet_function(diff(diff(diff(e, var), var), var))
+        d3 = diff(diff(diff(e, var), var), var)
+        self._d3 = float(d3.value) if type(d3) is Num else jet_function(d3)
         self._slots = ("dx", "dxx") if var == "x" else ("dy", "dyy")
         self.validate_monotone()
 
@@ -443,7 +445,8 @@ class ExprMap(Monotone1D):
         return self._along(self._jet, t)[:2]
 
     def fjet(self, t):
-        return (*self._along(self._jet, t), self._along(self._d3, t)[0])
+        d3 = self._d3 if type(self._d3) is float else self._along(self._d3, t)[0]
+        return (*self._along(self._jet, t), d3)
 
 
 class IdentityMap(Monotone1D):

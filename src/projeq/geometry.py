@@ -21,7 +21,7 @@ DEFAULT_CLASSIFY_TOL = 1e-8
 # Grid sweeps hold a few dozen (nx, ny) arrays at once, and each field keeps
 # its last sweep (six arrays, 3 MB at 256 x 256) while it lives, so memory
 # grows with the number of grid points: at 256 x 256 a generate, verify,
-# classify, triviality and rectify run peaks at about 79 MB of RSS.
+# classify, triviality and rectify run peaks at about 78 MB of RSS.
 MAX_GRID_POINTS = 65_536
 
 
@@ -105,8 +105,11 @@ def determinant(a, b, c):
 
 
 def inverse(a, b, c, det):
-    """(g^11, g^12, g^22) = (c, -b, a) / det g."""
-    return c / det, -b / det, a / det
+    """(g^11, g^12, g^22) = (c, -b, a) / det g.  Where g11 and g22 are one
+    object (the zero field of a null form), g^11 and g^22 are one quotient:
+    the same operation, so the same bits, computed once."""
+    i11 = c / det
+    return i11, -b / det, i11 if a is c else a / det
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -236,7 +239,15 @@ class Metric2:
         return self.derived(_inverse_fields)
 
     def scaled(self, c: float) -> "Metric2":
-        return Metric2(self.g11 * c, self.g12 * c, self.g22 * c, self.chart)
+        g11, g22 = diagonal_scaled(self.g11, self.g22, c)
+        return Metric2(g11, self.g12 * c, g22, self.chart)
+
+
+def diagonal_scaled(a, c, k):
+    """(a k, c k), one product where a and c are one field (as in a null
+    form, and in inverse() of one), so that both entries share its sweep."""
+    ak = a * k
+    return ak, ak if c is a else c * k
 
 
 def _inverse_fields(g: Metric2):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AmbiguousCase, CoefficientVanishes, NotAnIntegral,
+from .errors import (AmbiguousCase, CoefficientVanishes, InvalidArgument, NotAnIntegral,
                      NotAxisAligned, NotCase1, NotCase3, NotHolomorphic, RectifyError,
                      SignatureMismatch, TrivialIntegral, YhatVanishes, check_tol)
 from .expr import Expr, parse
@@ -35,6 +35,9 @@ class AdmissibleChange:
     psi: str | Expr
 
     def maps(self, chart: Chart) -> tuple[Monotone1D, Monotone1D]:
+        for name, e in (("phi", self.phi), ("psi", self.psi)):
+            if not isinstance(e, str | Expr):
+                raise InvalidArgument(f"{name} must be an expression or its text, got {e!r}")
         phi = parse(self.phi, variables=("x",)) if isinstance(self.phi, str) else self.phi
         psi = parse(self.psi, variables=("y",)) if isinstance(self.psi, str) else self.psi
         return (ExprMap(phi, "x", *chart.x_range), ExprMap(psi, "y", *chart.y_range))

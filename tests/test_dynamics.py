@@ -199,6 +199,15 @@ class TestIntegrator:
         with pytest.raises(StepFailure, match="^exceeded the budget of 3 steps$"):
             pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), 1.0, max_steps=3)
 
+    @pytest.mark.parametrize("budget", ["5", 0, -1, 2.5, True, None])
+    def test_bad_step_budget_rejected(self, budget):
+        """A step budget is a positive int.  Unchecked, "5" raised TypeError
+        and 0, 2.5 or True a StepFailure naming that budget."""
+        with pytest.raises(InvalidArgument) as ei:
+            pq.integrate_geodesic(euclidean(), pq.PhaseState(0, 0, 1.0, 0.0), 1.0,
+                                  max_steps=budget)
+        assert str(ei.value) == f"max_steps must be a positive integer, got {budget!r}"
+
     @pytest.mark.parametrize("t_end, tol", [
         (1.0, 0.0), (1.0, -1e-10), (1.0, math.nan), (1.0, math.inf),
         (math.nan, 1e-10), (math.inf, 1e-10), (-math.inf, 1e-10)])
@@ -283,6 +292,14 @@ class TestProjectiveResidual:
         for g, traj in cases + [(euclidean(), bent)]:
             got, want = pq.projective_residual(g, traj), projective_residual_loop(g, traj)
             assert type(got) is float and got.hex() == float(want).hex()
+
+    def test_a_trajectory_with_no_samples_is_refused(self):
+        """No samples is no evidence: the residual once read 0.0, a perfect
+        geodesic."""
+        g = euclidean()
+        traj = pq.Trajectory(g, np.zeros(0), np.zeros((0, 4)), np.zeros(0))
+        with pytest.raises(InvalidArgument, match="no samples"):
+            pq.projective_residual(g, traj)
 
     def test_a_speed_whose_cube_underflows(self):
         """|v|^2 = 1e-220 passes the zero-velocity test but |v|^3 is 0.0 in

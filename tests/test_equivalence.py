@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +9,19 @@ import pytest
 import projeq as pq
 from projeq.dynamics import hamiltonian_form
 from projeq.errors import DomainError, InvalidArgument, SignatureMismatch
+from projeq.expr import BinOp, Num
 
 from conftest import perturbed
 from pointwise import bracket_from_sys, max_normalized, projective_integral_I, sys_residuals
 
 UNIT = pq.Chart((-1.0, 1.0), (-1.0, 1.0), (5, 5))
+# generated pairs whose g has g11 = g22 = 0 exactly
+NULL_FORM_SPECS = {
+    "complex_liouville": lambda: pq.ComplexLiouvilleSpec(
+        "z^2", pq.Chart((0.5, 1.5), (0.5, 1.2), (9, 8))),
+    "jordan_block": lambda: pq.JordanBlockSpec(
+        "3/2 + y/10 - y^2/8", pq.Chart((-0.4, 0.4), (-0.5, 0.5), (9, 8))),
+}
 
 
 class TestNullForm:
@@ -49,6 +59,75 @@ class TestNullForm:
         for got, want in zip(g.jets_at(0.3, -0.2), swept.jets_at(0.3, -0.2), strict=True):
             assert [getattr(got, s) for s in pq.Jet2.__slots__] == \
                 [getattr(want, s) for s in pq.Jet2.__slots__]
+
+    @pytest.mark.parametrize("family", sorted(NULL_FORM_SPECS))
+    def test_a_null_form_metric_is_its_null_forms_metric(self, family):
+        """For g with g11 = g22 = 0 exactly, as generated complex-Liouville
+        and Jordan-block metrics are, to_metric2() of g's null form is g, so
+        the bracket route reads g's Hamiltonian and the sweeps it keeps.  Its
+        report is bit for bit that of a fresh null form, which builds its
+        own metric (0, f/2, 0)."""
+        pair = pq.generate(NULL_FORM_SPECS[family]())
+        nf = pq.null_form_of(pair.g)
+        assert nf.to_metric2() is pair.g
+        got = pq.verify_integral(nf, pair.F, "bracket")
+        assert pq.hamiltonian_form(nf.to_metric2()) is pq.hamiltonian_form(pair.g)
+        fresh = pq.NullFormMetric(nf.f, nf.chart)
+        assert fresh.to_metric2() is not pair.g
+        want = pq.verify_integral(fresh, pair.F, "bracket")
+        assert got.max_residual.hex() == want.max_residual.hex()
+        assert got.to_dict() == want.to_dict()
+
+    def test_the_link_back_is_weak(self):
+        """g keeps its null form (Metric2.derived), so the null form's link
+        back to g is weak: with the cyclic collector off, dropping g after
+        to_metric2() frees it."""
+        pair = pq.generate(NULL_FORM_SPECS["jordan_block"]())
+        g = pair.g
+        nf = pq.null_form_of(g)
+        gc.collect()
+        gc.disable()
+        try:
+            assert nf.to_metric2() is g
+            ref = weakref.ref(g)
+            del g, pair
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_null_form_that_outlives_its_metric_builds_one(self):
+        """Once g is gone, to_metric2() builds the metric (0, f/2, 0) on its
+        first call and returns that object on every later one."""
+        pair = pq.generate(NULL_FORM_SPECS["complex_liouville"]())
+        g = pair.g
+        nf = pq.null_form_of(g)
+        assert nf.to_metric2() is g
+        values = [v.copy() for v in g.values]
+        del g, pair
+        gc.collect()
+        built = nf.to_metric2()
+        assert built is nf.to_metric2() is nf.to_metric2()
+        assert built.g11.expr == Num(0.0) and built.g22 is built.g11
+        assert built.g12.expr == BinOp("*", nf.f.expr, Num(0.5))
+        for got, want in zip(built.values, values, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_only_an_exact_zero_diagonal_reads_back_its_metric(self):
+        """A metric whose g11 is a non-constant field, a tiny non-zero
+        constant within NULL_FORM_TOL, or -0.0, is a null form too, but not
+        the metric to_metric2() builds: that null form builds its own."""
+        g12 = "1 + x/4"
+        zero, minus = pq.ScalarField.constant(0.0), pq.ScalarField.constant(-0.0)
+        own = [pq.Metric2.from_exprs(g11, g12, "0", UNIT) for g11 in ("1e-14", "1e-14*x")]
+        own.append(pq.Metric2(minus, pq.ScalarField.from_expr(pq.parse(g12)), zero, UNIT))
+        exact = pq.Metric2.from_exprs("0", g12, "0", UNIT)
+        assert pq.null_form_of(exact).to_metric2() is exact
+        for g in own:
+            nf = pq.null_form_of(g)
+            assert nf is not None
+            built = nf.to_metric2()
+            assert built is not g and built is nf.to_metric2()
+            assert built.g11.expr == Num(0.0) and built.g22 is built.g11
 
 
 def lowered(g, x, y, xi):
@@ -266,6 +345,27 @@ class TestFitIntegralCombination:
         assert abs(beta) < 1e-9
         assert resid < 1e-9 * scale
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_states_are_refused(self, n):
+        """Two constants need two states: none raised NumPy's ValueError, and
+        one gave an exact "fit" with residual 0."""
+        pair = pq.generate(pq.LiouvilleSpec("3 + x/4", "y", "-", pq.Chart((-0.5, 0.5),
+                                                                           (0.2, 0.9))))
+        states = [pq.PhaseState(0.1, 0.5, 0.3, -0.7)] * n
+        with pytest.raises(InvalidArgument, match=f"at least two states, got {n}$"):
+            pq.fit_integral_combination(pair.g, pair.gbar, pair.F, states)
+
+    def test_a_non_finite_value_is_a_domain_error(self, capfd):
+        """A NaN state once reached LAPACK, which printed DLASCL lines and
+        raised LinAlgError."""
+        pair = pq.generate(pq.LiouvilleSpec("3 + x/4", "y", "-", pq.Chart((-0.5, 0.5),
+                                                                           (0.2, 0.9))))
+        states = [pq.PhaseState(0.1, 0.5, 0.3, -0.7), pq.PhaseState(0.2, 0.4, math.nan, 1.0),
+                  pq.PhaseState(-0.1, 0.6, 0.5, 0.2)]
+        with pytest.raises(DomainError, match="^I, F or H is not finite at state 1: PhaseState"):
+            pq.fit_integral_combination(pair.g, pair.gbar, pair.F, states)
+        assert capfd.readouterr() == ("", "")
+
 
 # --- tolerance arguments ----------------------------------------------------------------
 
@@ -296,13 +396,15 @@ TOLERANCE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, "1e-9", None, True],
+                         ids=["nan", "inf", "0", "-1", "str", "none", "bool"])
 @pytest.mark.parametrize("entry", sorted(TOLERANCE_CALLS))
 def test_bad_tolerance_rejected(entry, tol):
-    """A tolerance must be finite and positive.  Unchecked, NaN classified
-    every point 'ambiguous', inf every point 'proportional', verification
-    and the triviality test failed where they should refuse, and a negative
-    rectification tolerance read as a failed check (NotAxisAligned)."""
+    """A tolerance must be a finite positive number.  Unchecked, NaN
+    classified every point 'ambiguous', inf every point 'proportional',
+    verification and the triviality test failed where they should refuse, a
+    negative rectification tolerance read as a failed check (NotAxisAligned),
+    a string or None raised a bare TypeError and True was taken for 1."""
     name, call = TOLERANCE_CALLS[entry]
     with pytest.raises(InvalidArgument,
                        match=f"^{name} must be finite and positive, got {re.escape(repr(tol))}$"):

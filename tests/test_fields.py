@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from projeq import codegen, equivalence, fields
 from projeq.dynamics import QuadraticForm, hamiltonian_form
 from projeq.errors import DomainError, InvalidArgument, NonMonotone
-from projeq.expr import Jet2, diff, parse
+from projeq.expr import Jet2, Num, diff, parse
 from projeq.fields import ExprMap, QuadratureMap, ScalarField
 from projeq.geometry import Chart, Metric2, determinant
 from projeq.equivalence import NullFormMetric, null_form_of
@@ -170,12 +170,12 @@ def test_an_arithmetic_field_holds_no_function():
 
 
 def test_derived_fields_sweep_from_the_entries_kept_sweeps():
-    """Once a Metric2 has swept its entries, sweeps of H = 1/2 g^-1, of the
-    null form f = 2 g12 and of the metric f/2 of to_metric2() read those
-    kept sweeps and run no entry's code on the grid.  Of the fields in
-    between, det g, read by g^11, g^12 and g^22, keeps its sweep (unchecked),
-    and every field read by one arithmetic field (g22 / det, ...) keeps
-    none."""
+    """Once a Metric2 has swept its entries, sweeps of H = 1/2 g^-1 and of
+    the null form f = 2 g12 read those kept sweeps and run no entry's code
+    on the grid, and to_metric2() of that null form is g itself, so it
+    sweeps nothing.  Of the fields in between, det g, read by g^11, g^12 and
+    g^22, keeps its sweep (unchecked), and every field read by one
+    arithmetic field (g22 / det, ...) keeps none."""
     chart = Chart((-0.5, 0.5), (-0.5, 0.5), (7, 6))
     grid_calls = []
 
@@ -199,12 +199,12 @@ def test_derived_fields_sweep_from_the_entries_kept_sweeps():
     H.on(chart)
     nf = null_form_of(g)
     metrics = [nf.to_metric2(), nf.to_metric2()]
-    assert grid_calls == ["g11", "g12", "g22"] and metrics[0] is metrics[1]
+    assert grid_calls == ["g11", "g12", "g22"] and metrics[0] is metrics[1] is g
 
     det = H.a._op[1][0]._op[1][1]            # (g22 / det) * 0.5
     assert det.expr == determinant(*entries).expr and det._readers == 3
     kept_between = []
-    for top in (H.a, H.b, H.c, nf.f, metrics[0].g12):
+    for top in (H.a, H.b, H.c, nf.f):
         assert top._swept is not None and top._swept[1] is not None
         below = _operand_tree(top)
         assert below
@@ -252,7 +252,10 @@ def test_a_sweep_of_h_applies_det_g_once():
     """det g is read by g^11, g^12 and g^22: a sweep of H's three
     coefficients applies its operation once, and so does a sweep of a
     multiple of H after it; an operand of det g with one reader is
-    evaluated once too."""
+    evaluated once too.  Where g11 and g22 are one field, as in a null form,
+    g^11 and g^22 are one quotient by det g and H's a and c one product, so
+    a sweep of H applies that quotient once; the multiples of H and of g
+    share their diagonal product too."""
     chart = Chart((-0.5, 0.5), (-0.5, 0.5), (6, 5))
     g = Metric2.from_exprs("2 + x*y", "x/8", "3 - y/2", chart)
     H = hamiltonian_form(g)
@@ -282,6 +285,20 @@ def test_a_sweep_of_h_applies_det_g_once():
                                          * (3.0 - chart.mesh[1] / 2.0)
                                          - chart.mesh[0] / 8.0 * (chart.mesh[0] / 8.0))
     assert np.allclose(H.a.on(chart).v, 0.5 * want, rtol=1e-14, atol=0.0)
+
+    zero = ScalarField.constant(0.0)
+    n = Metric2(zero, ScalarField.from_expr(parse("1 + x/4")), zero, chart)
+    i11, i12, i22 = n.inverse_fields()
+    Hn = hamiltonian_form(n)
+    assert i11 is i22 and Hn.a is Hn.c and Hn.a._op[1][0] is i11
+    assert i11._op[1][1] is i12._op[1][1]       # both divide by the one det g
+    counting(i11, "g22 / det")
+    counting(i11._op[1][1], "det n")
+    del applied[:]
+    Hn.on(chart)
+    assert sorted(applied) == ["det n", "g22 / det"]
+    H3, n2 = Hn.scaled(3.0), n.scaled(2.0)
+    assert H3.a is H3.c and n2.g11 is n2.g22
 
 
 def test_zero_slots_read_the_charts_zeros():
@@ -504,10 +521,9 @@ def test_inverse_of_float_is_float():
 def test_array_inverse_runs_no_third_derivative(monkeypatch):
     """Root finding reads the map's values off its jet code alone: inverting
     an array runs no third-derivative code, and the map keeps t alone until
-    inverse_jets asks for the jets there."""
-    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
-    vlo, vhi = m.range
-    us = np.linspace(vlo, vhi, 50)
+    inverse_jets asks for the jets there.  Then a map whose third derivative
+    is a constant (every cubic) reads it as a float and runs no code for it;
+    one whose third derivative varies runs that derivative's jet code."""
     function = codegen._Compiled.__call__
     runs = []
 
@@ -517,14 +533,23 @@ def test_array_inverse_runs_no_third_derivative(monkeypatch):
         return function(compiled, grid)
 
     monkeypatch.setattr(codegen._Compiled, "__call__", counted)
-    ts = m.inverse(us)
-    assert runs and all(e is m.expr for e in runs)
-    entry = m._solved[fields._input_key(us)]
-    assert len(entry) == 1 and entry[0] is ts
-    del runs[:]
-    assert m.inverse_jets(us)[0] is ts
-    assert any(e is not m.expr for e in runs)   # the counter does see the third derivative
-    assert len(entry) == 4
+    for m, constant in ((cubic_map(0.1, 0.05, -0.03, -0.5, 1.0), True),
+                        (exp_map(0.5, -0.5, 1.0), False)):
+        vlo, vhi = m.range
+        us = np.linspace(vlo, vhi, 50)
+        del runs[:]
+        ts = m.inverse(us)
+        assert runs and all(e is m.expr for e in runs)
+        entry = m._solved[fields._input_key(us)]
+        assert len(entry) == 1 and entry[0] is ts
+        del runs[:]
+        assert m.inverse_jets(us)[0] is ts
+        assert runs and len(entry) == 4
+        if constant:
+            assert all(e is m.expr for e in runs)
+            assert type(entry[3]) is float and entry[3] == m.fjet(0.3)[3] < 0.0
+        else:
+            assert any(e is not m.expr for e in runs)   # the counter does see the third derivative
 
 
 @pytest.mark.parametrize("text", ["x + 0.1*x^2 - 0.03*x^3", "exp(x/2) + x/4", "y + sin(y)/3"])
@@ -532,7 +557,8 @@ def test_expr_map_reads_its_jet_code_alone(text, monkeypatch):
     """An ExprMap compiles array jet code only.  On arrays its values and
     forward jets are the slots of eval_jet of its expression and the value
     of eval_jet of its third derivative; at a float they are those of the
-    one-entry array, bit for bit, as floats."""
+    one-entry array, bit for bit, as floats.  A third derivative that is a
+    constant (the cubic) is that number as a float, and runs no code."""
     runs = []
     function = codegen._Compiled.__call__
     monkeypatch.setattr(codegen._Compiled, "__call__",
@@ -545,9 +571,15 @@ def test_expr_map_reads_its_jet_code_alone(text, monkeypatch):
     ts = np.linspace(-0.5, 0.5, 9)
     at = (ts, 0.0) if var == "x" else (0.0, ts)
     j = codegen.eval_jet(e, *at)
-    expected = (j.v, getattr(j, d), getattr(j, dd), codegen.eval_jet(d3, *at).v)
+    third = codegen.eval_jet(d3, *at).v
+    if type(d3) is Num:
+        assert all(same_bits(v, float(d3.value)) for v in np.ravel(third).tolist())
+        third = float(d3.value)
+    expected = (j.v, getattr(j, d), getattr(j, dd), third)
     assert same_bits(m(ts), j.v)
+    del runs[:]
     assert all(same_bits(a, b) for a, b in zip(m.fjet(ts), expected, strict=True))
+    assert len(runs) == (1 if type(d3) is Num else 2)
     for t in (0.3, -0.5, *ts.tolist()):
         one = [np.broadcast_to(s, (1,)).item() for s in m.fjet(np.array([t]))]
         assert same_bits(m(t), one[0])

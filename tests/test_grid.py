@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import math
@@ -539,6 +540,23 @@ def test_stored_code_equals_a_fresh_compile(case, data):
             assert len(store) == stored     # every function came from the store
     with _fresh_store():
         assert _built(root2, kind) == shared
+
+
+def test_numbering_a_tree_leaves_no_cycle():
+    """_shape's recursive walk refers to itself through its cell; kept, that
+    cycle would hold the numbering, and with it the tree, until the cyclic
+    collector ran.  With the collector off, numbering a fresh expression or
+    tuple of roots leaves it nothing to find."""
+    roots = (pq.parse("x*y + sin(x)^2 - exp(y)/(1 + x^2)"), pq.parse("x*y + 3"))
+    for e in (roots[0], roots):
+        gc.collect()
+        gc.disable()
+        try:
+            codegen._shape(e)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 def test_messages_name_their_own_literals():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import projeq as pq
 from projeq import fields
 from projeq.dynamics import QuadraticForm
-from projeq.errors import (AmbiguousCase, CoefficientVanishes, NonMonotone, NotAnIntegral,
-                           NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
+from projeq.errors import (AmbiguousCase, CoefficientVanishes, InvalidArgument, NonMonotone,
+                           NotAnIntegral, NotAxisAligned, NotCase1, NotCase3, NotHolomorphic,
                            RectifyError, TrivialIntegral, YhatVanishes)
 from projeq.expr import Jet2
 from projeq.fields import Monotone1D, QuadratureMap, QuinticHermite, ScalarField
@@ -42,6 +42,12 @@ class TestAdmissibleChange:
         assert F2.a(3.0, 0.5) == pytest.approx(4.0)
         assert F2.c(3.0, 0.5) == pytest.approx(1.0)
         assert nf2.f(3.0, 0.5) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("phi, psi, name", [(3, "y", "phi"), ("x", None, "psi")])
+    def test_a_change_that_is_no_expression_is_refused(self, phi, psi, name):
+        """Unchecked, a number reached the compiler: TypeError: not an Expr."""
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an expression"):
+            pq.AdmissibleChange(phi, psi).maps(pq.Chart((-1, 1), (0, 1)))
 
     def test_decreasing_map_rejected(self):
         with pytest.raises(NonMonotone) as ei:
