@@ -16,7 +16,7 @@ from . import __version__
 from .errors import ConfigError, ChartExit, ProjEqError, RectifyError, SignatureMismatch
 from .dynamics import DEFAULT_INTEGRATOR_TOL, PhaseState, QuadraticForm, export_trajectory, \
     integrate_geodesic
-from .equivalence import DEFAULT_TRIVIALITY_TOL, DEFAULT_VERIFY_TOL, NullFormMetric, \
+from .equivalence import DEFAULT_TRIVIALITY_TOL, DEFAULT_VERIFY_TOL, metric_in_null_form, \
     fit_integral_combination, triviality_check, verify_integral
 from .geometry import DEFAULT_CLASSIFY_TOL, Chart, Metric2, classify_pair
 from .normal_forms import ComplexLiouvilleSpec, JordanBlockSpec, JordanKillingFreeSpec, \
@@ -83,7 +83,7 @@ def _metric_from(cfg: dict, path: str, chart: Chart):
     sec = _get(cfg, path, dict)
     try:
         if "f" in sec:
-            return NullFormMetric.from_expr(_get(cfg, f"{path}.f", str), chart).to_metric2()
+            return metric_in_null_form(_get(cfg, f"{path}.f", str), chart)
         return Metric2.from_exprs(*(_get(cfg, f"{path}.{k}", str) for k in ("g11", "g12", "g22")),
                                   chart)
     except ConfigError:

@@ -60,8 +60,26 @@ class NullFormMetric:
 
     @cached_property
     def _metric2(self) -> Metric2:
-        zero = ScalarField.constant(0.0)
-        return Metric2(zero, self.f * 0.5, zero, self.chart)
+        return _zero_diagonal(self)
+
+
+def _zero_diagonal(nf: NullFormMetric) -> Metric2:
+    """The metric (0, f/2, 0) of a null form, one zero field on the diagonal."""
+    zero = ScalarField.constant(0.0)
+    return Metric2(zero, nf.f * 0.5, zero, nf.chart)
+
+
+def metric_in_null_form(f: str, chart: Chart) -> Metric2:
+    """The metric f dx dy, f given as text: (0, f/2, 0), whose null form
+    (null_form_of) is the null form parsed, so that its reads use f's own
+    sweep rather than a second f = (f/2)*2.  The metric keeps that null form
+    (Metric2.derived) and the null form refers back weakly, as the null
+    form of a generated metric does, so the two form no cycle."""
+    nf = NullFormMetric.from_expr(f, chart)
+    g = _zero_diagonal(nf)
+    nf._source = weakref.ref(g)
+    g._derived[_null_form] = nf         # what null_form_of(g) returns from now on
+    return g
 
 
 def null_form_of(g: Metric2) -> NullFormMetric | None:

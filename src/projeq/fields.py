@@ -1,16 +1,26 @@
 """Scalar fields evaluable to order-2 jets, and monotone coordinate maps.
 
-A ScalarField wraps a function (x, y) -> Jet2, or records an operation
-+ - * / on other fields, so that derived coefficients (inverse-metric
-entries, pulled-back integrals, ...) keep exact derivatives.  It carries the
-field as an expression too, which arithmetic extends node by node and in
-which a field known only by its function is an opaque Leaf; Metric2 compiles
-the expressions of its entries into one kernel for its pointwise reads.  A
-field keeps its last grid sweep, and an arithmetic field's sweep applies its
-operation to the sweeps its operands keep rather than evaluating them again.
-Of the fields in between, one read by two or more arithmetic fields keeps
-its sweep too, so that it is evaluated once per chart; one with a single
-reader keeps nothing.
+A ScalarField wraps a function (x, y) -> Jet2, records an operation + - * /
+on other fields, or reads another field through a coordinate change
+(compose_linear, compose_separable), so that derived coefficients
+(inverse-metric entries, pulled-back integrals, ...) keep exact derivatives.
+It carries the field as an expression too, which arithmetic extends node by
+node and in which a field known only by its function, or a composed one, is
+an opaque Leaf; Metric2 compiles the expressions of its entries into one
+kernel for its pointwise reads.
+
+Every read names its points by a key: the chart whose grid they are, a
+composition's point set, or None for a read off the grid that nothing
+names.  A field keeps its last grid sweep, and an arithmetic field's sweep
+applies its operation to the sweeps its operands keep rather than
+evaluating them again.  A composed field reads its inner field under the
+key of the points it reads there: the maps' kept inversions for a separable
+change, the matrix and its caller's key for a linear one.  Of the fields in
+between, one read by two or more arithmetic fields keeps its last result
+under a chart beside its sweep, and its last result under a point set in a
+slot of its own, so that it is evaluated once per chart and once per point
+set; one with a single reader keeps nothing.  Keys hold arrays, numbers and
+bytes only, so what fields keep forms no reference cycle.
 
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
@@ -122,9 +132,12 @@ class ScalarField:
     (jet, __call__) or over a whole chart at once (on).  `expr` is the same
     field as an expression; without one given it is a Leaf calling the
     function.  A field made by + - * / has no function: it records its
-    operation and operands, and every read applies that operation (_at)."""
+    operation and operands, and every read applies that operation (_at).
+    A composed field has none either: every read pulls its inner field
+    through the coordinate change (_pull)."""
 
-    __slots__ = ("_jet", "expr", "_swept", "_op", "_readers")
+    __slots__ = ("_jet", "expr", "_swept", "_keyed", "_op", "_pull", "_readers",
+                 "__weakref__")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
@@ -132,7 +145,9 @@ class ScalarField:
         # (chart, checked Jet2 or None, _at's Jet2) of the last sweep; the
         # checked jet is None until on() is called on that chart
         self._swept = None
+        self._keyed = None          # (point-set key, _at's Jet2) of the last keyed read
         self._op = None             # (Jet2 operation, operands) of an arithmetic field
+        self._pull = None           # (x, y, key) -> Jet2 of a composed field
         self._readers = 0           # arithmetic fields made with this one as an operand
 
     def jet(self, x: float, y: float) -> Jet2:
@@ -170,25 +185,34 @@ class ScalarField:
         self._swept = (chart, jets, j)
         return jets
 
-    def _at(self, x, y, chart) -> Jet2:
-        """The jet at (x, y), unchecked.  `chart` is the chart whose mesh
-        (x, y) is, or None off the grid.  A sweep kept on that chart answers
-        with the jet its read returned; else an arithmetic field applies its
-        operation to its operands' _at, and any other field calls its
-        function.  So every route applies the same operations to the same
-        values, and raises or turns non-finite at the same points.  On a
-        chart, a field with two or more arithmetic readers keeps what it
-        returns, so that each of them reads one evaluation."""
-        kept = self._swept
-        if chart is not None and kept is not None and (kept[0] is chart or kept[0] == chart):
-            return kept[2]
-        if self._op is None:
-            j = self._jet(x, y)
-        else:
+    def _at(self, x, y, key) -> Jet2:
+        """The jet at (x, y), unchecked.  `key` says what these points are:
+        the chart whose mesh (x, y) is, a _PointSet under a composition, or
+        None for a read off the grid that nothing names.  A result kept under
+        an equal key answers with the jet that read returned; else an
+        arithmetic field applies its operation to its operands' _at, a
+        composed field reads its inner field (_pull) and any other field
+        calls its function.  So every route applies the same operations to
+        the same values, and raises or turns non-finite at the same points.
+        Under a key, a field with two or more readers keeps what it returns,
+        a chart's read beside its sweep and a point set's in a slot of its
+        own, so that each reader reads one evaluation."""
+        if key is not None:
+            kept = self._keyed if type(key) is _PointSet else self._swept
+            if kept is not None and (kept[0] is key or kept[0] == key):
+                return kept[-1]
+        if self._op is not None:
             op, operands = self._op
-            j = op(*[o._at(x, y, chart) for o in operands])
-        if chart is not None and self._readers >= 2:
-            self._swept = (chart, None, j)
+            j = op(*[o._at(x, y, key) for o in operands])
+        elif self._pull is not None:
+            j = self._pull(x, y, key)
+        else:
+            j = self._jet(x, y)
+        if key is not None and self._readers >= 2:
+            if type(key) is _PointSet:
+                self._keyed = (key, j)
+            else:
+                self._swept = (key, None, j)
         return j
 
     # constructors -----------------------------------------------------------
@@ -237,12 +261,17 @@ class ScalarField:
 
     # composition ----------------------------------------------------------------
     def compose_linear(self, m: np.ndarray) -> "ScalarField":
-        """Field in new coordinates (u, v) with (x_old, y_old) = m @ (u, v)."""
+        """Field in new coordinates (u, v) with (x_old, y_old) = m @ (u, v).
+        Under a key, it reads this field under the key (m's bytes, that key),
+        so that fields composed with one m share the reads of the fields
+        below; under None, under the key of the points it computes."""
         m11, m12 = float(m[0][0]), float(m[0][1])
         m21, m22 = float(m[1][0]), float(m[1][1])
+        mbytes = np.array([m11, m12, m21, m22]).tobytes()
 
-        def jet(u, v):
-            f = self.jet(m11 * u + m12 * v, m21 * u + m22 * v)
+        def pull(u, v, key):
+            x, y = m11 * u + m12 * v, m21 * u + m22 * v
+            f = self._at(x, y, _PointSet(x, y) if key is None else _PointSet(mbytes, key))
             return Jet2(
                 f.v,
                 f.dx * m11 + f.dy * m21,
@@ -252,7 +281,7 @@ class ScalarField:
                 f.dxx * m12 * m12 + 2.0 * f.dxy * m12 * m22 + f.dyy * m22 * m22,
             )
 
-        return ScalarField(jet)
+        return _composed(pull)
 
     def compose_separable(self, xmap: "Monotone1D", ymap: "Monotone1D",
                           kx: int, ky: int) -> "ScalarField":
@@ -260,16 +289,18 @@ class ScalarField:
         xmap'(x)^kx ymap'(y)^ky: the transformation law of a coefficient of
         those weights.  Each evaluation inverts each map once, with its
         forward jets there; fields composed with the same maps share both
-        through the inputs each map keeps (Monotone1D.inverse_jets)."""
+        through the inputs each map keeps (Monotone1D.inverse_jets), and read
+        this field under the key of those kept inversions, so that they share
+        the reads of the fields below too."""
 
-        def jet(u, v):
+        def pull(u, v, key):
             t, xd1, xd2, xd3 = xmap.inverse_jets(u)
             s, yd1, yd2, yd3 = ymap.inverse_jets(v)
             wx = 1.0 / xd1           # dt/du
             wy = 1.0 / yd1
             wxx = -xd2 * wx * wx * wx
             wyy = -yd2 * wy * wy * wy
-            f = self.jet(t, s)
+            f = self._at(t, s, _PointSet(t, s))
             composed = Jet2(
                 f.v,
                 f.dx * wx,
@@ -287,7 +318,40 @@ class ScalarField:
                     composed = composed * d if k > 0 else composed / d
             return composed
 
-        return ScalarField(jet)
+        return _composed(pull)
+
+
+class _PointSet:
+    """The key of the points a composition reads its inner field at.  Either
+    the coordinates themselves, compared by identity: the maps' kept
+    inversions (t, s), which are read-only and one object for every field
+    composed with those maps, or the points a linear change computes for a
+    read that no key names.  Or a linear change's matrix bytes and its
+    caller's key, compared by equality.  A key holds only arrays, numbers,
+    bytes and other keys, never a field or a map, so the results kept under
+    it form no reference cycle."""
+
+    __slots__ = ("a", "b")
+    __hash__ = None
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __eq__(self, other):
+        if type(other) is not _PointSet:
+            return NotImplemented
+        a, b = self.a, other.a
+        if type(a) is bytes:
+            return type(b) is bytes and a == b and (self.b is other.b or self.b == other.b)
+        return a is b and self.b is other.b
+
+
+def _composed(pull) -> ScalarField:
+    """The field that pull(x, y, key) reads, with an opaque Leaf as its
+    expression."""
+    field = ScalarField(None, Leaf(lambda x, y: pull(x, y, None)))
+    field._pull = pull
+    return field
 
 
 def _as_field(o):
@@ -356,19 +420,7 @@ class Monotone1D:
         key = _input_key(u)
         entry = self._solved.pop(key, None)
         if entry is None:
-            vlo, vhi = self.range
-            glo, ghi = vlo - u, vhi - u
-            slack = 1e-9 * (abs(u) + 1.0)
-            ok = (glo < slack) & (ghi > -slack)
-            if np.count_nonzero(ok) < np.size(ok):
-                value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
-                raise NonMonotone(f"value {value!r} outside the map range {self.range}")
-
-            def g(t):
-                v, d = self._value_slope(t)
-                return v - u, d
-
-            t = brentq(g, self.tmin, self.tmax, glo, ghi)
+            t = self._solve(u)
             if isinstance(t, np.ndarray):
                 t.flags.writeable = False
             entry = [t]
@@ -377,6 +429,22 @@ class Monotone1D:
         self._solved[key] = entry
         return entry[0]
 
+    def _solve(self, u):
+        """inverse(u), solved by the root finder."""
+        vlo, vhi = self.range
+        glo, ghi = vlo - u, vhi - u
+        slack = 1e-9 * (abs(u) + 1.0)
+        ok = (glo < slack) & (ghi > -slack)
+        if np.count_nonzero(ok) < np.size(ok):
+            value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
+            raise NonMonotone(f"value {value!r} outside the map range {self.range}")
+
+        def g(t):
+            v, d = self._value_slope(t)
+            return v - u, d
+
+        return brentq(g, self.tmin, self.tmax, glo, ghi)
+
     def inverse_jets(self, u):
         """(t, first, second, third derivative at t) for t = inverse(u): the
         inversion with the forward jets there.  A kept inversion keeps its
@@ -384,7 +452,7 @@ class Monotone1D:
         that inverse alone walks no jets."""
         t = self.inverse(u)
         entry = self._solved.get(_input_key(u))
-        if entry is None:           # a map that inverts in closed form keeps none
+        if entry is None:           # an inverted map reads its forward map, keeping none
             return (t, *self.fjet(t)[1:])
         if len(entry) == 1:
             jets = self.fjet(t)[1:]
@@ -451,12 +519,13 @@ class ExprMap(Monotone1D):
 
 class IdentityMap(Monotone1D):
     """t -> t on [tmin, tmax].  Its value is t + 0.0, so -0.0 maps to 0.0,
-    and its inverse u - 0.0 keeps -0.0."""
+    and its inverse u - 0.0 keeps -0.0.  It keeps its inversions like any
+    map, so that fields composed with it read one kept array per input."""
 
     def fjet(self, t):
         return (t + 0.0, 1.0, 0.0, 0.0)
 
-    def inverse(self, u):
+    def _solve(self, u):
         return u - 0.0
 
 

@@ -13,15 +13,16 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation, SingularMetric, check_tol
 from .codegen import kernel_function
-from .expr import parse, render
+from .expr import Expr, Num, parse, render
 from .fields import ScalarField
 
 DEFAULT_CLASSIFY_TOL = 1e-8
 
 # Grid sweeps hold a few dozen (nx, ny) arrays at once, and each field keeps
-# its last sweep (six arrays, 3 MB at 256 x 256) while it lives, so memory
-# grows with the number of grid points: at 256 x 256 a generate, verify,
-# classify, triviality and rectify run peaks at about 78 MB of RSS.
+# its last sweep (six arrays, 3 MB at 256 x 256) while it lives, a shared one
+# also its last read under a composition, so memory grows with the number of
+# grid points: at 256 x 256 a generate, verify, classify, triviality and
+# rectify run peaks at about 81 MB of RSS.
 MAX_GRID_POINTS = 65_536
 
 
@@ -176,9 +177,13 @@ class Metric2:
 
     @classmethod
     def from_exprs(cls, g11: str, g12: str, g22: str, chart: Chart) -> "Metric2":
-        return cls(ScalarField.from_expr(parse(g11)),
-                   ScalarField.from_expr(parse(g12)),
-                   ScalarField.from_expr(parse(g22)), chart)
+        """The metric of three expressions.  Where g11 and g22 are one number,
+        bit for bit (as the "0" of a metric in null form), they are one
+        field, so that g^11 and g^22 are one quotient (see inverse)."""
+        e11, e22 = parse(g11), parse(g22)
+        f11 = ScalarField.from_expr(e11)
+        f22 = f11 if _same_number(e11, e22) else ScalarField.from_expr(e22)
+        return cls(f11, ScalarField.from_expr(parse(g12)), f22, chart)
 
     def _validate(self):
         (a, b, c), det = self.values, self.det
@@ -241,6 +246,12 @@ class Metric2:
     def scaled(self, c: float) -> "Metric2":
         g11, g22 = diagonal_scaled(self.g11, self.g22, c)
         return Metric2(g11, self.g12 * c, g22, self.chart)
+
+
+def _same_number(a: Expr, b: Expr) -> bool:
+    """a and b are literal numbers with the same bits: 0 and -0.0 differ."""
+    return (type(a) is Num and type(b) is Num and a.value == b.value
+            and math.copysign(1.0, a.value) == math.copysign(1.0, b.value))
 
 
 def diagonal_scaled(a, c, k):

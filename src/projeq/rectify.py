@@ -346,12 +346,14 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
 
     new_chart = nf_fin.chart
+    # F's sweep before the reads at y_old, so that the fields below f and F
+    # still keep their reads on the new mesh's preimage
+    fv = nf_fin.f.on(new_chart).v
+    av, bv, cv = (j.v for j in F_fin.on(new_chart))
     yn_grid = new_chart.ys
     y_old = beta.inverse(yn_grid)
     (Y_new, Yp, _), (yhat_old, _, _) = jets(y_old)
     gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_old)     # 1 + x Y'_new
-    fv = nf_fin.f.on(new_chart).v
-    av, bv, cv = (j.v for j in F_fin.on(new_chart))
     resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
                       np.max(np.abs(bv + 2.0 * Y_new / gT) / (1.0 + np.abs(bv))),
                       np.max(np.abs(av - 1.0)), np.max(np.abs(cv))))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import projeq as pq
+from projeq import cli
 from projeq.dynamics import hamiltonian_form
 from projeq.errors import DomainError, InvalidArgument, SignatureMismatch
 from projeq.expr import BinOp, Num
@@ -92,6 +93,31 @@ class TestNullForm:
             ref = weakref.ref(g)
             del g, pair
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_the_cli_keeps_the_null_form_it_parsed(self):
+        """A metric given to the CLI as f reads back the null form parsed from
+        f, not a second one built as (f/2)*2, and that null form reads back
+        the metric."""
+        g = cli._metric_from({"metric": {"f": "2 + x*y"}}, "metric", UNIT)
+        nf = pq.null_form_of(g)
+        assert g.g12.expr == BinOp("*", nf.f.expr, Num(0.5)) and g.g12._op[1][0] is nf.f
+        assert pq.render(nf.f.expr) == "2.0+x*y"
+        assert nf.to_metric2() is g and pq.null_form_of(g) is nf
+        assert g.g11 is g.g22 and g.g11.expr == Num(0.0)
+
+    def test_a_cli_metric_and_its_null_form_form_no_cycle(self):
+        """With the cyclic collector off, dropping the metric the CLI parsed
+        and its null form frees both."""
+        gc.collect()
+        gc.disable()
+        try:
+            g = cli._metric_from({"metric": {"f": "1 + x/10"}}, "metric", UNIT)
+            nf = pq.null_form_of(g)
+            refs = [weakref.ref(g), weakref.ref(nf)]
+            del g, nf
+            assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
 

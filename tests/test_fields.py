@@ -220,6 +220,57 @@ def test_derived_fields_sweep_from_the_entries_kept_sweeps():
     assert H.a._op[1][0]._swept is None      # g22 / det, one reader
 
 
+def test_a_shared_field_is_evaluated_once_per_point_set_under_compositions():
+    """Fields composed with the same maps read their inner fields at the
+    maps' kept inversions, and fields composed with one matrix under one
+    chart read theirs at one point set too: a field below two of them, with
+    two readers, is evaluated once per point set and keeps that read beside
+    its chart sweep, not in place of it.  Every composed sweep is its
+    pointwise read, bit for bit."""
+    chart = Chart((0.2, 1.0), (0.1, 0.9), (6, 5))
+    X = ScalarField.from_expr(parse("1 + x*y + y^2"))
+    leaf, calls = X._jet, []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return leaf(x, y)
+
+    X._jet = counted
+    p, q = X * 2.0, X + 1.0
+    X.on(chart)
+    assert len(calls) == 1 and X._readers == 2
+
+    xmap = ExprMap(parse("x + x^3/10"), "x", *chart.x_range)
+    ymap = ExprMap(parse("y + y^2/10"), "y", *chart.y_range)
+    new = Chart(xmap.range, ymap.range, chart.grid)
+    P, Q = p.compose_separable(xmap, ymap, 1, 0), q.compose_separable(xmap, ymap, 0, 1)
+    m = np.array([[0.5, 0.25], [-0.125, 0.75]])
+    lin = Chart((0.3, 0.6), (0.2, 0.5), (4, 4))
+    P2, Q2 = p.compose_linear(m), q.compose_linear(m.copy())
+    swept = [f.on(c) for f, c in ((P, new), (Q, new), (P2, lin), (Q2, lin))]
+    assert len(calls) == 3
+    assert calls[1][0] is xmap.inverse(new.mesh[0]) and calls[1][1] is ymap.inverse(new.mesh[1])
+    assert X._swept[0] == chart and X._swept[1] is not None and X._keyed is not None
+    for f, c, jets in zip((P, Q, P2, Q2), (new, new, lin, lin), swept):
+        fresh = f.jet(*c.mesh)
+        assert [getattr(jets, s).tobytes() for s in Jet2.__slots__] == \
+            [np.broadcast_to(getattr(fresh, s), c.grid).tobytes() for s in Jet2.__slots__]
+
+
+def test_a_componentwise_null_form_has_one_zero_field():
+    """Metric2.from_exprs gives g11 and g22 one field where both are the same
+    literal number, bit for bit, so that g^11 and g^22 are one quotient;
+    0 and -0 stay apart."""
+    chart = Chart((-0.5, 0.5), (-0.5, 0.5), (5, 4))
+    g = Metric2.from_exprs("0", "1 + x/4", "0", chart)
+    assert g.g11 is g.g22 and g.inverse_fields()[0] is g.inverse_fields()[2]
+    two = Metric2.from_exprs("2", "x/8", "2.0", chart)
+    assert two.g11 is two.g22 and two.g11.expr == Num(2.0)
+    for g11, g22 in (("0", "-0"), ("0", "0*x"), ("2", "3"), ("x", "x")):
+        h = Metric2.from_exprs(g11, "1 + x/4", g22, chart)
+        assert h.g11 is not h.g22
+
+
 def test_each_derived_form_is_one_object(monkeypatch):
     """A metric's inverse fields, Hamiltonian and null form, and a null
     form's metric, are built on the first call and returned again on every

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -454,6 +456,59 @@ class TestPipeline:
         b_bad = pair.F.b + pq.ScalarField.from_expr(pq.parse("x/100"))
         pq.verify_integral(pair.g, QuadraticForm(pair.F.a, b_bad, pair.F.c, chart))
         assert evaluations() == {1}
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_no_field_is_evaluated_twice_on_one_point_set(self, spec, monkeypatch):
+        """A field read by several others under a coordinate change is
+        evaluated once per point set, not once per reader: in a pipeline run,
+        on a pair pulled through an admissible change and on the generated
+        pair itself, no field's function is called twice on the same
+        coordinate arrays (a chart's mesh, or the maps' kept inversions that
+        every field composed with those maps reads)."""
+        init, calls = ScalarField.__init__, []
+
+        def counted_init(field, jet_fn, expr=None):
+            if jet_fn is not None:
+                fn = jet_fn
+
+                def jet_fn(x, y):
+                    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                        calls.append((jet_fn, x, y))    # holds x and y: ids stay unique
+                    return fn(x, y)
+            init(field, jet_fn, expr)
+
+        monkeypatch.setattr(ScalarField, "__init__", counted_init)
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+        pair = pq.generate(spec(chart))
+        nf, F, _ = pq.to_null_form(pair.g, pair.F)
+        nf2, F2 = pq.apply_admissible_change(
+            nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+        for g, form in ((nf2, F2), (pair.g, pair.F)):
+            del calls[:]
+            pq.rectification_pipeline(g, form)
+            keys = [(id(f), id(x), id(y)) for f, x, y in calls]
+            assert keys and len(set(keys)) == len(keys)
+
+    def test_a_rectification_leaves_no_reference_cycle(self):
+        """The results a field keeps under a composition's key hold arrays
+        only: with the cyclic collector off, a Liouville rectification's
+        composed coefficients, maps and report are freed once dropped."""
+        chart = pq.Chart((0.5, 1.5), (0.5, 1.2), (11, 11))
+        gc.collect()
+        gc.disable()
+        try:
+            pair = pq.generate(FAMILY_SPECS[0](chart))
+            nf, F, _ = pq.to_null_form(pair.g, pair.F)
+            nf2, F2 = pq.apply_admissible_change(
+                nf, F, pq.AdmissibleChange("x + x^2/20", "y - y^3/30"))
+            report = pq.rectification_pipeline(nf2, F2)
+            assert report.case == 1
+            refs = [weakref.ref(o) for o in (F.a, F2.a, nf2.f, report.bk.integral.b,
+                                             report.bk.xmap, report)]
+            del pair, nf, F, nf2, F2, report
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_report_serializable(self):
         import json

@@ -27,7 +27,8 @@ AB = TOOL.parent / "ab_items.py"
 
 def test_ab_items_runs_one_tree_against_itself(tmp_path):
     """An A/A run pairs the same items on both sides: every item passes its
-    checks and the tool prints both totals and the two ratios."""
+    checks and the tool prints both totals and the two ratios, then each
+    side's p50 and p90 and, per item kind, both medians and the speed-up."""
     tree = str(TOOL.parents[1])
     out = subprocess.run([sys.executable, str(AB), tree, tree, "--workload", "rectify_roundtrip",
                           "--items", "2", "--seed", "5"], cwd=tmp_path, capture_output=True,
@@ -39,3 +40,9 @@ def test_ab_items_runs_one_tree_against_itself(tmp_path):
                for side, line in zip("AB", lines[1:3], strict=True)), lines
     assert re.fullmatch(r"total-time ratio A/B: [0-9.]+", lines[3])
     assert re.fullmatch(r"median per-item speed-up \(t_A / t_B\): [0-9.]+", lines[4])
+    assert all(re.fullmatch(f"{side}: p50 [0-9.]+ ms, p90 [0-9.]+ ms", line)
+               for side, line in zip("AB", lines[5:7], strict=True)), lines
+    # the family cycle starts with Liouville, then complex Liouville
+    assert [re.fullmatch(r"kind (\w+) items=1: median A [0-9.]+ ms, B [0-9.]+ ms, "
+                         r"median per-item speed-up [0-9.]+", line)[1] for line in lines[7:]] \
+        == ["liouville", "complex_liouville"], lines

@@ -10,7 +10,10 @@ next item, and it alternates which side goes first, so that both sides meet
 the same machine load.  It prints each side's total time and the number of
 items whose checks failed, then the ratio of the total times (A / B) and
 the median per-item speed-up, the median of t_A / t_B: above 1 when B is
-faster.  It exits with status 1 when any item failed on either side.
+faster.  Then each side's p50 and p90 item time (percentiles as bench/run.py
+takes them, with equal weights), and for each item kind its number of
+items, each side's median item time and the median per-item speed-up.  It
+exits with status 1 when any item failed on either side.
 
 Timing two trees in turn, each in its own run, measures the machine's drift
 as much as the trees; pairing item by item cancels most of it.  Running one
@@ -80,15 +83,32 @@ class Worker:
         self.proc.wait()
 
 
+def percentile(values, q: float) -> float:
+    """The q-th percentile, interpolated between the sorted values at their
+    Hazen plotting positions (i + 0.5) / n, as bench/run.py takes it for
+    items of equal weight."""
+    v = sorted(values)
+    pos = q / 100.0 * len(v) - 0.5
+    if pos <= 0.0:
+        return v[0]
+    if pos >= len(v) - 1:
+        return v[-1]
+    i = int(pos)
+    return v[i] + (v[i + 1] - v[i]) * (pos - i)
+
+
 def compare(a: str, b: str, workload: str, items: int, seed: int) -> int:
     sides = {"A": Worker(a, workload, seed), "B": Worker(b, workload, seed)}
     times = {"A": [], "B": []}
+    kinds = []
     failed = {"A": 0, "B": 0}
     try:
         for i in range(items):
             for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
                 r = sides[side].item()
                 times[side].append(r["s"])
+                if side == "A":
+                    kinds.append(r["kind"])
                 if r["failed"]:
                     failed[side] += 1
                     print(f"{side} item {i} ({r['kind']}) failed: {r['failed']}",
@@ -103,6 +123,15 @@ def compare(a: str, b: str, workload: str, items: int, seed: int) -> int:
     print(f"total-time ratio A/B: {sum(times['A']) / sum(times['B']):.4f}")
     speedup = statistics.median(ta / tb for ta, tb in zip(times["A"], times["B"]))
     print(f"median per-item speed-up (t_A / t_B): {speedup:.4f}")
+    for side in ("A", "B"):
+        ms = [1000.0 * t for t in times[side]]
+        print(f"{side}: p50 {percentile(ms, 50):.3f} ms, p90 {percentile(ms, 90):.3f} ms")
+    for kind in dict.fromkeys(kinds):
+        pairs = [(ta, tb) for k, ta, tb in zip(kinds, times["A"], times["B"]) if k == kind]
+        ta, tb = zip(*pairs)
+        print(f"kind {kind} items={len(pairs)}: median A {1000.0 * statistics.median(ta):.3f} ms, "
+              f"B {1000.0 * statistics.median(tb):.3f} ms, median per-item speed-up "
+              f"{statistics.median(x / y for x, y in pairs):.4f}")
     return 1 if failed["A"] or failed["B"] else 0
 
 
