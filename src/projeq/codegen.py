@@ -339,7 +339,7 @@ def _mark(first, i: int, *slots):
     """first, or else (i, mask) if some slot is not finite somewhere."""
     if first is None:
         bad = reduce(np.logical_or, [~np.isfinite(s) for s in slots])
-        if np.any(bad):
+        if bad.any():
             return i, bad
     return first
 
@@ -350,7 +350,7 @@ _NAMESPACES = {
            for name in ("sin", "cos", "exp", "log", "sqrt", "fabs", "copysign")},
         "F": (np.complex128 if grid else complex) if cplx else np.float64,
         "J": ComplexJet if cplx else Jet2, "pw": np.float_power, "inf": math.inf,
-        "nan": math.nan, "_any": np.any, "_raise": _raise, "_mark": _mark}
+        "nan": math.nan, "_any": np.count_nonzero, "_raise": _raise, "_mark": _mark}
     for cplx in (False, True) for grid in (False, True)}
 
 # function -> ((predicate on the argument's value, as source), message), ...)

@@ -210,6 +210,11 @@ def integrate_geodesic(g: Metric2, s0: PhaseState, t_end: float,
     if not g.chart.contains(s0.x, s0.y):
         raise ChartExit(0.0, s0)
     h0 = hamiltonian(g, s0)
+    # a finite state may still overflow H or an integral, whose logs would
+    # then start from inf and every drift read NaN
+    for name, v in (("H", h0), *((n, quadratic_value(F, s0)) for n, F in integrals.items())):
+        if not _finite(v):
+            raise DomainError(f"{name} is not finite at the initial state {s0!r}")
     pscale = s0.px * s0.px + s0.py * s0.py
     if not allow_null and abs(h0) < 1e-12 * max(pscale, 1e-300):
         raise InvalidArgument("initial covector is (numerically) null; "

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import (DomainError, InvalidArgument, InvariantViolation, SignatureMismatch,
                      check_tol)
 from .expr import Num, parse
-from .fields import ScalarField
+from .fields import ScalarField, _stacked
 from .geometry import Chart, Metric2
 from .dynamics import PhaseState, QuadraticForm, bracket_from_jets, hamiltonian, \
     hamiltonian_form, poisson_bracket, quadratic_value  # noqa: F401 (importable from here)
@@ -92,7 +92,7 @@ def null_form_of(g: Metric2) -> NullFormMetric | None:
 def _null_form(g: Metric2) -> NullFormMetric | None:
     a, b, c = g.values
     bound = NULL_FORM_TOL * np.maximum(np.abs(b), 1e-300)
-    if np.any((np.abs(a) > bound) | (np.abs(c) > bound)):
+    if ((np.abs(a) > bound) | (np.abs(c) > bound)).any():
         return None
     nf = NullFormMetric(g.g12 * 2.0, g.chart)
     if _is_zero(g.g11) and _is_zero(g.g22):
@@ -252,13 +252,14 @@ def verify_integral(metric, F: QuadraticForm, method: str = "auto",
                      + abs(bj.dx) + abs(cj.dx) + abs(aj.dy) + abs(bj.dy) + abs(cj.dy))
             a2, b2, c2 = F_jets
             cnorm = 1.0 + abs(a2.v) + abs(b2.v) + abs(c2.v)
-            r = np.max([abs(v) / (fnorm * cnorm) for v in vals], axis=0)
+            r0, r1, r2, r3 = (abs(v) / (fnorm * cnorm) for v in vals)
+            r = np.maximum(np.maximum(np.maximum(r0, r1), r2), r3)
     else:
         raise InvalidArgument(f"unknown method {method!r}")
     overflow = chart.first_point(~np.isfinite(r))
     if overflow is not None:
         raise DomainError(f"{method} residual is not finite", point=overflow)
-    i = int(np.argmax(r))
+    i = int(r.argmax())
     worst = float(r.flat[i])
     worst_pt = chart.point(i) if worst > 0.0 else chart.center
     return VerificationReport(method, worst, worst_pt, tol, worst < tol)
@@ -288,17 +289,17 @@ def triviality_check(F: QuadraticForm, g: Metric2,
     # coefficients interleaved point by point: (a, b, c) at each grid point
     with np.errstate(all="ignore"):
         iv = 1.0 / g.det
-        h = np.stack((c * iv * 0.5, -b * iv, a * iv * 0.5), axis=-1)
+        h = _stacked((c * iv * 0.5, -b * iv, a * iv * 0.5))
     overflow = g.chart.first_point(~np.isfinite(h).all(axis=-1))
     if overflow is not None:
         raise DomainError("inverse metric takes a non-finite value", point=overflow)
-    fvals = np.stack([j.v for j in F_jets], axis=-1).ravel()
+    fvals = _stacked([j.v for j in F_jets]).ravel()
     hvals = h.ravel()
     with np.errstate(all="ignore"):
         denom = float(hvals @ hvals)
         lam = float(fvals @ hvals) / denom if denom > 0.0 else 0.0
-        dev = float(np.max(np.abs(fvals - lam * hvals)))
+        dev = float(np.abs(fvals - lam * hvals).max())
     if not np.isfinite(dev):
         raise DomainError("triviality deviation is not finite")
-    scale = float(np.max(np.abs(fvals)) + 1e-300)
+    scale = float(np.abs(fvals).max() + 1e-300)
     return TrivialityResult(dev <= tol * scale, lam, dev, tol)

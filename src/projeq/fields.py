@@ -71,19 +71,37 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
-def _read_only(a, chart):
-    """A jet slot as a read-only float array of the chart's grid shape: a
-    view of it where it is one already, chart.zeros for the number +0.0, else
-    broadcast (a constant slot may be a number; -0.0 keeps its sign)."""
-    shape = chart.zeros.shape
+def _spread(a, shape):
+    """a as a read-only float array of the shape, copying nothing: a view of
+    a where it is one already; a number as its one float behind zero
+    strides, so that it keeps its sign bit and does not grow with the shape;
+    any other array broadcast."""
     if isinstance(a, np.ndarray):
-        if a.shape == shape and a.dtype == float:
-            a = a.view()
-            a.flags.writeable = False
-            return a
-    elif a == 0.0 and math.copysign(1.0, a) > 0.0:
+        if a.shape != shape or a.dtype != float:
+            return np.broadcast_to(np.asarray(a, dtype=float), shape)
+        a = a.view()
+    else:
+        a = np.ndarray(shape, float, np.array([a], dtype=float), 0, (0,) * len(shape))
+    a.flags.writeable = False
+    return a
+
+
+def _read_only(a, chart):
+    """A jet slot as a read-only float array of the chart's grid shape:
+    chart.zeros for the number +0.0, else _spread (a constant slot may be a
+    number; -0.0 keeps its sign)."""
+    if not isinstance(a, np.ndarray) and a == 0.0 and math.copysign(1.0, a) > 0.0:
         return chart.zeros
-    return np.broadcast_to(np.asarray(a, dtype=float), shape)
+    return _spread(a, chart.zeros.shape)
+
+
+def _stacked(arrays):
+    """np.stack(arrays, axis=-1) for arrays of one shape (any may be a
+    broadcast view), filled into one new float array."""
+    out = np.empty(arrays[0].shape + (len(arrays),))
+    for k, a in enumerate(arrays):
+        out[..., k] = a
+    return out
 
 
 def brentq(g, a: float, b: float, ga, gb):
@@ -434,9 +452,9 @@ class Monotone1D:
         vlo, vhi = self.range
         glo, ghi = vlo - u, vhi - u
         slack = 1e-9 * (abs(u) + 1.0)
-        ok = (glo < slack) & (ghi > -slack)
-        if np.count_nonzero(ok) < np.size(ok):
-            value = float(np.asarray(u)[np.logical_not(ok)].flat[0])
+        out = np.logical_not((glo < slack) & (ghi > -slack))
+        if np.count_nonzero(out):
+            value = float(np.asarray(u)[out].flat[0])
             raise NonMonotone(f"value {value!r} outside the map range {self.range}")
 
         def g(t):
@@ -464,10 +482,10 @@ class Monotone1D:
 
     def validate_monotone(self):
         ts = np.linspace(self.tmin, self.tmax, _MONOTONE_SAMPLES)
-        d = np.broadcast_to(self._value_slope(ts)[1], ts.shape)
+        d = _spread(self._value_slope(ts)[1], ts.shape)
         bad = ~(d > 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        i = int(bad.argmax())
+        if bad[i]:
             raise NonMonotone(f"derivative {d[i]:.3e} <= 0 at t = {ts[i]:.6g}")
 
     def inverted(self) -> "Monotone1D":
@@ -539,7 +557,7 @@ class QuinticHermite:
 
     def __init__(self, ts, d, d1, d2):
         ts = np.asarray(ts, dtype=float)
-        d, d1, d2 = (np.broadcast_to(np.asarray(j, dtype=float), ts.shape) for j in (d, d1, d2))
+        d, d1, d2 = (_spread(j, ts.shape) for j in (d, d1, d2))
         h = np.diff(ts)
         # the piece on [t_i, t_i + h] as a polynomial in s = (t - t_i) / h
         y0, y1 = d[:-1], d[1:]
@@ -553,18 +571,18 @@ class QuinticHermite:
         # each piece's integral, exact for the quintic, summed from ts[0]
         area = (0.5 * h * (y0 + y1) + h * h / 10.0 * (d1[:-1] - d1[1:])
                 + h * h * h / 120.0 * (d2[:-1] + d2[1:]))
-        start = np.concatenate(([0.0], np.cumsum(area)[:-1]))
+        start = np.concatenate(([0.0], area.cumsum()[:-1]))
         self._ts, self._h = ts, h
         # Horner coefficients per piece (one row each), lowest power first
-        self._value = np.stack(c, axis=1)
-        self._slope = np.stack([k * c[k] / h for k in range(1, 6)], axis=1)
-        self._area = np.stack([start] + [h * c[k] / (k + 1) for k in range(6)], axis=1)
+        self._value = _stacked(c)
+        self._slope = _stacked([k * c[k] / h for k in range(1, 6)])
+        self._area = _stacked([start] + [h * c[k] / (k + 1) for k in range(6)])
 
     def _horner(self, table, t):
         a = np.asarray(t, dtype=float)
         flat = a.reshape(-1)
         # the piece of each entry; the end pieces extend beyond the knots
-        i = np.searchsorted(self._ts[1:-1], flat, side="right")
+        i = self._ts[1:-1].searchsorted(flat, side="right")
         s = (flat - self._ts[i]) / self._h[i]
         rows = table[i]
         r = rows[:, -1] * s
@@ -601,13 +619,13 @@ class QuadratureMap(Monotone1D):
         self._deriv_jet = deriv_jet
         # the knots are validate_monotone's samples: checking them suffices
         ts = np.linspace(tmin, tmax, _QUADRATURE_SAMPLES)
-        if not np.all(np.diff(ts) > 0.0):
+        if not (np.diff(ts) > 0.0).all():
             raise InvalidArgument(f"range [{tmin!r}, {tmax!r}] is too narrow for "
                                   f"{_QUADRATURE_SAMPLES} distinct quadrature knots")
         jets = deriv_jet(ts)
         if not all(np.isfinite(j).all() for j in jets):
             raise DomainError("quadrature map derivative is not finite")
-        if not np.all(np.broadcast_to(jets[0], ts.shape) > 0.0):
+        if not (_spread(jets[0], ts.shape) > 0.0).all():
             raise NonMonotone("quadrature map derivative is not positive")
         self._fit = QuinticHermite(ts, *jets)
         self._base = self._fit.antiderivative(self.t0)

@@ -30,9 +30,10 @@ MAX_GRID_POINTS = 65_536
 class Chart:
     """Rectangular coordinate domain with its sampling grid: the axes xs, ys,
     their (nx, ny) mesh in points() order and an (nx, ny) array of zeros,
-    computed once and read-only.  The ranges and the grid are pairs (tuples
-    or lists, kept as tuples), the ranges' entries real numbers and the
-    grid's integers."""
+    computed once and read-only (a sweep gives a slot that is the number
+    +0.0 as zeros).  The ranges and the grid are pairs (tuples or lists,
+    kept as tuples), the ranges' entries finite real numbers whose width
+    hi - lo is finite too, and the grid's integers."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -57,6 +58,12 @@ class Chart:
                                      f"{self.x_range!r} and {self.y_range!r}")
         if not (self.x_range[1] > self.x_range[0] and self.y_range[1] > self.y_range[0]):
             raise InvariantViolation("chart ranges must be non-degenerate")
+        for name in ("x_range", "y_range"):
+            lo, hi = getattr(self, name)
+            # the grid steps are fractions of the width: an infinite one
+            # makes NaN and infinite grid points
+            if not math.isfinite(float(hi) - float(lo)):
+                raise InvariantViolation(f"chart {name} width must be finite, got {(lo, hi)!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise InvariantViolation("chart grid must be at least 2x2")
         if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
@@ -82,9 +89,13 @@ class Chart:
 
     def first_point(self, mask) -> tuple[float, float] | None:
         """The first grid point, in points() order, where the (nx, ny) mask
-        holds; None when it holds nowhere."""
-        mask = np.broadcast_to(mask, self.grid)
-        return self.point(np.argmax(mask)) if mask.any() else None
+        holds; None when it holds nowhere.  A mask of another shape is
+        broadcast to the grid; mask.argmax() is the first entry that holds,
+        or 0 when none does."""
+        if not (isinstance(mask, np.ndarray) and mask.shape == self.grid):
+            mask = np.broadcast_to(mask, self.grid)
+        i = int(mask.argmax())
+        return self.point(i) if mask.flat[i] else None
 
     def contains(self, x: float, y: float, pad: float = 0.0) -> bool:
         return (self.x_range[0] - pad <= x <= self.x_range[1] + pad
@@ -193,8 +204,8 @@ class Metric2:
         sing = singular(a, b, c, det)
         sig = _signature_code(a, c, det)
         bad = sing | (sig != sig.flat[0])
-        if bad.any():
-            i = int(np.argmax(bad))
+        i = int(bad.argmax())
+        if bad.flat[i]:
             x, y = self.chart.point(i)
             if sing.flat[i]:
                 raise SingularMetric(x, y, float(det.flat[i]))
@@ -337,10 +348,11 @@ def _classify(g11, g12, g21, g22, tol: float):
     # numerically stable discriminant of the characteristic polynomial
     disc = (g11 - g22) ** 2 + 4.0 * g12 * g21
     root = np.sqrt(np.abs(disc))
-    code = np.select([(scale == 0.0) | (nil <= bound),
-                      (disc > 0.0) & (root > bound),
-                      (disc < 0.0) & (0.5 * root > bound),
-                      root <= bound], [0, 1, 2, 3], default=4)
+    # the first condition that holds gives the code
+    code = np.where((scale == 0.0) | (nil <= bound), 0,
+                    np.where((disc > 0.0) & (root > bound), 1,
+                             np.where((disc < 0.0) & (0.5 * root > bound), 2,
+                                      np.where(root <= bound, 3, 4))))
     e0 = np.where(code == 1, half + 0.5 * root, np.where(scale == 0.0, 0.0, half))
     e1 = np.where(code == 1, half - 0.5 * root, 0.5 * root)
     return code, e0, e1
@@ -384,7 +396,10 @@ class PairClassification:
 def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) -> PairClassification:
     """Classify at every grid point of g's chart, from the values each metric
     keeps there (gbar is rebuilt on that chart if on another); report the
-    modal case and the fraction of grid points agreeing with it."""
+    modal case and the fraction of grid points agreeing with it.  The codes
+    are counted by np.bincount, and each code met has its first grid point
+    at the argmax of its mask: counts follow the order of those points, and
+    a tie goes to the case met first."""
     check_tol(tol)
     chart = g.chart
     if gbar.chart != chart:
@@ -393,11 +408,11 @@ def classify_pair(g: Metric2, gbar: Metric2, tol: float = DEFAULT_CLASSIFY_TOL) 
     codes, e0, e1 = _classify(*G, tol)
     for a in (codes, e0, e1):
         a.flags.writeable = False
-    found, first, n = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    found, first, n = found[order].tolist(), first[order].tolist(), n[order].tolist()
-    m = n.index(max(n))
-    i = first[m]
-    summary = _classification(found[m], e0.item(i), e1.item(i), tol)
-    counts = {TAGS[code]: k for code, k in zip(found, n)}
+    flat = codes.ravel()
+    n = np.bincount(flat, minlength=len(TAGS)).tolist()
+    # each code met, at its first grid point, in the order they are met
+    first = sorted((int((flat == code).argmax()), code) for code, k in enumerate(n) if k)
+    i, m = max(first, key=lambda ic: n[ic[1]])        # on a tie, the one met first
+    summary = _classification(m, e0.item(i), e1.item(i), tol)
+    counts = {TAGS[code]: n[code] for _, code in first}
     return PairClassification(summary, n[m] / codes.size, counts, codes, e0, e1)

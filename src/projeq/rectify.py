@@ -13,7 +13,7 @@ from .errors import (AmbiguousCase, CoefficientVanishes, InvalidArgument, NotAnI
                      SignatureMismatch, TrivialIntegral, YhatVanishes, check_tol)
 from .expr import Expr, parse
 from .fields import (ExprMap, IdentityMap, Monotone1D, QuadratureMap, QuinticHermite,
-                     ScalarField, _where)
+                     ScalarField, _spread, _where)
 from .geometry import Chart, Metric2, metric_at
 from .dynamics import QuadraticForm
 from .equivalence import NullFormMetric, null_form_of, triviality_check, verify_integral
@@ -108,8 +108,8 @@ def _bk_axis_map(coef: ScalarField, axis: str, lo: float, hi: float, ref: float,
 def _vanishing(aj, bj, cj) -> tuple[bool, bool]:
     """Whether a and c count as identically zero on the grid: max |value| at
     most _ZERO_COEFF_RTOL times the largest |value| of a, b and c."""
-    scale = max(max(float(np.max(np.abs(j.v))) for j in (aj, bj, cj)), 1e-300)
-    return tuple(bool(np.max(np.abs(j.v)) <= _ZERO_COEFF_RTOL * scale) for j in (aj, cj))
+    scale = max(max(float(np.abs(j.v).max()) for j in (aj, bj, cj)), 1e-300)
+    return tuple(bool(np.abs(j.v).max() <= _ZERO_COEFF_RTOL * scale) for j in (aj, cj))
 
 
 def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
@@ -132,15 +132,15 @@ def bk_normalize(nf: NullFormMetric, F: QuadraticForm,
             return 0, IdentityMap(lo, hi)
         # relative cross-axis derivative: a_y for axis 'x', c_x for 'y'
         cross = j.dy if axis == "x" else j.dx
-        coef_scale = float(np.max(np.abs(vals)) + 1e-300)
-        var = float(np.max(np.abs(cross) / (coef_scale + np.abs(j.dx) + np.abs(j.dy))))
+        coef_scale = float(np.abs(vals).max() + 1e-300)
+        var = float((np.abs(cross) / (coef_scale + np.abs(j.dx) + np.abs(j.dy))).max())
         if var > axis_tol:
             raise NotAxisAligned(
                 f"coefficient {'a' if axis == 'x' else 'c'} varies across "
                 f"{'y' if axis == 'x' else 'x'} (relative variation {var:.3e}); "
                 "the input is not a first integral of this metric")
-        if np.min(vals) < 0.0 < np.max(vals) or np.min(np.abs(vals)) < 1e-8 * np.max(np.abs(vals)):
-            loc = chart.point(np.argmin(np.abs(vals)))[0 if axis == "x" else 1]
+        if vals.min() < 0.0 < vals.max() or np.abs(vals).min() < 1e-8 * np.abs(vals).max():
+            loc = chart.point(np.abs(vals).argmin())[0 if axis == "x" else 1]
             raise CoefficientVanishes(axis, loc)
         sign = 1 if vals[0] > 0.0 else -1
         ref = chart.center[1 if axis == "x" else 0]
@@ -205,7 +205,7 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     pj, qj = p_and_q(fj, bj)
     ps = 1.0 + abs(pj.v) + abs(pj.dx) + abs(pj.dy)
     qs = 1.0 + abs(qj.v) + abs(qj.dx) + abs(qj.dy)
-    worst = float(np.max(np.maximum(abs(pj.dx + pj.dy) / ps, abs(qj.dx - qj.dy) / qs)))
+    worst = float(np.maximum(abs(pj.dx + pj.dy) / ps, abs(qj.dx - qj.dy) / qs).max())
     if worst > tol:
         raise NotCase1(f"fb+2f / fb-2f are not functions of one rotated variable "
                        f"(relative residual {worst:.3e})")
@@ -221,9 +221,9 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     p, q = p_and_q(nf.f.jet(xd, yd), F.b.jet(xd, yd))
     n = _CASE1_SAMPLES
     # jets along the diagonals: d/du = (d/dx + d/dy) / 2, d/dv = (d/dx - d/dy) / 2
-    Xs = [np.broadcast_to(j, xd.shape)[:n] for j in
+    Xs = [_spread(j, xd.shape)[:n] for j in
           (q.v, (q.dx + q.dy) / 2.0, (q.dxx + 2.0 * q.dxy + q.dyy) / 4.0)]
-    Ys = [np.broadcast_to(j, xd.shape)[n:] for j in
+    Ys = [_spread(j, xd.shape)[n:] for j in
           (p.v, (p.dx - p.dy) / 2.0, (p.dxx - 2.0 * p.dxy + p.dyy) / 4.0)]
     # normal-form-scale functions: ds^2 = (X_T - Y_T)(du^2 - dv^2)
     X = QuinticHermite(us, *(j / -16.0 for j in Xs))
@@ -233,9 +233,9 @@ def solve_case1(nf: NullFormMetric, F: QuadraticForm,
     Xv, Yv = X(x + y), Y(x - y)
     f_rec = 4.0 * (Xv - Yv)             # du^2 - dv^2 = 4 dx dy
     b_rec = -2.0 * (Xv + Yv) / (Xv - Yv)
-    fscale = np.max(np.abs(fj.v))
-    resid = float(max(np.max(np.abs(f_rec - fj.v)) / fscale,
-                      np.max(np.abs(b_rec - bj.v) / (1.0 + np.abs(bj.v)))))
+    fscale = np.abs(fj.v).max()
+    resid = float(max(np.abs(f_rec - fj.v).max() / fscale,
+                      (np.abs(b_rec - bj.v) / (1.0 + np.abs(bj.v))).max()))
 
     return Case1Result(us, -Xs[0] / 16.0, vs, -Ys[0] / 16.0, X, Y,
                        resid, {"rotation": "u = x + y, v = x - y",
@@ -266,7 +266,7 @@ def solve_case2(nf: NullFormMetric, F: QuadraticForm,
     ij = fj * 2.0
     s = 1.0 + abs(rj.dx) + abs(rj.dy) + abs(ij.dx) + abs(ij.dy)
     r = (abs(rj.dx - ij.dy) + abs(rj.dy + ij.dx)) / s
-    i = int(np.argmax(r))
+    i = int(r.argmax())
     worst = float(r.flat[i])
     if worst > tol:
         raise NotHolomorphic(worst, chart.point(i))
@@ -311,11 +311,11 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
         eps = 1e-5
         side = (t < ylo + eps) * 1.0 - (t > yhi - eps) * 1.0    # +1 at ylo, -1 at yhi
         inside = side == 0.0
-        ts = np.stack((t, t + _where(inside, -1.0, side) * eps,
+        ts = np.array((t, t + _where(inside, -1.0, side) * eps,
                        t + _where(inside, 1.0, 2.0 * side) * eps))
         fj = nf.f.jet(x_ref, ts)
         fbj = fj * F.b.jet(x_ref, ts)       # fb = -2 Y
-        fv, fd, fbv, fbd, fbdd = (np.broadcast_to(s, ts.shape)
+        fv, fd, fbv, fbd, fbdd = (_spread(s, ts.shape)
                                   for s in (fj.v, fj.dy, fbj.v, fbj.dy, fbj.dyy))
         Y = (-0.5 * fbv[0], -0.5 * fbd[0], -0.5 * fbdd[0])
         d1 = fd[0] - x_ref * Y[2]
@@ -332,15 +332,15 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     fbj = fj * F.b.on(chart)
     (_, yp, _), (yhat_vals, _, _) = jets(ys)
     s = 1.0 + abs(fbj.v) + abs(fbj.dx) + abs(fbj.dy)
-    worst = float(np.max(np.maximum(abs(fbj.dx) / s,
-                                    abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx)))))
+    worst = float(np.maximum(abs(fbj.dx) / s,
+                             abs(fj.dx - yp) / (1.0 + abs(fj.v) + abs(fj.dx))).max())
     if worst > tol:
         raise NotCase3(f"Y or Yhat depends on x (relative residual {worst:.3e})")
 
-    if np.min(yhat_vals) <= 0.0:
-        if np.max(yhat_vals) <= 0.0:
+    if yhat_vals.min() <= 0.0:
+        if yhat_vals.max() <= 0.0:
             raise NotCase3("Yhat is negative; flip the y orientation of the input")
-        raise YhatVanishes(float(ys[int(np.argmin(np.abs(yhat_vals)))]))
+        raise YhatVanishes(float(ys[int(np.abs(yhat_vals).argmin())]))
 
     beta = QuadratureMap(lambda t: jets(t)[1], y0, ylo, yhi)     # dy_new/dy_old = Yhat
     nf_fin, F_fin = transform_separable(nf, F, IdentityMap(xlo, xhi), beta)
@@ -354,9 +354,9 @@ def solve_case3(nf: NullFormMetric, F: QuadraticForm,
     y_old = beta.inverse(yn_grid)
     (Y_new, Yp, _), (yhat_old, _, _) = jets(y_old)
     gT = 1.0 + new_chart.xs[:, None] * (Yp / yhat_old)     # 1 + x Y'_new
-    resid = float(max(np.max(np.abs(fv - gT) / (1.0 + np.abs(gT))),
-                      np.max(np.abs(bv + 2.0 * Y_new / gT) / (1.0 + np.abs(bv))),
-                      np.max(np.abs(av - 1.0)), np.max(np.abs(cv))))
+    resid = float(max((np.abs(fv - gT) / (1.0 + np.abs(gT))).max(),
+                      (np.abs(bv + 2.0 * Y_new / gT) / (1.0 + np.abs(bv))).max(),
+                      np.abs(av - 1.0).max(), np.abs(cv).max()))
 
     return Case3Result(yn_grid, Y_new, ys, yhat_vals, beta, resid,
                        {"base_point": (x_ref, y0),
@@ -394,13 +394,13 @@ def to_null_form(g, F: QuadraticForm):
 
     # null slopes m: g11 + 2 g12 m + g22 m^2 = 0
     g11, g12, g22 = g.values
-    if np.any(abs(g22) < 1e-12 * (abs(g11) + abs(g12) + 1e-300)):
+    if (abs(g22) < 1e-12 * (abs(g11) + abs(g12) + 1e-300)).any():
         raise RectifyError("null direction along dy; swap coordinates first")
     root = np.sqrt(-g.det)      # det < 0: signature (+,-)
     sp, sm = (-g12 + root) / g22, (-g12 - root) / g22
     mp, mm = float(sp.flat[0]), float(sm.flat[0])
-    if np.any(abs(sp - mp) > 1e-9 * (1.0 + abs(mp))) or \
-            np.any(abs(sm - mm) > 1e-9 * (1.0 + abs(mm))):
+    if (abs(sp - mp) > 1e-9 * (1.0 + abs(mp))).any() or \
+            (abs(sm - mm) > 1e-9 * (1.0 + abs(mm))).any():
         raise RectifyError(
             "the metric's null directions vary across the chart; supply the "
             "metric in null form (f dx dy) to rectify it")
@@ -541,9 +541,9 @@ def rectification_pipeline(g, F: QuadraticForm, tol: float = DEFAULT_CASE_TOL,
     def sign_of(vals, zero, name):
         if zero:
             return 0
-        if np.min(vals) > 0.0:
+        if vals.min() > 0.0:
             return 1
-        if np.max(vals) < 0.0:
+        if vals.max() < 0.0:
             return -1
         raise AmbiguousCase(f"coefficient {name} changes sign inside the chart; "
                             "pick a chart on one side of its zero set")

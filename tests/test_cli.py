@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,20 @@ class TestGeodesicOutput:
         (tmp_path / "plain").write_text("")
         assert run(write_config(tmp_path, GEODESIC), output_dir=tmp_path / "plain" / "out") == 2
         assert "cannot create output directory" in capsys.readouterr().err
+
+
+class TestGeodesicOverflow:
+    def test_an_initial_state_whose_hamiltonian_overflows_is_bad_input(self, tmp_path, capsys):
+        """Unchecked, this state printed a RuntimeWarning and "geodesic: ok",
+        exited 0 and wrote "energy_drift": NaN into the report."""
+        cfg = {**GEODESIC, "initial_state": [0, 0, 1e300, 1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(write_config(tmp_path, cfg)) == 2
+        captured = capsys.readouterr()
+        assert "error: DomainError: H is not finite at the initial state" in captured.err
+        assert "Warning" not in captured.err + captured.out
+        assert not any("NaN" in p.read_text() for p in tmp_path.glob("*.json"))
 
 
 class TestGeodesicBudget:

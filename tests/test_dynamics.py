@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,21 @@ class TestIntegrator:
         with pytest.raises(InvalidArgument) as ei:
             pq.integrate_geodesic(euclidean(), s0, 1.0)
         assert str(ei.value) == f"initial state must be finite, got {s0!r}"
+
+    @pytest.mark.parametrize("a, state, name", [
+        ("1", (0.0, 0.0, 1e200, 1e200), "H"),
+        ("1e300", (0.0, 0.0, 1e5, 0.0), "F")], ids=["hamiltonian", "integral"])
+    def test_initial_state_whose_values_overflow_rejected(self, a, state, name):
+        """A finite state may still overflow H or a registered integral.
+        Unchecked, (0, 0, 1e200, 1e200) on the flat metric gave a one-sample
+        ChartExit trajectory whose H log read [inf]."""
+        s0 = pq.PhaseState(*state)
+        F = pq.QuadraticForm.from_exprs(a, "0", "1", UNIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as ei:
+                pq.integrate_geodesic(euclidean(), s0, 1.0, integrals={"F": F})
+        assert str(ei.value) == f"{name} is not finite at the initial state {s0!r}"
 
     @pytest.mark.parametrize("state", [(0.0, 0.0, "1", 0.0), (0.0, None, 1.0, 0.0),
                                        (0.0, 0.0, 1.0, 1j)],

@@ -127,7 +127,8 @@ def test_finite_slots_whose_sum_overflows_pass_the_sweep():
     """on() tests the sum of the six slots for finiteness and builds the
     exact mask only where that sum is not finite: finite slots whose sum
     overflows do not raise.  A slot that is a full float array of the
-    chart's shape is kept as a read-only view of it, a number is broadcast."""
+    chart's shape is kept as a read-only view of it, a number is spread
+    over the grid by zero strides."""
     chart = Chart((0.0, 1.0), (0.0, 1.0), (3, 4))
     values = np.full(chart.grid, 1e308)
     f = ScalarField(lambda x, y: Jet2(values, 1e308, 1e308, -1e308, 0.0, 1e308))
@@ -353,8 +354,9 @@ def test_a_sweep_of_h_applies_det_g_once():
 
 
 def test_zero_slots_read_the_charts_zeros():
-    """on() gives a +0.0 number slot as chart.zeros, read-only, and
-    broadcasts any other number, -0.0 with its sign."""
+    """on() gives a +0.0 number slot as chart.zeros, read-only, and any
+    other number, -0.0 with its sign, as its one float behind zero strides,
+    read-only too."""
     chart = Chart((0.0, 1.0), (0.0, 1.0), (3, 4))
     jets = ScalarField(lambda x, y: Jet2(x + y, 1.0, 0.0, -0.0, 0.0, 2.0)).on(chart)
     assert jets.dy is chart.zeros and jets.dxy is chart.zeros
@@ -362,6 +364,7 @@ def test_zero_slots_read_the_charts_zeros():
     with pytest.raises(ValueError):
         jets.dy[0, 0] = 1.0
     assert jets.dxx is not chart.zeros and jets.dxx.shape == (3, 4)
+    assert jets.dxx.strides == (0, 0) and not jets.dxx.flags.writeable
     assert np.all(jets.dxx == 0.0) and np.all(np.signbit(jets.dxx))
     assert np.all(jets.dx == 1.0) and np.all(jets.dyy == 2.0)
     assert ScalarField.constant(0.0).on(chart).v is chart.zeros

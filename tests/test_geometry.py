@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestChart:
         with pytest.raises(InvariantViolation) as ei:
             pq.Chart(*args)
         assert str(ei.value) == message
+
+    @pytest.mark.parametrize("x_range, y_range, name", [
+        ((-1e308, 1e308), (0, 1), "x_range"), ((0, 1), (-1.5e308, 0.5e308), "y_range")],
+        ids=["x", "y"])
+    def test_ranges_whose_width_overflows_rejected(self, x_range, y_range, name):
+        """Unchecked, x_range (-1e308, 1e308) gave xs = [nan, inf, inf, inf,
+        1e308] with two RuntimeWarnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation) as ei:
+                pq.Chart(x_range, y_range, (5, 5))
+        bad = x_range if name == "x_range" else y_range
+        assert str(ei.value) == f"chart {name} width must be finite, got {bad!r}"
 
     def test_list_grid_is_kept_as_a_tuple(self):
         """A chart given lists equals and hashes as the one given tuples."""

@@ -181,6 +181,49 @@ def test_triviality_matches_pointwise(instances):
             assert res.deviation == float(np.max(np.abs(fvals - lam * hvals)))
 
 
+# NumPy's Python-level helpers: each call runs microseconds of Python where a C
+# entry point (a ufunc, an ndarray method, np.where, np.bincount or
+# np.count_nonzero) computes the same elements by the same operations
+_PYTHON_HELPERS = ("numpy/lib/_stride_tricks_impl.py", "numpy/lib/_arraysetops_impl.py",
+                   "numpy/_core/shape_base.py", "numpy/_core/fromnumeric.py")
+
+
+def test_grid_steps_call_no_python_level_numpy_helper():
+    """generate, verify (auto, bracket on the null form, perturbed control),
+    classify_pair and triviality_check (3H and F) on 21x21 charts built
+    beforehand enter none of _PYTHON_HELPERS, nor np.select."""
+    specs = [pq.LiouvilleSpec("3 + x/5 - x^2/10", "0.55 + y/10", "+",
+                              pq.Chart((-0.5, 0.5), (-0.5, 0.5), (21, 21))),
+             pq.ComplexLiouvilleSpec("z^2", pq.Chart((0.5, 1.5), (0.5, 1.2), (21, 21))),
+             pq.JordanBlockSpec("1.5 + y/5", pq.Chart((-0.4, 0.4), (-0.5, 0.5), (21, 21)))]
+    entered = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_filename.replace(os.sep, "/")
+            if name.endswith(_PYTHON_HELPERS) or (
+                    name.endswith("numpy/lib/_function_base_impl.py")
+                    and frame.f_code.co_name == "select"):
+                entered[f"{name.rsplit('/', 1)[-1]}:{frame.f_code.co_name}"] += 1
+
+    sys.setprofile(hook)
+    try:
+        for spec in specs:
+            pair = pq.generate(spec)
+            g, F = pair.g, pair.F
+            pq.verify_integral(g, F)
+            nf = pq.null_form_of(g)
+            if nf is not None:
+                pq.verify_integral(nf, F, method="bracket")
+            pq.verify_integral(g, perturbed(F))
+            pq.classify_pair(g, pair.gbar)
+            pq.triviality_check(pq.hamiltonian_form(g).scaled(3.0), g)
+            pq.triviality_check(F, g)
+    finally:
+        sys.setprofile(None)
+    assert not entered, dict(entered)
+
+
 # --- random expressions ----------------------------------------------------------------
 
 GRID_CHART = pq.Chart((0.3, 1.7), (-0.9, 0.8), (7, 6))

@@ -8,7 +8,8 @@ lines are equal computed the same bits:
 
 * grid_sweep: the sweeps of g's, gbar's, F's and H's fields (all six jet
   slots), det g, the verify reports (auto, bracket on the null form, and the
-  perturbed control), the classification arrays and the triviality scales;
+  perturbed control), the classification (its tag, fraction, counts in
+  their order, summary eigenvalues and arrays) and the triviality scales;
 * rectify_roundtrip: the sweeps of the transformed f, a, b, c, the
   rectification report's to_dict() JSON and the perturbed control's error;
 * geodesic_flow: each item's trajectory (times, states and the log of H)
@@ -77,7 +78,8 @@ def grid_sweep(seed: int, items: int, d: _Digest):
             d.json(pq.verify_integral(nf, F, method="bracket").to_dict())
         d.json(pq.verify_integral(g, perturbed(F)).to_dict())
         cls = pq.classify_pair(g, gbar)
-        d.json([cls.tag, cls.fraction, cls.counts])
+        # counts as pairs, so that their order is hashed too
+        d.json([cls.tag, cls.fraction, list(cls.counts.items()), cls.summary.eigenvalues])
         for a in (cls.codes, cls.e0, cls.e1):
             d.array(a)
         for form in (pq.hamiltonian_form(g).scaled(3.0), F):
