@@ -11,16 +11,16 @@ kernel for its pointwise reads.
 
 Every read names its points by a key: the chart whose grid they are, a
 composition's point set, or None for a read off the grid that nothing
-names.  A field keeps its last grid sweep, and an arithmetic field's sweep
-applies its operation to the sweeps its operands keep rather than
-evaluating them again.  A composed field reads its inner field under the
-key of the points it reads there: the maps' kept inversions for a separable
-change, the matrix and its caller's key for a linear one.  Of the fields in
-between, one read by two or more arithmetic fields keeps its last result
-under a chart beside its sweep, and its last result under a point set in a
-slot of its own, so that it is evaluated once per chart and once per point
-set; one with a single reader keeps nothing.  Keys hold arrays, numbers and
-bytes only, so what fields keep forms no reference cycle.
+names.  A field keeps one record: its last sweep by on(), and, if two or
+more arithmetic fields read it, its last read under any key, which its
+next keyed read replaces.  An arithmetic field's sweep applies its
+operation to the reads its operands keep rather than evaluating them
+again.  A composed field reads its inner field under the key of the points
+it reads there: the maps' kept inversions for a separable change, the
+matrix and its caller's key for a linear one.  So a shared field is
+evaluated once per chart or point set that its readers read in turn; a
+field in between with a single reader keeps nothing.  Keys hold arrays,
+numbers and bytes only, so what fields keep forms no reference cycle.
 
 Monotone1D maps model the separable coordinate changes x_new = phi(x_old),
 y_new = psi(y_old): they expose forward jets up to third order (third order
@@ -154,16 +154,15 @@ class ScalarField:
     A composed field has none either: every read pulls its inner field
     through the coordinate change (_pull)."""
 
-    __slots__ = ("_jet", "expr", "_swept", "_keyed", "_op", "_pull", "_readers",
-                 "__weakref__")
+    __slots__ = ("_jet", "expr", "_swept", "_op", "_pull", "_readers", "__weakref__")
 
     def __init__(self, jet_fn, expr: Expr | None = None):
         self._jet = jet_fn
         self.expr = Leaf(jet_fn) if expr is None else expr
-        # (chart, checked Jet2 or None, _at's Jet2) of the last sweep; the
-        # checked jet is None until on() is called on that chart
+        # (key, checked Jet2 or None, _at's Jet2) of the last keyed read, under
+        # a chart or a point set; the checked jet is None until on() is
+        # called on that chart
         self._swept = None
-        self._keyed = None          # (point-set key, _at's Jet2) of the last keyed read
         self._op = None             # (Jet2 operation, operands) of an arithmetic field
         self._pull = None           # (x, y, key) -> Jet2 of a composed field
         self._readers = 0           # arithmetic fields made with this one as an operand
@@ -180,8 +179,9 @@ class ScalarField:
         or infinite entry raises DomainError naming the first such grid point.
 
         A field is immutable, so it keeps its last sweep and answers a sweep
-        on an equal chart with it: each field is evaluated once per chart,
-        however many steps read it.  A sweep that raises keeps nothing."""
+        on an equal chart with it while no other keyed read (_at) has
+        replaced it: each field is evaluated once per chart, however many
+        steps read it.  A sweep that raises puts the previous record back."""
         kept = self._swept
         if kept is not None and kept[1] is not None and (kept[0] is chart or kept[0] == chart):
             return kept[1]
@@ -212,13 +212,13 @@ class ScalarField:
         composed field reads its inner field (_pull) and any other field
         calls its function.  So every route applies the same operations to
         the same values, and raises or turns non-finite at the same points.
-        Under a key, a field with two or more readers keeps what it returns,
-        a chart's read beside its sweep and a point set's in a slot of its
-        own, so that each reader reads one evaluation."""
+        Under a key, a field with two or more readers keeps what it returns
+        as its one record, in place of the last, so that each reader reads
+        one evaluation."""
         if key is not None:
-            kept = self._keyed if type(key) is _PointSet else self._swept
+            kept = self._swept
             if kept is not None and (kept[0] is key or kept[0] == key):
-                return kept[-1]
+                return kept[2]
         if self._op is not None:
             op, operands = self._op
             j = op(*[o._at(x, y, key) for o in operands])
@@ -227,10 +227,7 @@ class ScalarField:
         else:
             j = self._jet(x, y)
         if key is not None and self._readers >= 2:
-            if type(key) is _PointSet:
-                self._keyed = (key, j)
-            else:
-                self._swept = (key, None, j)
+            self._swept = (key, None, j)
         return j
 
     # constructors -----------------------------------------------------------
@@ -347,7 +344,9 @@ class _PointSet:
     read that no key names.  Or a linear change's matrix bytes and its
     caller's key, compared by equality.  A key holds only arrays, numbers,
     bytes and other keys, never a field or a map, so the results kept under
-    it form no reference cycle."""
+    it form no reference cycle.  A field keeps its read under a point set in
+    the one record it keeps under a chart too (ScalarField._at): a chart and
+    a point set are never equal."""
 
     __slots__ = ("a", "b")
     __hash__ = None
@@ -465,13 +464,11 @@ class Monotone1D:
 
     def inverse_jets(self, u):
         """(t, first, second, third derivative at t) for t = inverse(u): the
-        inversion with the forward jets there.  A kept inversion keeps its
-        jets beside it from their first request on (read-only, like t), so
-        that inverse alone walks no jets."""
+        inversion with the forward jets there.  The entry inverse made keeps
+        the jets beside t from their first request on (read-only, like t),
+        so that inverse alone walks no jets."""
         t = self.inverse(u)
-        entry = self._solved.get(_input_key(u))
-        if entry is None:           # an inverted map reads its forward map, keeping none
-            return (t, *self.fjet(t)[1:])
+        entry = self._solved[_input_key(u)]
         if len(entry) == 1:
             jets = self.fjet(t)[1:]
             for j in jets:
@@ -487,9 +484,6 @@ class Monotone1D:
         i = int(bad.argmax())
         if bad[i]:
             raise NonMonotone(f"derivative {d[i]:.3e} <= 0 at t = {ts[i]:.6g}")
-
-    def inverted(self) -> "Monotone1D":
-        return _InverseMap(self)
 
 
 class ExprMap(Monotone1D):
@@ -641,23 +635,3 @@ class QuadratureMap(Monotone1D):
         d0, d1, d2 = self._deriv_jet(t)
         return (self(t), d0, d1, d2)
 
-
-class _InverseMap(Monotone1D):
-    def __init__(self, fwd: Monotone1D):
-        lo, hi = fwd.range
-        super().__init__(lo, hi)
-        self._fwd = fwd
-
-    def __call__(self, u):
-        return self._fwd.inverse(u)
-
-    def fjet(self, u):
-        t, d1, d2, d3 = self._fwd.inverse_jets(u)
-        w1 = 1.0 / d1
-        # products, not **, so that floats and arrays round alike
-        w2 = -d2 * (w1 * w1 * w1)
-        w3 = (3.0 * d2 * d2 - d1 * d3) * (w1 * w1 * w1 * w1 * w1)
-        return (t, w1, w2, w3)
-
-    def inverse(self, t):
-        return self._fwd(t)

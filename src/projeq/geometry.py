@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, SingularMetric, check_tol
+from .errors import DomainError, InvalidArgument, InvariantViolation, SingularMetric, check_tol
 from .codegen import kernel_function
 from .expr import Expr, Num, parse, render
 from .fields import ScalarField
@@ -19,10 +19,11 @@ from .fields import ScalarField
 DEFAULT_CLASSIFY_TOL = 1e-8
 
 # Grid sweeps hold a few dozen (nx, ny) arrays at once, and each field keeps
-# its last sweep (six arrays, 3 MB at 256 x 256) while it lives, a shared one
-# also its last read under a composition, so memory grows with the number of
-# grid points: at 256 x 256 a generate, verify, classify, triviality and
-# rectify run peaks at about 81 MB of RSS.
+# its last keyed read (six arrays, 3 MB at 256 x 256) while it lives, so
+# memory grows with the number of grid points.  At 256 x 256 a complex z^2
+# generate, verify, classify, triviality and rectify run peaks at about 80 MB
+# of RSS, and a Liouville rectification after an admissible change at about
+# 114 MB (tools/field_evals.py).
 MAX_GRID_POINTS = 65_536
 
 
@@ -229,10 +230,11 @@ class Metric2:
         return self._compile("jet", 7)
 
     def _compile(self, kind: str, n: int):
-        """The kernel of the first n of g11, g12, g22, det g and g^{-1}."""
+        """The kernel of the first n of g11, g12, g22, det g and g^{-1}, the
+        last two the metric's derived fields (see inverse_fields)."""
         a, b, c = self.g11, self.g12, self.g22
-        det = determinant(a, b, c)
-        fields = (a, b, c, det, *inverse(a, b, c, det))[:n]
+        det, inv = self.derived(_inverse_form)
+        fields = (a, b, c, det, *inv)[:n]
 
         def where():
             return ", ".join(render(f.expr) for f in (a, b, c))
@@ -251,8 +253,9 @@ class Metric2:
         return forms[make]
 
     def inverse_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        """(g^11, g^12, g^22) as fields, built once (see derived)."""
-        return self.derived(_inverse_fields)
+        """(g^11, g^12, g^22) as fields, built once with det g (see derived):
+        the Hamiltonian and both kernels read these fields."""
+        return self.derived(_inverse_form)[1]
 
     def scaled(self, c: float) -> "Metric2":
         g11, g22 = diagonal_scaled(self.g11, self.g22, c)
@@ -272,9 +275,11 @@ def diagonal_scaled(a, c, k):
     return ak, ak if c is a else c * k
 
 
-def _inverse_fields(g: Metric2):
+def _inverse_form(g: Metric2):
+    """(det g, (g^11, g^12, g^22)) as fields."""
     a, b, c = g.g11, g.g12, g.g22
-    return inverse(a, b, c, determinant(a, b, c))
+    det = determinant(a, b, c)
+    return det, inverse(a, b, c, det)
 
 
 def metric_at(g: Metric2, x: float, y: float):
@@ -364,9 +369,21 @@ def _classification(code: int, e0: float, e1: float, tol: float) -> Classificati
 
 def classify_at(G, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Classify a 2x2 matrix by its eigenstructure, with scale-relative
-    tolerances.  Points too close to a case boundary come back 'ambiguous'."""
+    tolerances.  Points too close to a case boundary come back 'ambiguous'.
+    A G that is not a 2x2 matrix of finite numbers raises InvalidArgument,
+    naming its shape or its first entry that is not finite."""
     check_tol(tol)
-    G = np.asarray(G, dtype=float)
+    try:
+        G = np.asarray(G, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"G must be a 2x2 matrix of real numbers, got {G!r}") from None
+    if G.shape != (2, 2):
+        raise InvalidArgument(f"G must be a 2x2 matrix, got shape {G.shape}")
+    bad = ~np.isfinite(G)
+    k = int(bad.argmax())
+    if bad.flat[k]:
+        i, j = divmod(k, 2)
+        raise InvalidArgument(f"G[{i}][{j}] is not finite: {G.item(k)!r}")
     code, e0, e1 = _classify(G[0, 0], G[0, 1], G[1, 0], G[1, 1], tol)
     return _classification(int(code), float(e0), float(e1), tol)
 
@@ -376,10 +393,11 @@ class PairClassification:
     """A pair's classification at every grid point of g's chart.
 
     codes (indices into TAGS) and the eigen data e0, e1 of every grid point
-    are read-only (nx, ny) arrays in points() order.  counts maps each tag met to its number of grid points, in order
-    of first occurrence; the modal case is the most frequent one (on a tie,
-    the one met first), summary its Classification at its first grid point
-    and fraction its share of the grid points."""
+    are read-only (nx, ny) arrays in points() order.  counts maps each tag
+    met to its number of grid points, in order of first occurrence; the
+    modal case is the most frequent one (on a tie, the one met first),
+    summary its Classification at its first grid point and fraction its
+    share of the grid points."""
 
     summary: Classification
     fraction: float

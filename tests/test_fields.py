@@ -225,9 +225,9 @@ def test_a_shared_field_is_evaluated_once_per_point_set_under_compositions():
     """Fields composed with the same maps read their inner fields at the
     maps' kept inversions, and fields composed with one matrix under one
     chart read theirs at one point set too: a field below two of them, with
-    two readers, is evaluated once per point set and keeps that read beside
-    its chart sweep, not in place of it.  Every composed sweep is its
-    pointwise read, bit for bit."""
+    two readers, is evaluated once per point set, and its one record is its
+    read under the last point set, in place of its chart sweep.  Every
+    composed sweep is its pointwise read, bit for bit."""
     chart = Chart((0.2, 1.0), (0.1, 0.9), (6, 5))
     X = ScalarField.from_expr(parse("1 + x*y + y^2"))
     leaf, calls = X._jet, []
@@ -251,11 +251,62 @@ def test_a_shared_field_is_evaluated_once_per_point_set_under_compositions():
     swept = [f.on(c) for f, c in ((P, new), (Q, new), (P2, lin), (Q2, lin))]
     assert len(calls) == 3
     assert calls[1][0] is xmap.inverse(new.mesh[0]) and calls[1][1] is ymap.inverse(new.mesh[1])
-    assert X._swept[0] == chart and X._swept[1] is not None and X._keyed is not None
+    assert X._swept[0] == fields._PointSet(m.tobytes(), lin) and X._swept[1] is None
     for f, c, jets in zip((P, Q, P2, Q2), (new, new, lin, lin), swept):
         fresh = f.jet(*c.mesh)
         assert [getattr(jets, s).tobytes() for s in Jet2.__slots__] == \
             [np.broadcast_to(getattr(fresh, s), c.grid).tobytes() for s in Jet2.__slots__]
+
+
+def test_a_shared_field_keeps_one_record_under_any_key():
+    """A field with two arithmetic readers keeps one record, whatever its
+    key: a read under a point set replaces its chart sweep, on(chart) then
+    evaluates it once more, to the same bytes, and a sweep that raises puts
+    the point-set record back."""
+    chart = Chart((0.6, 1.0), (0.1, 0.9), (5, 4))
+    X = ScalarField.from_expr(parse("1/(x - 1/2) + y"))
+    leaf, calls = X._jet, []
+    X._jet = lambda x, y: calls.append(x) or leaf(x, y)
+    X * 2.0, X + 1.0
+    assert X._readers == 2
+    first = X.on(chart)
+    xs, ys = chart.mesh[0] + 0.25, chart.mesh[1] * 0.5
+    points = fields._PointSet(xs, ys)
+    for _ in range(2):
+        X._at(xs, ys, points)
+    record = X._swept
+    assert len(calls) == 2 and record[0] is points and record[1] is None
+    again = X.on(chart)
+    assert len(calls) == 3 and X.on(chart) is again and len(calls) == 3
+    assert [getattr(again, s).tobytes() for s in Jet2.__slots__] == \
+        [getattr(first, s).tobytes() for s in Jet2.__slots__]
+    X._at(xs, ys, points)
+    record = X._swept
+    assert len(calls) == 4 and record[0] is points
+    with pytest.raises(DomainError):
+        X.on(Chart((0.0, 1.0), (0.1, 0.9), (3, 3)))       # x = 1/2 is a grid point
+    assert len(calls) == 5 and X._swept is record
+
+
+def test_a_metric_builds_one_det_g_and_inverse(monkeypatch):
+    """Both kernels read the det g and g^-1 fields of inverse_fields(), so
+    compiling them builds no field, and g11, g12 and g22 are read by det g
+    (a c - b b) and by g^11 = c / det, g^12 = -b / det and g^22 = a / det
+    alone: 2, 3 and 2 readers."""
+    chart = Chart((-0.5, 0.5), (-0.5, 0.5), (5, 4))
+    g = Metric2.from_exprs("2 + x", "x*y/4", "3 - y", chart)
+    inverse = g.inverse_fields()
+    built = []
+    init = ScalarField.__init__
+
+    def counted(field, *args):
+        built.append(field)
+        init(field, *args)
+
+    monkeypatch.setattr(ScalarField, "__init__", counted)
+    g.jets_at(0.1, 0.2), g.entries_at(0.1, 0.2)
+    assert built == [] and g.inverse_fields() is inverse
+    assert [f._readers for f in (g.g11, g.g12, g.g22)] == [2, 3, 2]
 
 
 def test_a_componentwise_null_form_has_one_zero_field():
@@ -641,30 +692,6 @@ def test_expr_map_reads_its_jet_code_alone(text, monkeypatch):
     kinds = [kind for kind, _ in runs]
     assert kinds and set(kinds) == {"jet"}
     assert all(grid for _, grid in runs)
-
-
-def test_inverted_map_jets_are_alike_on_floats_and_arrays():
-    """An inverted map's jets at a float are the bits of that entry of an
-    array's jets: its derivatives are products of 1/phi', not powers, which
-    NumPy and Python round differently."""
-    inv = expr_map("x + 0.1*x^2 - 0.03*x^3", -0.5, 1.0).inverted()
-    us = np.linspace(inv.tmin, inv.tmax, 41)[1:-1]
-    arrays = inv.fjet(us)
-    for k, u in enumerate(us.tolist()):
-        assert all(same_bits(a, b[k].item()) for a, b in zip(inv.fjet(u), arrays, strict=True))
-
-
-def test_inverse_map_value_needs_no_jets(monkeypatch):
-    """An inverted map's value is the forward map's inverse, without the
-    forward map's third-order jet."""
-    m = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0)
-    inv = m.inverted()
-    us = np.linspace(*m.range, 9)
-    # from a copy of m, so that inv(us) solves afresh
-    expected = cubic_map(0.1, 0.05, -0.03, -0.5, 1.0).inverse(us)
-    monkeypatch.setattr(m, "fjet", None)
-    assert np.array_equal(inv(us), expected)
-    assert inv(float(us[3])) == expected[3]
 
 
 # --- the inputs each map keeps ---------------------------------------------------

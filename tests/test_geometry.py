@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import projeq as pq
 from projeq import codegen
 from projeq.cli import run
-from projeq.errors import DomainError, InvariantViolation, SingularMetric
+from projeq.errors import DomainError, InvalidArgument, InvariantViolation, SingularMetric
 from projeq.expr import Leaf
 from projeq.geometry import christoffel_at, classify_at, determinant, metric_at, singular
 
@@ -505,6 +505,19 @@ class TestClassifyAt:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             classify_at(np.eye(2), tol=0.0)
+
+    def test_not_a_finite_2x2_matrix_rejected(self):
+        """NaN came back 'ambiguous' with eigenvalue NaN, inf 'jordan_block'
+        with two RuntimeWarnings, and a 2x3 matrix was read by four of its
+        entries; each now raises, naming the entry or the shape."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for G, message in (
+                    ([[math.nan, 0.0], [0.0, 1.0]], r"^G\[0\]\[0\] is not finite: nan$"),
+                    ([[math.inf, 0.0], [0.0, 1.0]], r"^G\[0\]\[0\] is not finite: inf$"),
+                    ([[1, 0, 0], [0, 1, 0]], r"^G must be a 2x2 matrix, got shape \(2, 3\)$")):
+                with pytest.raises(InvalidArgument, match=message):
+                    classify_at(G)
 
 
 class TestClassifyPair:

@@ -70,7 +70,9 @@ class TestAdmissibleChange:
         F = QuadraticForm.from_exprs("1 + x/9", "0", "1 - y/7", chart)
         xmap, ymap = pq.AdmissibleChange("x + x^2/8", "2*y").maps(chart)
         nf2, F2 = pq.transform_separable(nf, F, xmap, ymap)
-        nf3, F3 = pq.transform_separable(nf2, F2, xmap.inverted(), ymap.inverted())
+        # the closed-form inverses, on the ranges of xmap and ymap
+        inverses = pq.AdmissibleChange("4*(sqrt(1 + x/2) - 1)", "y/2").maps(nf2.chart)
+        nf3, F3 = pq.transform_separable(nf2, F2, *inverses)
         for x, y in pq.Chart((0.55, 1.45), (0.55, 1.15), (4, 4)).points():
             assert nf3.f(x, y) == pytest.approx(nf.f(x, y), rel=1e-9)
             assert F3.a(x, y) == pytest.approx(F.a(x, y), rel=1e-9)

@@ -123,12 +123,13 @@ def geodesic_flow(seed: int, items: int, d: _Digest):
 
 WORKLOADS = {"grid_sweep": grid_sweep, "rectify_roundtrip": rectify_roundtrip,
              "geodesic_flow": geodesic_flow}
+ITEMS, SEEDS = 24, (5, 9001)        # the defaults, which tools/field_evals.py reads too
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--items", type=int, default=24)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[5, 9001])
+    parser.add_argument("--items", type=int, default=ITEMS)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     args = parser.parse_args(argv)
     for name, run in WORKLOADS.items():
         for seed in args.seeds:
